@@ -32,7 +32,6 @@ from .optimizer import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_WORK_CAP,
     MaximizerReport,
-    betti_spectrum,
     brute_force_maximize,
     enumerate_maximizers,
     maximize_dp,

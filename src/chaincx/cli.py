@@ -116,30 +116,21 @@ def _reading_of(args) -> HypothesisReading:
     return HypothesisReading(args.reading)
 
 
-def _env_float(name: str) -> float | None:
+def _env(name: str, kind, noun: str):
+    """Environment variable `name` parsed by `kind`, or None when unset."""
     raw = os.environ.get(name)
     if raw is None:
         return None
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise _UsageError(f"environment variable {name}={raw!r} is not a number") from None
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"environment variable {name}={raw!r} is not an integer") from None
+        raise _UsageError(f"environment variable {name}={raw!r} is not {noun}") from None
 
 
 def _tolerances(args) -> ToleranceConfig:
     factor = getattr(args, "rank_tol", None)
     if factor is None:
-        factor = _env_float(ENV_RANK_TOL)
+        factor = _env(ENV_RANK_TOL, float, "a number")
     comp = getattr(args, "composition_tol", None)
     defaults = ToleranceConfig()
     try:
@@ -154,7 +145,7 @@ def _tolerances(args) -> ToleranceConfig:
 def _work_cap(args) -> int:
     cap = getattr(args, "work_cap", None)
     if cap is None:
-        cap = _env_int(ENV_WORK_CAP)
+        cap = _env(ENV_WORK_CAP, int, "an integer")
     if cap is None:
         return DEFAULT_WORK_CAP
     if cap < 1:
@@ -202,16 +193,20 @@ def _comparison_payload(result):
     }
 
 
+def _infeasible(command: str, shape: ComplexShape, ranks: RankVector):
+    payload = {
+        "feasible": False,
+        "ranks": list(ranks.ranks),
+        "error": f"ranks {list(ranks.ranks)} are infeasible for dims {list(shape.dims)}",
+    }
+    return _envelope(command, shape, payload), EXIT_INFEASIBLE
+
+
 def cmd_dimension(args):
     shape = _shape_of(args)
     ranks = _ranks_of(args, shape)
     if not is_feasible(shape, ranks):
-        payload = {
-            "feasible": False,
-            "ranks": list(ranks.ranks),
-            "error": f"ranks {list(ranks.ranks)} are infeasible for dims {list(shape.dims)}",
-        }
-        return _envelope("dimension", shape, payload), EXIT_INFEASIBLE
+        return _infeasible("dimension", shape, ranks)
     betti = betti_from_ranks(shape, ranks)
     payload = {
         "feasible": True,
@@ -272,13 +267,10 @@ def cmd_check(args):
 def cmd_verify_dim(args):
     shape = _shape_of(args)
     ranks = _ranks_of(args, shape)
+    if args.size_cap < 1:
+        raise _UsageError("--size-cap must be positive")
     if not is_feasible(shape, ranks):
-        payload = {
-            "feasible": False,
-            "ranks": list(ranks.ranks),
-            "error": f"ranks {list(ranks.ranks)} are infeasible for dims {list(shape.dims)}",
-        }
-        return _envelope("verify-dim", shape, payload), EXIT_INFEASIBLE
+        return _infeasible("verify-dim", shape, ranks)
     config = _tolerances(args)
     complex_ = canonical_complex(shape, ranks, config)
     formula_d = stratum_dimension(shape, ranks)
@@ -300,6 +292,8 @@ def cmd_sample(args):
         raise _UsageError("--trials must be positive")
     if args.seed < 0:
         raise _UsageError("--seed must be non-negative")
+    if args.limit < 1:
+        raise _UsageError("--limit must be positive")
     config = _tolerances(args)
     trial_ranks = []
     for t in range(args.trials):

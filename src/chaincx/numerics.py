@@ -337,8 +337,13 @@ def complex_to_json(complex_: NumericalComplex) -> str:
 
 
 def complex_from_json(text: str) -> NumericalComplex:
-    """Inverse of complex_to_json."""
+    """Inverse of complex_to_json; ValueError names what a bad document lacks."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("document is not a JSON object")
+    missing = [key for key in ("dims", "maps", "tolerance") if key not in doc]
+    if missing:
+        raise ValueError(f"document lacks {', '.join(missing)}")
     shape = ComplexShape(tuple(doc["dims"]))
     dims = shape.dims
     flats = doc["maps"]

@@ -11,9 +11,18 @@ The objective splits over consecutive ranks,
 and the feasible region is the chain of constraints r_{i-1} + r_i <= a_{i-1}
 with r_i <= min(a_{i-1}, a_i).  That makes an exact dynamic program over
 states r_i in [0, min(a_{i-1}, a_i)] possible: O(n A^2) time and O(n A)
-space for A = max a_i.  All tied optimal transitions are kept, so a second
-pass counts the maximizers exactly (Python integers, no overflow) and a
-backtracking pass lists them in ascending lexicographic order up to a cap.
+space for A = max a_i.
+
+A single backward pass (_solve) scans the moves of every state once and
+keeps, per state, the ascending tuple of tied optimal moves; from the same
+scan it carries the best suffix value, the exact number of maximizing
+suffixes (Python integers, no overflow) and the least and greatest suffix
+rank sums.  The public entry points only read its result: maximize_dp
+follows the first tie at each step, maximizer_rank_sum_range returns the
+root's rank-sum extrema, and enumerate_maximizers takes the root's count
+and lists the maximizers in ascending lexicographic order up to a cap by
+an iterative depth-first walk, so no shape within MAX_LENGTH exhausts the
+recursion limit.
 
 brute_force_maximize enumerates the whole feasible region instead and is
 kept deliberately naive: it is the independent oracle the dynamic program
@@ -24,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import add
 
 from .core import (
     BettiVector,
@@ -60,88 +70,96 @@ def _state_caps(dims):
     return [0] + [min(dims[i - 1], dims[i]) for i in range(1, len(dims))]
 
 
-def _suffix_best(dims):
-    """suffix[i][p] = best d contribution of maps i+1..n given r_i = p.
+def _solve(dims):
+    """One backward pass over the states (i, p), meaning r_i = p with r_0 = 0.
 
-    The p = 0 entry of suffix[0] is the maximum of d over the whole
-    feasible region.  Every state is reachable and every state admits
-    q = 0, so no entry is ever -inf.
+    Each state scans its admissible moves q (the next rank r_{i+1}) once
+    and derives, from the same scan, the best suffix value of d, the
+    ascending tuple of tied optimal q, the number of maximizing suffixes
+    and the least and greatest suffix rank sums over them.  Only the tie
+    tuples (moves[i][p]) and the root's four values are kept:
+
+        (max d, moves, maximizer count, min sum r_i, max sum r_i)
+
+    Every state is reachable and admits q = 0, so every tie tuple is
+    non-empty and every state lies on some maximizer's path.
     """
     n = len(dims) - 1
     caps = _state_caps(dims)
-    suffix = [None] * (n + 1)
-    suffix[n] = [0] * (caps[n] + 1)
+    best = [0] * (caps[n] + 1)
+    count = [1] * (caps[n] + 1)
+    lo = [0] * (caps[n] + 1)
+    hi = [0] * (caps[n] + 1)
+    moves = [None] * n
     for i in range(n - 1, -1, -1):
         a, b = dims[i], dims[i + 1]
-        nxt = suffix[i + 1]
-        cur = [0] * (caps[i] + 1)
+        cap = caps[i + 1]
+        # q (c - q) + best[q] = c q + base[q] with c = a + b - p.
+        base = [v - q * q for q, v in enumerate(best)]
+        stage_moves, new_best, new_count, new_lo, new_hi = [], [], [], [], []
         for p in range(caps[i] + 1):
-            best = 0
-            for q in range(min(caps[i + 1], a - p) + 1):
-                v = q * (a + b - p - q) + nxt[q]
-                if v > best:
-                    best = v
-            cur[p] = best
-        suffix[i] = cur
-    return caps, suffix
+            c = a + b - p
+            # c = 0 only when p = a and b = 0: the one move is q = 0.
+            values = list(map(add, range(0, c * min(cap, a - p) + 1, c or 1), base))
+            top = max(values)
+            if values.count(top) == 1:
+                q = values.index(top)
+                ties = (q,)
+                new_count.append(count[q])
+                new_lo.append(q + lo[q])
+                new_hi.append(q + hi[q])
+            else:
+                ties = tuple([q for q, v in enumerate(values) if v == top])
+                new_count.append(sum([count[q] for q in ties]))
+                new_lo.append(min([q + lo[q] for q in ties]))
+                new_hi.append(max([q + hi[q] for q in ties]))
+            stage_moves.append(ties)
+            new_best.append(top)
+        moves[i] = stage_moves
+        best, count, lo, hi = new_best, new_count, new_lo, new_hi
+    return best[0], moves, count[0], lo[0], hi[0]
 
 
-def _optimal_moves(dims, caps, suffix, i, p):
-    """Ascending list of q values continuing optimally from state (i, p)."""
-    a, b = dims[i], dims[i + 1]
-    target = suffix[i][p]
-    nxt = suffix[i + 1]
-    return [
-        q
-        for q in range(min(caps[i + 1], a - p) + 1)
-        if q * (a + b - p - q) + nxt[q] == target
-    ]
+def _lexicographic_paths(moves, limit):
+    """The first `limit` maximizers in ascending lexicographic order.
 
-
-def _count_maximizers(dims, caps, suffix):
-    n = len(dims) - 1
-    counts = [1] * (caps[n] + 1)
-    for i in range(n - 1, -1, -1):
-        cur = [0] * (caps[i] + 1)
-        for p in range(caps[i] + 1):
-            cur[p] = sum(counts[q] for q in _optimal_moves(dims, caps, suffix, i, p))
-        counts = cur
-    return counts[0]
-
-
-def _list_maximizers(dims, caps, suffix, limit):
-    n = len(dims) - 1
+    Iterative depth-first walk along the tie tuples: fill the path with
+    first ties, emit it, then advance the deepest step that has a further
+    tie and refill below it.
+    """
+    n = len(moves)
     out = []
-    prefix = []
-
-    def descend(i, p):
+    path, pos, ties = [], [], []
+    p = 0
+    while True:
+        for i in range(len(path), n):
+            t = moves[i][p]
+            p = t[0]
+            path.append(p)
+            pos.append(0)
+            ties.append(t)
+        out.append(tuple(path))
         if len(out) >= limit:
-            return
-        if i == n:
-            out.append(tuple(prefix))
-            return
-        for q in _optimal_moves(dims, caps, suffix, i, p):
-            prefix.append(q)
-            descend(i + 1, q)
-            prefix.pop()
-            if len(out) >= limit:
-                return
-
-    descend(0, 0)
-    return out
+            return out
+        while path and pos[-1] + 1 == len(ties[-1]):
+            path.pop()
+            pos.pop()
+            ties.pop()
+        if not path:
+            return out
+        pos[-1] += 1
+        p = path[-1] = ties[-1][pos[-1]]
 
 
 def maximize_dp(shape: ComplexShape) -> tuple[int, RankVector]:
     """Maximum of d(a, r) and its lexicographically smallest maximizer."""
-    dims = shape.dims
-    caps, suffix = _suffix_best(dims)
+    best, moves, _, _, _ = _solve(shape.dims)
     witness = []
     p = 0
-    for i in range(len(dims) - 1):
-        q = _optimal_moves(dims, caps, suffix, i, p)[0]
-        witness.append(q)
-        p = q
-    return suffix[0][0], RankVector(tuple(witness))
+    for stage in moves:
+        p = stage[p][0]
+        witness.append(p)
+    return best, RankVector(tuple(witness))
 
 
 def enumerate_maximizers(
@@ -154,26 +172,18 @@ def enumerate_maximizers(
     if cap < 1:
         raise ValueError("enumeration cap must be positive")
     dims = shape.dims
-    caps, suffix = _suffix_best(dims)
-    count = _count_maximizers(dims, caps, suffix)
-    listed = _list_maximizers(dims, caps, suffix, min(cap, count))
+    best, moves, count, _, _ = _solve(dims)
+    listed = _lexicographic_paths(moves, cap)
     maximizers = tuple(RankVector(r) for r in listed)
     spectrum = tuple(BettiVector(_betti(dims, r)) for r in listed)
     return MaximizerReport(
-        max_dimension=suffix[0][0],
+        max_dimension=best,
         maximizer_count=count,
         maximizers=maximizers,
         betti_spectrum=spectrum,
         truncated=count > cap,
         enumeration_cap=cap,
     )
-
-
-def betti_spectrum(
-    shape: ComplexShape, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[BettiVector, ...]:
-    """Betti vectors of the maximizers (positive-probability homology)."""
-    return enumerate_maximizers(shape, cap).betti_spectrum
 
 
 def maximizer_rank_sum_range(shape: ComplexShape) -> tuple[int, int, int]:
@@ -183,20 +193,8 @@ def maximizer_rank_sum_range(shape: ComplexShape) -> tuple[int, int, int]:
     every maximizer attains the same total homology without listing the
     maximizers, which may be exponentially many.
     """
-    dims = shape.dims
-    n = len(dims) - 1
-    caps, suffix = _suffix_best(dims)
-    lo = [0] * (caps[n] + 1)
-    hi = [0] * (caps[n] + 1)
-    for i in range(n - 1, -1, -1):
-        new_lo = [0] * (caps[i] + 1)
-        new_hi = [0] * (caps[i] + 1)
-        for p in range(caps[i] + 1):
-            moves = _optimal_moves(dims, caps, suffix, i, p)
-            new_lo[p] = min(q + lo[q] for q in moves)
-            new_hi[p] = max(q + hi[q] for q in moves)
-        lo, hi = new_lo, new_hi
-    return suffix[0][0], lo[0], hi[0]
+    best, _, _, lo, hi = _solve(shape.dims)
+    return best, lo, hi
 
 
 def brute_force_maximize(

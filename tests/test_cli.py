@@ -99,6 +99,13 @@ class TestMaximize:
         assert proc.returncode == 3
         assert "cap" in proc.stderr
 
+    def test_thousand_maps_no_recursion_error(self):
+        dims = ",".join(["20"] * 1001)
+        proc = run_cli("maximize", "--dims", dims, "--limit", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["payload"]["maximizer_count"] >= 1
+
     def test_env_work_cap_respected_and_flag_wins(self):
         proc = run_cli("maximize", "--dims", "9,9,9,9", "--method", "brute",
                        env_extra={"CHAINCX_WORK_CAP": "10"})
@@ -170,6 +177,13 @@ class TestVerifyDim:
         proc = run_cli("verify-dim", "--dims", "70,70", "--ranks", "0", "--size-cap", "64")
         assert proc.returncode == 3
 
+    def test_nonpositive_size_cap_exits_64(self):
+        for cap in ("0", "-1"):
+            proc = run_cli("verify-dim", "--dims", "2,2,2", "--ranks", "1,1",
+                           "--size-cap", cap)
+            assert proc.returncode == 64
+            assert proc.stderr == "chaincx: error: --size-cap must be positive\n"
+
     def test_disagreement_exits_5(self):
         # An absurd rank threshold zeroes the orbit rank, forcing disagreement.
         env = run_json("verify-dim", "--dims", "2,2", "--ranks", "1",
@@ -206,6 +220,12 @@ class TestSample:
     def test_single_space(self):
         env = run_json("sample", "--dims", "2", "--seed", "0", "--trials", "1")
         assert env["payload"]["trial_ranks"] == [[]]
+
+    def test_nonpositive_limit_exits_64(self):
+        for limit in ("0", "-3"):
+            proc = run_cli("sample", "--dims", "1,2,1,2", "--limit", limit)
+            assert proc.returncode == 64
+            assert proc.stderr == "chaincx: error: --limit must be positive\n"
 
 
 class TestSweep:
@@ -259,3 +279,12 @@ class TestOutputModes:
         proc = run_cli("maximize", "--dims", "2,2", "--method", "brute",
                        env_extra={"CHAINCX_WORK_CAP": "banana"})
         assert proc.returncode == 64
+        proc = run_cli("maximize", "--dims", "2,2", "--method", "brute",
+                       env_extra={"CHAINCX_WORK_CAP": "1.5"})
+        assert proc.stderr == ("chaincx: error: environment variable "
+                               "CHAINCX_WORK_CAP='1.5' is not an integer\n")
+        proc = run_cli("verify-dim", "--dims", "2,2", "--ranks", "1",
+                       env_extra={"CHAINCX_RANK_TOL": "tiny"})
+        assert proc.returncode == 64
+        assert proc.stderr == ("chaincx: error: environment variable "
+                               "CHAINCX_RANK_TOL='tiny' is not a number\n")

@@ -289,3 +289,12 @@ class TestSerialization:
     def test_map_count_validated(self):
         with pytest.raises(ValueError):
             complex_from_json('{"dims": [2, 2], "maps": [], "tolerance": 1e-8}')
+        for text, problem in [
+            ('{"maps": [[1.0]], "tolerance": 1e-8}', "dims"),
+            ('{"dims": [1, 1], "tolerance": 1e-8}', "maps"),
+            ('{"dims": [1, 1], "maps": [[1.0]]}', "tolerance"),
+            ("[[1, 1], [[1.0]], 1e-8]", "not a JSON object"),
+            ('"dims"', "not a JSON object"),
+        ]:
+            with pytest.raises(ValueError, match=problem):
+                complex_from_json(text)

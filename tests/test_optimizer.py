@@ -9,7 +9,6 @@ from chaincx import (
     ComplexShape,
     RankVector,
     WorkCapExceeded,
-    betti_spectrum,
     brute_force_maximize,
     enumerate_maximizers,
     is_feasible,
@@ -83,7 +82,8 @@ class TestEnumerate:
         assert enumerate_maximizers(ComplexShape((18,) * 9)).maximizer_count == 10
 
     def test_spread_spectrum_n4_m5(self):
-        spectrum = {b.bettis for b in betti_spectrum(shape(5, 5, 5, 5, 5))}
+        report = enumerate_maximizers(shape(5, 5, 5, 5, 5))
+        spectrum = {b.bettis for b in report.betti_spectrum}
         assert spectrum == {(1, 0, 2, 0, 2), (2, 0, 1, 0, 2), (2, 0, 2, 0, 1)}
 
     def test_single_space(self):
@@ -104,6 +104,17 @@ class TestEnumerate:
         for s in [shape(3, 1, 3), shape(4, 4, 4), shape(2, 3, 2, 3)]:
             listed = [r.ranks for r in enumerate_maximizers(s).maximizers]
             assert listed == sorted(listed)
+
+    def test_thousand_maps_lists_without_recursion(self):
+        # 1000 maps: one listed maximizer is a path 1000 steps deep.
+        s = ComplexShape((20,) * 1001)
+        report = enumerate_maximizers(s, cap=2)
+        best, witness = maximize_dp(s)
+        assert report.max_dimension == best
+        assert report.maximizers[0] == witness
+        assert report.maximizers[0].ranks < report.maximizers[1].ranks
+        assert report.truncated and report.maximizer_count > 2
+        assert all(is_feasible(s, r) for r in report.maximizers)
 
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError):
