@@ -31,6 +31,7 @@ from .core import (
 from .optimizer import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_WORK_CAP,
+    MAX_DP_STATES,
     MaximizerReport,
     brute_force_maximize,
     enumerate_maximizers,

@@ -44,7 +44,7 @@ class WorkCapExceeded(RuntimeError):
 
 def _int_tuple(values, what):
     try:
-        return tuple(operator.index(v) for v in values)
+        return tuple(map(operator.index, values))
     except TypeError:
         raise ValueError(f"{what} entries must be integers") from None
 
@@ -94,9 +94,9 @@ class RankVector:
     def __post_init__(self):
         ranks = _int_tuple(self.ranks, "rank")
         object.__setattr__(self, "ranks", ranks)
-        for r in ranks:
-            if r < 0:
-                raise ValueError(f"ranks must be non-negative, got {r}")
+        if ranks and min(ranks) < 0:
+            first = next(r for r in ranks if r < 0)
+            raise ValueError(f"ranks must be non-negative, got {first}")
 
     def __len__(self):
         return len(self.ranks)
@@ -114,9 +114,9 @@ class BettiVector:
     def __post_init__(self):
         bettis = _int_tuple(self.bettis, "Betti")
         object.__setattr__(self, "bettis", bettis)
-        for b in bettis:
-            if b < 0:
-                raise ValueError(f"Betti numbers must be non-negative, got {b}")
+        if bettis and min(bettis) < 0:
+            first = next(b for b in bettis if b < 0)
+            raise ValueError(f"Betti numbers must be non-negative, got {first}")
 
     def __len__(self):
         return len(self.bettis)
@@ -155,9 +155,8 @@ def _dimension(dims, ranks) -> int:
 
 
 def _betti(dims, ranks):
-    n = len(dims) - 1
-    padded = (0,) + tuple(ranks) + (0,)
-    return tuple(dims[i] - padded[i] - padded[i + 1] for i in range(n + 1))
+    padded = (0, *ranks, 0)
+    return tuple(map(operator.sub, map(operator.sub, dims, padded), padded[1:]))
 
 
 def euler_characteristic(shape: ComplexShape) -> int:

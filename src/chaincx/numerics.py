@@ -344,6 +344,9 @@ def complex_from_json(text: str) -> NumericalComplex:
     missing = [key for key in ("dims", "maps", "tolerance") if key not in doc]
     if missing:
         raise ValueError(f"document lacks {', '.join(missing)}")
+    for key in ("dims", "maps"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"document field {key} is not a list")
     shape = ComplexShape(tuple(doc["dims"]))
     dims = shape.dims
     flats = doc["maps"]
@@ -351,8 +354,15 @@ def complex_from_json(text: str) -> NumericalComplex:
         raise ValueError(
             f"document has {len(flats)} maps, shape {dims} needs {shape.n_maps}"
         )
-    maps = tuple(
-        np.array(flat, dtype=np.float64).reshape(dims[j], dims[j + 1])
-        for j, flat in enumerate(flats)
-    )
-    return NumericalComplex(shape, maps, float(doc["tolerance"]))
+    try:
+        maps = tuple(
+            np.array(flat, dtype=np.float64).reshape(dims[j], dims[j + 1])
+            for j, flat in enumerate(flats)
+        )
+    except TypeError:
+        raise ValueError("document field maps holds a non-numeric entry") from None
+    try:
+        tolerance = float(doc["tolerance"])
+    except TypeError:
+        raise ValueError("document field tolerance is not a number") from None
+    return NumericalComplex(shape, maps, tolerance)

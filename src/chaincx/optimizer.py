@@ -10,14 +10,21 @@ The objective splits over consecutive ranks,
 
 and the feasible region is the chain of constraints r_{i-1} + r_i <= a_{i-1}
 with r_i <= min(a_{i-1}, a_i).  That makes an exact dynamic program over
-states r_i in [0, min(a_{i-1}, a_i)] possible: O(n A^2) time and O(n A)
-space for A = max a_i.
+states r_i in [0, min(a_{i-1}, a_i)] possible: O(n A log A) time and
+O(n A) space for A = max a_i.
 
-A single backward pass (_solve) scans the moves of every state once and
-keeps, per state, the ascending tuple of tied optimal moves; from the same
-scan it carries the best suffix value, the exact number of maximizing
-suffixes (Python integers, no overflow) and the least and greatest suffix
-rank sums.  The public entry points only read its result: maximize_dp
+A single backward pass (_solve) finds, per state, the ascending tuple of
+tied optimal moves; from the same scan it carries the best suffix value,
+the exact number of maximizing suffixes (Python integers, no overflow)
+and the least and greatest suffix rank sums.  The scan of a stage is a
+divide and conquer over its rows: a move's value is g(q) - p q, so for
+q1 < q2 the gain of q2 over q1 falls as p grows, and the admissible
+moves q <= a_{i-1} - p shrink with p; hence the least and the greatest
+optimal move never increase with p, and each row needs only the window
+its neighbours leave open.  Shapes whose pass would exceed MAX_DP_STATES
+states are refused before anything is allocated.
+
+The public entry points only read the pass's result: maximize_dp
 follows the first tie at each step, maximizer_rank_sum_range returns the
 root's rank-sum extrema, and enumerate_maximizers takes the root's count
 and lists the maximizers in ascending lexicographic order up to a cap by
@@ -47,6 +54,11 @@ from .core import (
 
 DEFAULT_ENUMERATION_CAP = 10_000
 DEFAULT_WORK_CAP = 100_000_000
+# Largest DP state count sum_i (min(a_{i-1}, a_i) + 1) that _solve accepts.
+# At MAX_ENTRY a state costs about 150 bytes at the pass's peak (its tie
+# tuple plus the stage tables), so the cap keeps a pass under about
+# 0.5 GB; it serves three spaces of MAX_ENTRY (2,097,155 states).
+MAX_DP_STATES = 3 << 20
 
 
 @dataclass(frozen=True)
@@ -73,51 +85,86 @@ def _state_caps(dims):
 def _solve(dims):
     """One backward pass over the states (i, p), meaning r_i = p with r_0 = 0.
 
-    Each state scans its admissible moves q (the next rank r_{i+1}) once
-    and derives, from the same scan, the best suffix value of d, the
-    ascending tuple of tied optimal q, the number of maximizing suffixes
-    and the least and greatest suffix rank sums over them.  Only the tie
-    tuples (moves[i][p]) and the root's four values are kept:
+    Each stage solves its rows p in divide-and-conquer order: the middle
+    row m of a range scans the moves q (the next rank r_{i+1}) in its
+    window once; rows p < m then keep only the moves from m's least
+    optimal move up, rows p > m only those up to m's greatest.  Every
+    tied optimal move lies inside a row's window, so one scan yields the
+    best suffix value of d, the ascending tuple of tied optimal q, the
+    number of maximizing suffixes and the least and greatest suffix rank
+    sums over them.  Only the tie tuples (moves[i][p]) and the root's four
+    values are kept:
 
         (max d, moves, maximizer count, min sum r_i, max sum r_i)
 
     Every state is reachable and admits q = 0, so every tie tuple is
-    non-empty and every state lies on some maximizer's path.
+    non-empty and every state lies on some maximizer's path.  Raises
+    WorkCapExceeded when the states outnumber MAX_DP_STATES.
     """
     n = len(dims) - 1
     caps = _state_caps(dims)
-    best = [0] * (caps[n] + 1)
+    states = sum(caps) + len(caps)
+    if states > MAX_DP_STATES:
+        raise WorkCapExceeded(
+            f"the DP over a shape of {len(dims)} spaces needs {states} states, "
+            f"exceeding the cap of {MAX_DP_STATES}"
+        )
+    # base[q] = best[q] - q^2: a move's value is then c q + base[q] with
+    # c = a + b - p, and base[0] = best[0] at the root.
+    base = [-q * q for q in range(caps[n] + 1)]
     count = [1] * (caps[n] + 1)
     lo = [0] * (caps[n] + 1)
     hi = [0] * (caps[n] + 1)
     moves = [None] * n
     for i in range(n - 1, -1, -1):
-        a, b = dims[i], dims[i + 1]
-        cap = caps[i + 1]
-        # q (c - q) + best[q] = c q + base[q] with c = a + b - p.
-        base = [v - q * q for q, v in enumerate(best)]
-        stage_moves, new_best, new_count, new_lo, new_hi = [], [], [], [], []
-        for p in range(caps[i] + 1):
-            c = a + b - p
-            # c = 0 only when p = a and b = 0: the one move is q = 0.
-            values = list(map(add, range(0, c * min(cap, a - p) + 1, c or 1), base))
-            top = max(values)
-            if values.count(top) == 1:
-                q = values.index(top)
+        a = dims[i]
+        ab = a + dims[i + 1]
+        rows = caps[i] + 1
+        stage_moves = [None] * rows
+        new_base = [0] * rows
+        new_count = [0] * rows
+        new_lo = [0] * rows
+        new_hi = [0] * rows
+        # Ranges still to solve: (first row, last row, least move, greatest move).
+        todo = [(0, rows - 1, 0, caps[i + 1])]
+        while todo:
+            p0, p1, qlo, qhi = todo.pop()
+            p = (p0 + p1) >> 1
+            c = ab - p
+            last = a - p
+            if last > qhi:
+                last = qhi
+            if qlo == last:
+                # A one-move window; c = 0 (p = a, b = 0) always lands here.
+                q = qlo
+                top = c * q + base[q]
                 ties = (q,)
-                new_count.append(count[q])
-                new_lo.append(q + lo[q])
-                new_hi.append(q + hi[q])
             else:
-                ties = tuple([q for q, v in enumerate(values) if v == top])
-                new_count.append(sum([count[q] for q in ties]))
-                new_lo.append(min([q + lo[q] for q in ties]))
-                new_hi.append(max([q + hi[q] for q in ties]))
-            stage_moves.append(ties)
-            new_best.append(top)
+                values = list(map(add, range(c * qlo, c * last + 1, c),
+                                  base[qlo:last + 1]))
+                top = max(values)
+                if values.count(top) == 1:
+                    q = values.index(top) + qlo
+                    ties = (q,)
+                else:
+                    ties = tuple([q for q, v in enumerate(values, qlo) if v == top])
+            if len(ties) == 1:
+                new_count[p] = count[q]
+                new_lo[p] = q + lo[q]
+                new_hi[p] = q + hi[q]
+            else:
+                new_count[p] = sum([count[q] for q in ties])
+                new_lo[p] = min([q + lo[q] for q in ties])
+                new_hi[p] = max([q + hi[q] for q in ties])
+            stage_moves[p] = ties
+            new_base[p] = top - p * p
+            if p0 < p:
+                todo.append((p0, p - 1, ties[0], qhi))
+            if p < p1:
+                todo.append((p + 1, p1, qlo, ties[-1]))
         moves[i] = stage_moves
-        best, count, lo, hi = new_best, new_count, new_lo, new_hi
-    return best[0], moves, count[0], lo[0], hi[0]
+        base, count, lo, hi = new_base, new_count, new_lo, new_hi
+    return base[0], moves, count[0], lo[0], hi[0]
 
 
 def _lexicographic_paths(moves, limit):

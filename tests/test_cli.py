@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 SAMPLER_WARNING = "sequential sampler does not realize the conditional measure"
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = os.environ.copy()
     env.pop("CHAINCX_RANK_TOL", None)
     env.pop("CHAINCX_WORK_CAP", None)
@@ -21,6 +22,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -105,6 +107,21 @@ class TestMaximize:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["payload"]["maximizer_count"] >= 1
+
+    def test_dp_state_cap_exits_3(self, capsys):
+        argv = ["maximize", "--dims", ",".join(["1048576"] * 1024)]
+        proc = run_cli(*argv, timeout=30)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("chaincx: the DP over a shape of 1024 spaces")
+        assert "Traceback" not in proc.stderr
+        # The refusal itself, without the interpreter start, is immediate.
+        from chaincx.cli import main
+
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "exceeding the cap" in capsys.readouterr().err
 
     def test_env_work_cap_respected_and_flag_wins(self):
         proc = run_cli("maximize", "--dims", "9,9,9,9", "--method", "brute",

@@ -1,6 +1,7 @@
 """Integer layer: shapes, feasibility, Betti numbers, the dimension formula."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,10 @@ from chaincx import (
 
 def shape(*dims):
     return ComplexShape(dims)
+
+
+def _exactly(message):
+    return f"^{re.escape(message)}$"
 
 
 def ranks(*values):
@@ -78,29 +83,45 @@ class TestTypes:
             ComplexShape(())
 
     def test_shape_rejects_negative(self):
-        with pytest.raises(ValueError):
-            shape(2, -1)
+        with pytest.raises(ValueError, match=_exactly(
+                "shape entries must be non-negative, got -1")):
+            shape(2, -1, -3)
 
     def test_shape_rejects_huge_entry(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=_exactly(
+                f"shape entry {MAX_ENTRY + 1} exceeds cap {MAX_ENTRY}")):
             shape(MAX_ENTRY + 1)
         shape(MAX_ENTRY)  # boundary is legal
 
     def test_shape_rejects_huge_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=_exactly(
+                f"shape length {MAX_LENGTH + 1} exceeds cap {MAX_LENGTH}")):
             ComplexShape((1,) * (MAX_LENGTH + 1))
 
     def test_shape_rejects_non_integers(self):
-        with pytest.raises(ValueError):
-            ComplexShape((1.5, 2))
+        for values in [(1.5, 2), (2, "1"), 3]:
+            with pytest.raises(ValueError, match=_exactly("shape entries must be integers")):
+                ComplexShape(values)
+
+    def test_vectors_reject_non_integers(self):
+        for make, what in [(RankVector, "rank"), (BettiVector, "Betti")]:
+            for values in [(1, 2.0), (None,), 3]:
+                with pytest.raises(ValueError, match=_exactly(
+                        f"{what} entries must be integers")):
+                    make(values)
 
     def test_rank_vector_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ranks(1, -2)
+        # The message names the first negative entry, not the least.
+        for values, first in [((1, -2), -2), ((1, -1, -2), -1), ((-3,), -3)]:
+            with pytest.raises(ValueError, match=_exactly(
+                    f"ranks must be non-negative, got {first}")):
+                RankVector(values)
 
     def test_betti_vector_rejects_negative(self):
-        with pytest.raises(ValueError):
-            bettis(-1)
+        for values, first in [((-1,), -1), ((0, -1, -5), -1), ((2, 0, -4, -3), -4)]:
+            with pytest.raises(ValueError, match=_exactly(
+                    f"Betti numbers must be non-negative, got {first}")):
+                BettiVector(values)
 
     def test_zero_entries_are_legal(self):
         assert shape(0, 0, 3).dims == (0, 0, 3)

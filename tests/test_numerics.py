@@ -295,6 +295,10 @@ class TestSerialization:
             ('{"dims": [1, 1], "maps": [[1.0]]}', "tolerance"),
             ("[[1, 1], [[1.0]], 1e-8]", "not a JSON object"),
             ('"dims"', "not a JSON object"),
+            ('{"dims": 3, "maps": [], "tolerance": 1}', "dims"),
+            ('{"dims": [1, 1], "maps": 5, "tolerance": 1e-8}', "maps"),
+            ('{"dims": [1, 1], "maps": [{"a": 1}], "tolerance": 1e-8}', "maps"),
+            ('{"dims": [1, 1], "maps": [[1.0]], "tolerance": null}', "tolerance"),
         ]:
             with pytest.raises(ValueError, match=problem):
                 complex_from_json(text)

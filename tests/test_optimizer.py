@@ -2,10 +2,15 @@
 
 import itertools
 import random
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaincx import (
+    MAX_DP_STATES,
+    MAX_ENTRY,
     ComplexShape,
     RankVector,
     WorkCapExceeded,
@@ -16,6 +21,7 @@ from chaincx import (
     maximizer_rank_sum_range,
     stratum_dimension,
 )
+from chaincx.optimizer import _solve, _state_caps
 
 
 def shape(*dims):
@@ -198,3 +204,81 @@ def _feasible_vectors(s):
         rv = RankVector(r)
         if is_feasible(s, rv):
             yield rv
+
+
+def _quadratic_solve(dims):
+    """Reference backward pass: scans every move of every state, O(n A^2).
+
+    The oracle the windowed _solve must reproduce exactly.
+    """
+    n = len(dims) - 1
+    caps = _state_caps(dims)
+    best = [0] * (caps[n] + 1)
+    count = [1] * (caps[n] + 1)
+    lo = [0] * (caps[n] + 1)
+    hi = [0] * (caps[n] + 1)
+    moves = [None] * n
+    for i in range(n - 1, -1, -1):
+        a, b = dims[i], dims[i + 1]
+        cap = caps[i + 1]
+        # q (c - q) + best[q] = c q + base[q] with c = a + b - p.
+        base = [v - q * q for q, v in enumerate(best)]
+        stage_moves, new_best, new_count, new_lo, new_hi = [], [], [], [], []
+        for p in range(caps[i] + 1):
+            c = a + b - p
+            # c = 0 only when p = a and b = 0: the one move is q = 0.
+            values = list(map(add, range(0, c * min(cap, a - p) + 1, c or 1), base))
+            top = max(values)
+            if values.count(top) == 1:
+                q = values.index(top)
+                ties = (q,)
+                new_count.append(count[q])
+                new_lo.append(q + lo[q])
+                new_hi.append(q + hi[q])
+            else:
+                ties = tuple([q for q, v in enumerate(values) if v == top])
+                new_count.append(sum([count[q] for q in ties]))
+                new_lo.append(min([q + lo[q] for q in ties]))
+                new_hi.append(max([q + hi[q] for q in ties]))
+            stage_moves.append(ties)
+            new_best.append(top)
+        moves[i] = stage_moves
+        best, count, lo, hi = new_best, new_count, new_lo, new_hi
+    return best[0], moves, count[0], lo[0], hi[0]
+
+
+class TestQuadraticOracle:
+    """The windowed pass returns exactly what the full scan returns:
+    the best value, every tie tuple, the count and the rank-sum range."""
+
+    def test_every_small_shape(self):
+        for s in iter_shapes(5, 5):
+            assert _solve(s.dims) == _quadratic_solve(s.dims), s
+
+    def test_random_shapes(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            dims = tuple(rng.randint(0, 30) for _ in range(rng.randint(1, 9)))
+            assert _solve(dims) == _quadratic_solve(dims), dims
+
+    @pytest.mark.parametrize("dims", [(50,) * 1000, (700,) * 11])
+    def test_long_and_wide_shapes(self, dims):
+        assert _solve(dims) == _quadratic_solve(dims)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 30), min_size=1, max_size=9))
+    def test_property(self, dims):
+        dims = tuple(dims)
+        assert _solve(dims) == _quadratic_solve(dims)
+
+
+class TestStateCap:
+    def test_refused_before_allocating(self):
+        # 3 (MAX_ENTRY + 1) + 1 states: just over the cap.
+        s = ComplexShape((MAX_ENTRY,) * 4)
+        assert sum(c + 1 for c in _state_caps(s.dims)) == MAX_DP_STATES + 4
+        for call in (maximize_dp, maximizer_rank_sum_range, enumerate_maximizers):
+            with pytest.raises(WorkCapExceeded, match=f"exceeding the cap of {MAX_DP_STATES}"):
+                call(s)
+        # The documented bound still serves three spaces of MAX_ENTRY.
+        assert sum(c + 1 for c in _state_caps((MAX_ENTRY,) * 3)) <= MAX_DP_STATES
