@@ -49,15 +49,12 @@ from .predictions import (
     all_predictions,
     check_shape,
     conjecture_scan,
-    equal_dim_quadratic_form,
     hypothesis_holds,
     predict_conjecture,
     predict_equal_dim,
     predict_length1,
     predict_length2,
     predict_length3_sum,
-    prediction_matches,
-    spread_identity_check,
     sweep_theorems,
 )
 from .numerics import (

@@ -42,7 +42,6 @@ from .predictions import (
     all_predictions,
     check_shape,
     conjecture_scan,
-    prediction_matches,
     sweep_theorems,
 )
 from .numerics import (
@@ -112,10 +111,6 @@ def _ranks_of(args, shape: ComplexShape) -> RankVector:
         raise _UsageError(str(exc)) from None
 
 
-def _reading_of(args) -> HypothesisReading:
-    return HypothesisReading(args.reading)
-
-
 def _env(name: str, kind, noun: str):
     """Environment variable `name` parsed by `kind`, or None when unset."""
     raw = os.environ.get(name)
@@ -128,22 +123,20 @@ def _env(name: str, kind, noun: str):
 
 
 def _tolerances(args) -> ToleranceConfig:
-    factor = getattr(args, "rank_tol", None)
+    factor = args.rank_tol
     if factor is None:
         factor = _env(ENV_RANK_TOL, float, "a number")
-    comp = getattr(args, "composition_tol", None)
-    defaults = ToleranceConfig()
+    if factor is None:
+        factor = ToleranceConfig().rank_tolerance_factor
     try:
-        return ToleranceConfig(
-            rank_tolerance_factor=factor if factor is not None else defaults.rank_tolerance_factor,
-            composition_tolerance=comp if comp is not None else defaults.composition_tolerance,
-        )
+        return ToleranceConfig(rank_tolerance_factor=factor,
+                               composition_tolerance=args.composition_tol)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
 
 def _work_cap(args) -> int:
-    cap = getattr(args, "work_cap", None)
+    cap = args.work_cap
     if cap is None:
         cap = _env(ENV_WORK_CAP, int, "an integer")
     if cap is None:
@@ -235,7 +228,7 @@ def cmd_maximize(args):
 
 def cmd_predict(args):
     shape = _shape_of(args)
-    reading = _reading_of(args)
+    reading = HypothesisReading(args.reading)
     payload = {
         "reading": reading.value,
         "predictions": [_prediction_payload(p) for p in all_predictions(shape, reading)],
@@ -245,15 +238,12 @@ def cmd_predict(args):
 
 def cmd_check(args):
     shape = _shape_of(args)
-    reading = _reading_of(args)
+    reading = HypothesisReading(args.reading)
     result = check_shape(shape, reading)
-    comparisons = []
-    for pred in all_predictions(shape, reading):
-        entry = _prediction_payload(pred)
-        entry["matched"] = (
-            prediction_matches(pred, result.observed) if pred.applicable else None
-        )
-        comparisons.append(entry)
+    comparisons = [
+        {**_prediction_payload(pred), "matched": matched}
+        for pred, matched in result.comparisons
+    ]
     payload = {
         "reading": reading.value,
         "verdict": result.verdict.value,
@@ -297,7 +287,10 @@ def cmd_sample(args):
     config = _tolerances(args)
     trial_ranks = []
     for t in range(args.trials):
-        complex_ = sequential_sample(shape, args.seed + t, config)
+        try:
+            complex_ = sequential_sample(shape, args.seed + t, config)
+        except ValueError as exc:  # the tolerances broke the composition check
+            raise _UsageError(f"sampling failed under the given tolerances: {exc}") from None
         trial_ranks.append([numerical_rank(m, config) for m in complex_.maps])
     greedy = greedy_rank_vector(shape)
     report = enumerate_maximizers(shape, cap=args.limit)
@@ -318,42 +311,37 @@ def cmd_sample(args):
 
 
 def cmd_sweep(args):
-    if args.max_length < 0 or args.max_entry < 0:
-        raise _UsageError("--max-length and --max-entry must be non-negative")
-    reading = _reading_of(args)
+    reading = HypothesisReading(args.reading)
+    run = sweep_theorems if args.mode == "theorems" else conjecture_scan
+    try:
+        result = run(args.max_length, args.max_entry, reading, work_cap=_work_cap(args))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    payload = {
+        "mode": args.mode,
+        "reading": reading.value,
+        "max_length": args.max_length,
+        "max_entry": args.max_entry,
+    }
     warnings = []
     if args.mode == "theorems":
-        summary = sweep_theorems(
-            args.max_length, args.max_entry, reading, work_cap=_work_cap(args)
+        payload.update(
+            shapes_checked=result.shapes_checked,
+            matches=result.matches,
+            mismatches=result.mismatches,
+            not_applicable=result.not_applicable,
+            mismatch_details=[_comparison_payload(r) for r in result.mismatch_details],
         )
-        payload = {
-            "mode": "theorems",
-            "reading": reading.value,
-            "max_length": args.max_length,
-            "max_entry": args.max_entry,
-            "shapes_checked": summary.shapes_checked,
-            "matches": summary.matches,
-            "mismatches": summary.mismatches,
-            "not_applicable": summary.not_applicable,
-            "mismatch_details": [_comparison_payload(r) for r in summary.mismatch_details],
-        }
-        failed = summary.mismatches > 0
+        failed = result.mismatches > 0
     else:
-        scan = conjecture_scan(
-            args.max_length, args.max_entry, reading, work_cap=_work_cap(args)
-        )
-        if scan.truncated:
+        if result.truncated:
             warnings.append("scan stopped at the work cap; results are partial")
-        payload = {
-            "mode": "conjecture",
-            "reading": reading.value,
-            "max_length": args.max_length,
-            "max_entry": args.max_entry,
-            "shapes_scanned": scan.shapes_scanned,
-            "counterexamples": [_comparison_payload(r) for r in scan.counterexamples],
-            "truncated": scan.truncated,
-        }
-        failed = bool(scan.counterexamples)
+        payload.update(
+            shapes_scanned=result.shapes_scanned,
+            counterexamples=[_comparison_payload(r) for r in result.counterexamples],
+            truncated=result.truncated,
+        )
+        failed = bool(result.counterexamples)
     code = EXIT_MISMATCH if failed else EXIT_OK
     return _envelope("sweep", None, payload, warnings), code
 
@@ -372,46 +360,24 @@ def _render_table(envelope) -> str:
 
 def _emit(envelope, args) -> None:
     text = json.dumps(envelope, indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        directory = os.path.dirname(os.path.abspath(out))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".chaincx-", suffix=".tmp")
+    if args.out:
+        tmp = None
         try:
+            directory = os.path.dirname(os.path.abspath(args.out))
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".chaincx-", suffix=".tmp")
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
-            os.replace(tmp, out)
-        except BaseException:
-            if os.path.exists(tmp):
+            os.replace(tmp, args.out)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+        finally:
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
         return
     if args.format == "table":
         sys.stdout.write(_render_table(envelope))
     else:
         sys.stdout.write(text)
-
-
-def _add_common(sub):
-    sub.add_argument("--format", choices=("json", "table"), default="json",
-                     help="output format on stdout (default json)")
-    sub.add_argument("--out", metavar="FILE",
-                     help="write the JSON envelope atomically to FILE instead of stdout")
-
-
-def _add_reading(sub):
-    sub.add_argument("--reading", choices=("sentinel", "interior"), default="sentinel",
-                     help="index window of the no-forced-homology hypothesis "
-                          "(default sentinel: end conditions included)")
-
-
-def _add_tolerances(sub):
-    sub.add_argument("--rank-tol", type=float, default=None, metavar="FACTOR",
-                     help=f"numerical-rank pivot threshold factor "
-                          f"(default {ToleranceConfig().rank_tolerance_factor:g}; "
-                          f"env {ENV_RANK_TOL})")
-    sub.add_argument("--composition-tol", type=float, default=None, metavar="TOL",
-                     help="relative composition-zero tolerance "
-                          f"(default {ToleranceConfig().composition_tolerance:g})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,62 +386,69 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"chaincx {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("dimension", parents=[], help="stratum dimension and Betti data")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--ranks", required=True)
-    _add_common(p)
+    # Flags shared between subcommands, each declared once as a parent parser.
+    dims, ranks, output, reading, limit, tolerances = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6)
+    )
+    dims.add_argument("--dims", required=True)
+    ranks.add_argument("--ranks", required=True)
+    output.add_argument("--format", choices=("json", "table"), default="json",
+                        help="output format on stdout (default json)")
+    output.add_argument("--out", metavar="FILE",
+                        help="write the JSON envelope atomically to FILE instead of stdout")
+    reading.add_argument("--reading", choices=("sentinel", "interior"), default="sentinel",
+                         help="index window of the no-forced-homology hypothesis "
+                              "(default sentinel: end conditions included)")
+    limit.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_CAP,
+                       help="maximizer listing cap (count stays exact)")
+    tolerances.add_argument("--rank-tol", type=float, default=None, metavar="FACTOR",
+                            help=f"numerical-rank pivot threshold factor "
+                                 f"(default {ToleranceConfig().rank_tolerance_factor:g}; "
+                                 f"env {ENV_RANK_TOL})")
+    tolerances.add_argument("--composition-tol", type=float, metavar="TOL",
+                            default=ToleranceConfig().composition_tolerance,
+                            help="relative composition-zero tolerance "
+                                 f"(default {ToleranceConfig().composition_tolerance:g})")
+
+    p = commands.add_parser("dimension", parents=[dims, ranks, output],
+                            help="stratum dimension and Betti data")
     p.set_defaults(handler=cmd_dimension)
 
-    p = commands.add_parser("maximize", help="rank vectors maximizing the stratum dimension")
-    p.add_argument("--dims", required=True)
+    p = commands.add_parser("maximize", parents=[dims, limit, output],
+                            help="rank vectors maximizing the stratum dimension")
     p.add_argument("--method", choices=("dp", "brute"), default="dp")
-    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_CAP,
-                   help="maximizer listing cap (count stays exact)")
     p.add_argument("--work-cap", type=int, default=None,
                    help=f"candidate cap for --method brute (env {ENV_WORK_CAP})")
-    _add_common(p)
     p.set_defaults(handler=cmd_maximize)
 
-    p = commands.add_parser("predict", help="closed-form Betti predictions")
-    p.add_argument("--dims", required=True)
-    _add_reading(p)
-    _add_common(p)
+    p = commands.add_parser("predict", parents=[dims, reading, output],
+                            help="closed-form Betti predictions")
     p.set_defaults(handler=cmd_predict)
 
-    p = commands.add_parser("check", help="compare predictions against the optimizer")
-    p.add_argument("--dims", required=True)
-    _add_reading(p)
-    _add_common(p)
+    p = commands.add_parser("check", parents=[dims, reading, output],
+                            help="compare predictions against the optimizer")
     p.set_defaults(handler=cmd_check)
 
-    p = commands.add_parser("verify-dim",
+    p = commands.add_parser("verify-dim", parents=[dims, ranks, tolerances, output],
                             help="check the dimension formula against the orbit rank")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--ranks", required=True)
     p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
                    help="refusal cap on the linearized-action matrix sides")
-    _add_tolerances(p)
-    _add_common(p)
     p.set_defaults(handler=cmd_verify_dim)
 
-    p = commands.add_parser("sample", help="sequential Gaussian sampler (greedy, biased)")
-    p.add_argument("--dims", required=True)
+    p = commands.add_parser("sample", parents=[dims, limit, tolerances, output],
+                            help="sequential Gaussian sampler (greedy, biased)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_CAP)
-    _add_tolerances(p)
-    _add_common(p)
     p.set_defaults(handler=cmd_sample)
 
-    p = commands.add_parser("sweep", help="exhaustive theorem checks or conjecture scan")
+    p = commands.add_parser("sweep", parents=[reading, output],
+                            help="exhaustive theorem checks or conjecture scan")
     p.add_argument("--max-length", type=int, required=True,
                    help="largest number of boundary maps")
     p.add_argument("--max-entry", type=int, required=True)
     p.add_argument("--mode", choices=("theorems", "conjecture"), default="theorems")
     p.add_argument("--work-cap", type=int, default=None,
                    help=f"cap on shapes examined (env {ENV_WORK_CAP})")
-    _add_reading(p)
-    _add_common(p)
     p.set_defaults(handler=cmd_sweep)
 
     return parser
@@ -486,13 +459,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         envelope, code = args.handler(args)
+        _emit(envelope, args)
     except _UsageError as exc:
         print(f"chaincx: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except WorkCapExceeded as exc:
         print(f"chaincx: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    _emit(envelope, args)
     return code
 
 

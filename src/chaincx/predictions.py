@@ -27,11 +27,11 @@ from enum import Enum
 from itertools import combinations, product
 
 from .core import (
+    MAX_ENTRY,
+    MAX_LENGTH,
     BettiVector,
     ComplexShape,
-    RankVector,
     WorkCapExceeded,
-    _feasible,
     betti_lower_bound,
 )
 from .optimizer import (
@@ -83,10 +83,15 @@ class Prediction:
 
 @dataclass(frozen=True)
 class ComparisonResult:
+    """A verdict on one shape.  `prediction` is the deciding prediction;
+    `comparisons` pairs each compared prediction with whether the observed
+    spectrum fulfils it, None when the prediction does not apply."""
+
     shape: ComplexShape
     prediction: Prediction
     observed: MaximizerReport
     verdict: Verdict
+    comparisons: tuple[tuple[Prediction, bool | None], ...]
 
 
 @dataclass(frozen=True)
@@ -119,17 +124,10 @@ def hypothesis_holds(
     shape: ComplexShape, reading: HypothesisReading = HypothesisReading.SENTINEL
 ) -> bool:
     """Whether a_i + a_{i+2} >= a_{i+1} over the reading's index window."""
-    dims = shape.dims
-    n = len(dims) - 1
-
-    def a(i):
-        return dims[i] if 0 <= i <= n else 0
-
+    p = shape.dims
     if reading is HypothesisReading.SENTINEL:
-        window = range(-1, n)
-    else:
-        window = range(0, n - 1)
-    return all(a(i) + a(i + 2) >= a(i + 1) for i in window)
+        p = (0, *p, 0)
+    return all(x + z >= y for x, y, z in zip(p, p[1:], p[2:]))
 
 
 def predict_length1(shape: ComplexShape) -> Prediction:
@@ -141,40 +139,30 @@ def predict_length1(shape: ComplexShape) -> Prediction:
     return Prediction(True, (BettiVector(betti),), None, SourceTheorem.LENGTH1)
 
 
-def _length2_cases(a0, a1, a2):
-    """All satisfied cases of the two-map closed form, tagged by name.
-
-    Overlapping guards agree on the boundary, which the property tests
-    verify; predict_length2 simply takes the first satisfied case.
-    The one-sided dominant cases put the whole surplus in a single Betti
-    number; otherwise the surplus chi >= 0 is split evenly across
-    beta_0 and beta_2, in two ways when chi is odd.
-    """
-    chi = a0 - a1 + a2
-    cases = []
-    if a0 >= a1 + a2:
-        cases.append(("a0_dominant", ((a0 - a1, 0, a2),)))
-    if a2 >= a0 + a1:
-        cases.append(("a2_dominant", ((a0, 0, a2 - a1),)))
-    if a1 >= a0 + a2:
-        cases.append(("a1_dominant", ((0, a1 - a0 - a2, 0),)))
-    if a2 - a1 <= a0 <= a1 + a2 and a1 <= a0 + a2:
-        if chi % 2 == 0:
-            cases.append(("balanced_even", ((chi // 2, 0, chi // 2),)))
-        else:
-            lo, hi = (chi - 1) // 2, (chi + 1) // 2
-            cases.append(("balanced_odd", ((lo, 0, hi), (hi, 0, lo))))
-    return cases
-
-
 def predict_length2(shape: ComplexShape) -> Prediction:
-    """Two maps: the five-case closed form, total over non-negative triples."""
+    """Two maps: the five-case closed form, total over non-negative triples.
+
+    The one-sided dominant cases put the whole surplus in a single Betti
+    number; otherwise the surplus chi > 0 is split evenly across beta_0
+    and beta_2, in two ways when chi is odd.  Where the guards of two
+    cases meet, both give the same set.
+    """
     if shape.n_maps != 2:
         return _not_applicable(SourceTheorem.LENGTH2)
-    cases = _length2_cases(*shape.dims)
-    assert cases, "the five cases cover all triples"
-    betti_set = tuple(sorted(BettiVector(b) for b in cases[0][1]))
-    return Prediction(True, betti_set, None, SourceTheorem.LENGTH2)
+    a0, a1, a2 = shape.dims
+    if a0 >= a1 + a2:
+        bettis = {(a0 - a1, 0, a2)}
+    elif a2 >= a0 + a1:
+        bettis = {(a0, 0, a2 - a1)}
+    elif a1 >= a0 + a2:
+        bettis = {(0, a1 - a0 - a2, 0)}
+    else:
+        chi = a0 - a1 + a2
+        lo, hi = chi // 2, (chi + 1) // 2
+        bettis = {(lo, 0, hi), (hi, 0, lo)}
+    return Prediction(
+        True, tuple(sorted(map(BettiVector, bettis))), None, SourceTheorem.LENGTH2
+    )
 
 
 def predict_length3_sum(
@@ -246,17 +234,13 @@ def all_predictions(
     )
 
 
-def prediction_matches(prediction: Prediction, observed: MaximizerReport) -> bool:
-    """Whether the observed maximizer spectrum fulfils the prediction."""
-    if not prediction.applicable:
-        return True
+def _prediction_matches(prediction: Prediction, observed: MaximizerReport) -> bool:
+    """Whether the observed maximizer spectrum fulfils an applicable prediction."""
     if prediction.predicted_betti_set:
         return sorted(observed.betti_spectrum) == sorted(prediction.predicted_betti_set)
-    if prediction.predicted_sum is not None:
-        return all(
-            sum(b.bettis) == prediction.predicted_sum for b in observed.betti_spectrum
-        )
-    return True
+    return all(
+        sum(b.bettis) == prediction.predicted_sum for b in observed.betti_spectrum
+    )
 
 
 def _full_report(shape: ComplexShape) -> MaximizerReport:
@@ -276,21 +260,42 @@ def check_shape(
 
     Any mismatch dominates the verdict; with no applicable prediction the
     verdict is NOT_APPLICABLE.  The returned prediction is the deciding
-    one (first mismatch, else first applicable match).
+    one (first mismatch, else first applicable match); `comparisons`
+    holds all six predictions with their outcomes.
     """
     observed = _full_report(shape)
-    applicable = [p for p in all_predictions(shape, reading) if p.applicable]
+    comparisons = tuple(
+        (p, _prediction_matches(p, observed) if p.applicable else None)
+        for p in all_predictions(shape, reading)
+    )
+    applicable = [(p, matched) for p, matched in comparisons if matched is not None]
     if not applicable:
         return ComparisonResult(
             shape,
             _not_applicable(SourceTheorem.CONJECTURE),
             observed,
             Verdict.NOT_APPLICABLE,
+            comparisons,
         )
-    for pred in applicable:
-        if not prediction_matches(pred, observed):
-            return ComparisonResult(shape, pred, observed, Verdict.MISMATCH)
-    return ComparisonResult(shape, applicable[0], observed, Verdict.MATCH)
+    for pred, matched in applicable:
+        if not matched:
+            return ComparisonResult(shape, pred, observed, Verdict.MISMATCH, comparisons)
+    return ComparisonResult(shape, applicable[0][0], observed, Verdict.MATCH, comparisons)
+
+
+def _check_bounds(max_length: int, max_entry: int, what: str) -> None:
+    """Refuse scan bounds that are negative or reach past the shape caps."""
+    if max_length < 0 or max_entry < 0:
+        raise ValueError(f"{what} bounds must be non-negative")
+    if max_length + 1 > MAX_LENGTH:
+        raise ValueError(
+            f"{what} max_length {max_length} gives shapes of length "
+            f"{max_length + 1}, over the length cap {MAX_LENGTH}"
+        )
+    if max_entry > MAX_ENTRY:
+        raise ValueError(
+            f"{what} max_entry {max_entry} exceeds the entry cap {MAX_ENTRY}"
+        )
 
 
 def _iter_shapes(max_length, max_entry):
@@ -312,9 +317,10 @@ def conjecture_scan(
     Shapes are scanned up to reversal (d is symmetric under it); when a
     counterexample is found both representatives are reported.  Hitting
     work_cap stops the scan with partial results and truncated = True.
+    Bounds that are negative or reach past MAX_LENGTH or MAX_ENTRY raise
+    ValueError before anything is scanned.
     """
-    if max_length < 0 or max_entry < 0:
-        raise ValueError("scan bounds must be non-negative")
+    _check_bounds(max_length, max_entry, "scan")
     counterexamples = []
     scanned = 0
     truncated = False
@@ -336,12 +342,14 @@ def conjecture_scan(
         representatives = [dims] if dims == dims[::-1] else [dims, dims[::-1]]
         for rep in representatives:
             rep_shape = ComplexShape(rep)
+            prediction = predict_conjecture(rep_shape, reading)
             counterexamples.append(
                 ComparisonResult(
                     rep_shape,
-                    predict_conjecture(rep_shape, reading),
+                    prediction,
                     _full_report(rep_shape),
                     Verdict.MISMATCH,
+                    ((prediction, False),),
                 )
             )
     counterexamples.sort(key=lambda c: (len(c.shape.dims), c.shape.dims))
@@ -354,13 +362,16 @@ def sweep_theorems(
     reading: HypothesisReading = HypothesisReading.SENTINEL,
     work_cap: int = DEFAULT_SCAN_CAP,
 ) -> SweepSummary:
-    """Run check_shape over every shape in the rectangle and tally verdicts."""
-    if max_length < 0 or max_entry < 0:
-        raise ValueError("sweep bounds must be non-negative")
+    """Run check_shape over every shape in the rectangle and tally verdicts.
+
+    Bounds are refused as in conjecture_scan, before the work cap is read.
+    """
+    _check_bounds(max_length, max_entry, "sweep")
     total = sum((max_entry + 1) ** (n + 1) for n in range(max_length + 1))
-    if total > work_cap:
+    if total > work_cap:  # total can pass the 4300 digits str() allows, so it is not shown
         raise WorkCapExceeded(
-            f"sweep over {total} shapes exceeds the work cap of {work_cap}"
+            f"sweep up to {max_length} maps with entries up to {max_entry} "
+            f"exceeds the work cap of {work_cap} shapes"
         )
     checked = matches = mismatches = not_applicable = 0
     details = []
@@ -375,40 +386,3 @@ def sweep_theorems(
         else:
             not_applicable += 1
     return SweepSummary(checked, matches, mismatches, not_applicable, tuple(details))
-
-
-def equal_dim_quadratic_form(n: int) -> list[list[int]]:
-    """Hessian of d(a, r) for equal dimensions: tridiagonal, -2 on the
-    diagonal and -1 off it.  Its k-th leading principal minor is
-    (-1)^k (k+1), so the form is negative definite for every n >= 1."""
-    if n < 1:
-        raise ValueError("the quadratic form needs at least one rank variable")
-    hessian = [[0] * n for _ in range(n)]
-    for i in range(n):
-        hessian[i][i] = -2
-        if i + 1 < n:
-            hessian[i][i + 1] = hessian[i + 1][i] = -1
-    return hessian
-
-
-def spread_identity_check(n: int, m: int, ranks: RankVector) -> bool | None:
-    """Verify sum beta_i^2 == 2 f(r) - n m^2 + m^2 with f(r) = sum r_i (r_{i-1} + r_i).
-
-    Holds for equal dimensions m, n even, whenever r_i + r_{i+1} = m for
-    every odd i; returns None when those hypotheses fail.  The identity is
-    what makes maximizing d equivalent to spreading the Betti numbers as
-    evenly as possible.
-    """
-    if n < 2 or n % 2 or m < 1 or len(ranks.ranks) != n:
-        return None
-    r = ranks.ranks
-    dims = (m,) * (n + 1)
-    if not _feasible(dims, r):
-        return None
-    if any(r[i - 1] + r[i] != m for i in range(1, n, 2)):
-        return None
-    padded = (0,) + r + (0,)
-    betti = [dims[i] - padded[i] - padded[i + 1] for i in range(n + 1)]
-    g = sum(b * b for b in betti)
-    f = sum(padded[i] * (padded[i - 1] + padded[i]) for i in range(1, n + 1))
-    return g == 2 * f - n * m * m + m * m

@@ -1,12 +1,19 @@
 """End-to-end CLI behavior: envelopes, exit codes, determinism, file output."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from chaincx.cli import main
 
 SAMPLER_WARNING = "sequential sampler does not realize the conditional measure"
 
@@ -116,8 +123,6 @@ class TestMaximize:
         assert proc.stderr.startswith("chaincx: the DP over a shape of 1024 spaces")
         assert "Traceback" not in proc.stderr
         # The refusal itself, without the interpreter start, is immediate.
-        from chaincx.cli import main
-
         start = time.perf_counter()
         assert main(argv) == 3
         assert time.perf_counter() - start < 1.0
@@ -244,6 +249,15 @@ class TestSample:
             assert proc.returncode == 64
             assert proc.stderr == "chaincx: error: --limit must be positive\n"
 
+    def test_tolerances_that_break_the_sampler_exit_64(self, capsys):
+        # A pivot threshold this large reads every map as rank 0, so the
+        # next map is drawn on the whole space and does not compose to zero.
+        assert main(["sample", "--dims", "3,3,3", "--rank-tol", "1e20"]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("chaincx: error: sampling failed under the given tolerances: "
+                              "maps 1 and 2 do not compose to zero")
+
 
 class TestSweep:
     def test_theorems(self):
@@ -269,6 +283,19 @@ class TestSweep:
                        "--mode", "theorems")
         assert env["payload"]["mismatches"] == 0
 
+    @pytest.mark.parametrize("mode", ["theorems", "conjecture"])
+    @pytest.mark.parametrize("bounds,cap", [(("1100", "0"), "length cap 1024"),
+                                            (("0", "1048577"), "entry cap 1048576")])
+    def test_bounds_past_the_caps_exit_64(self, mode, bounds, cap, capsys, monkeypatch):
+        monkeypatch.delenv("CHAINCX_WORK_CAP", raising=False)
+        argv = ["sweep", "--max-length", bounds[0], "--max-entry", bounds[1], "--mode", mode]
+        start = time.perf_counter()
+        assert main(argv) == 64
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("chaincx: error: ") and cap in err
+
 
 class TestOutputModes:
     def test_byte_stable(self):
@@ -285,6 +312,16 @@ class TestOutputModes:
         envelope = json.loads(target.read_text())
         assert envelope["payload"]["d"] == 2
         assert not list(tmp_path.glob(".chaincx-*"))  # no temp residue
+
+    def test_unwritable_out_exits_64(self, tmp_path, capsys):
+        cases = ((tmp_path / "missing" / "x.json", "No such file or directory"),
+                 (tmp_path, "Is a directory"))
+        for target, reason in cases:
+            assert main(["dimension", "--dims", "2,1", "--ranks", "1",
+                         "--out", str(target)]) == 64
+            assert capsys.readouterr() == (
+                "", f"chaincx: error: cannot write {target}: {reason}\n")
+        assert list(tmp_path.iterdir()) == []  # no temp residue
 
     def test_table_format(self):
         proc = run_cli("sample", "--dims", "1,2,1,2", "--trials", "2", "--format", "table")
@@ -305,3 +342,90 @@ class TestOutputModes:
         assert proc.returncode == 64
         assert proc.stderr == ("chaincx: error: environment variable "
                                "CHAINCX_RANK_TOL='tiny' is not a number\n")
+
+
+_INT_FLAGS = {"--limit": (-1, 5), "--work-cap": (-1, 10_000), "--size-cap": (-1, 400),
+              "--seed": (-1, 5), "--trials": (-1, 3), "--max-length": (-1, 3),
+              "--max-entry": (-1, 4)}
+_CHOICES = {"--format": ("json", "table"), "--reading": ("sentinel", "interior"),
+            "--method": ("dp", "brute"), "--mode": ("theorems", "conjecture"),
+            "--out": ("OUT", "OUT", "MISSING", "DIR"),
+            "--rank-tol": ("1", "10", "1000", "1e12", "inf", "-1", "nan"),
+            "--composition-tol": ("1e-8", "1e-3", "0.5", "0", "nan")}
+_COMMAND_FLAGS = {
+    "dimension": ("--dims", "--ranks"),
+    "maximize": ("--dims", "--limit", "--method", "--work-cap"),
+    "predict": ("--dims", "--reading"),
+    "check": ("--dims", "--reading"),
+    "verify-dim": ("--dims", "--ranks", "--rank-tol", "--composition-tol", "--size-cap"),
+    "sample": ("--dims", "--limit", "--rank-tol", "--composition-tol", "--seed", "--trials"),
+    "sweep": ("--max-length", "--max-entry", "--mode", "--work-cap", "--reading"),
+}
+_REQUIRED = {"--dims", "--ranks", "--max-length", "--max-entry"}
+_JUNK = ("", "x", "-1", "0", "1e9", "nan", "1,2", "--bogus", "-h", "--version")
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with its flags, mostly well formed: shapes of at most 6
+    spaces with entries <= 8, ranks of the matching length, small bounds."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    dims = draw(st.lists(st.integers(0, 8), min_size=1, max_size=6))
+    ranks = draw(st.lists(st.integers(0, 3), min_size=len(dims) - 1,
+                          max_size=len(dims) - 1))
+    vectors = {"--dims": dims, "--ranks": ranks}
+    argv = [command]
+    for flag in _COMMAND_FLAGS[command] + ("--format", "--out"):
+        if draw(st.integers(0, 9)) >= (9 if flag in _REQUIRED else 3):
+            continue
+        if draw(st.integers(0, 15)) == 0 and flag != "--out":
+            value = draw(st.sampled_from(_JUNK))
+        elif flag in vectors:
+            value = ",".join(map(str, vectors[flag]))
+        elif flag in _INT_FLAGS:
+            value = str(draw(st.integers(*_INT_FLAGS[flag])))
+        else:
+            value = draw(st.sampled_from(_CHOICES[flag]))
+        argv += [flag, value]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_JUNK)))
+    return argv
+
+
+_ENV_VALUES = {"CHAINCX_RANK_TOL": ("1", "1e9", "tiny", "-1", "nan", ""),
+               "CHAINCX_WORK_CAP": ("10", "1", "0", "-5", "banana", "1.5", "")}
+
+
+class TestContractFuzz:
+    """Any argv and environment ends in a documented exit code, never an exception."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(["sweep", "--max-length", "1100", "--max-entry", "0"], {})
+    @example(["sweep", "--max-length", "1100", "--max-entry", "0", "--mode", "conjecture"], {})
+    @example(["sweep", "--max-length", "0", "--max-entry", "1048577", "--mode", "conjecture"],
+             {})
+    @example(["dimension", "--dims", "2,1", "--ranks", "1", "--out", "MISSING"], {})
+    @example(["dimension", "--dims", "2,1", "--ranks", "1", "--out", "DIR"], {})
+    @example(["sample", "--dims", "0,0,0,1,1,1", "--rank-tol", "inf"], {})
+    @given(argv=_argv(),
+           env=st.fixed_dictionaries({k: st.none() | st.sampled_from(v)
+                                      for k, v in _ENV_VALUES.items()}))
+    def test_documented_exit_codes(self, tmp_path, monkeypatch, argv, env):
+        monkeypatch.chdir(tmp_path)  # a junk token taken as a file name stays here
+        paths = {"OUT": tmp_path / "out.json", "MISSING": tmp_path / "missing" / "x.json",
+                 "DIR": tmp_path / "dir"}
+        paths["DIR"].mkdir(exist_ok=True)
+        argv = [str(paths.get(token, token)) for token in argv]
+        overrides = {name: value for name, value in env.items() if value is not None}
+        with mock.patch.dict(os.environ, overrides), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for name in env.keys() - overrides.keys():
+                os.environ.pop(name, None)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3, 4, 5, 64), (argv, env, code)
+        assert not list(tmp_path.glob("**/.chaincx-*"))

@@ -1,5 +1,6 @@
 """Closed forms against the optimizer, hypothesis readings, scans, identities."""
 
+import contextlib
 import itertools
 from math import comb
 
@@ -12,12 +13,13 @@ from chaincx import (
     RankVector,
     SourceTheorem,
     Verdict,
+    WorkCapExceeded,
     betti_lower_bound,
     brute_force_maximize,
+    all_predictions,
     check_shape,
     conjecture_scan,
     enumerate_maximizers,
-    equal_dim_quadratic_form,
     hypothesis_holds,
     predict_equal_dim,
     predict_length1,
@@ -25,11 +27,11 @@ from chaincx import (
     predict_length3_sum,
     ranks_from_betti,
     is_feasible,
-    spread_identity_check,
+    predict_conjecture,
     stratum_dimension,
     sweep_theorems,
 )
-from chaincx.predictions import _length2_cases
+from chaincx.core import MAX_ENTRY, MAX_LENGTH, _feasible
 
 INTERIOR = HypothesisReading.INTERIOR
 
@@ -58,6 +60,32 @@ class TestLength1:
             assert predicted == spectrum_set(s), dims
 
 
+def _length2_cases(a0, a1, a2):
+    """All satisfied cases of the two-map closed form, tagged by name.
+
+    Overlapping guards agree on the boundary, which the property tests
+    verify; predict_length2 simply takes the first satisfied case.
+    The one-sided dominant cases put the whole surplus in a single Betti
+    number; otherwise the surplus chi >= 0 is split evenly across
+    beta_0 and beta_2, in two ways when chi is odd.
+    """
+    chi = a0 - a1 + a2
+    cases = []
+    if a0 >= a1 + a2:
+        cases.append(("a0_dominant", ((a0 - a1, 0, a2),)))
+    if a2 >= a0 + a1:
+        cases.append(("a2_dominant", ((a0, 0, a2 - a1),)))
+    if a1 >= a0 + a2:
+        cases.append(("a1_dominant", ((0, a1 - a0 - a2, 0),)))
+    if a2 - a1 <= a0 <= a1 + a2 and a1 <= a0 + a2:
+        if chi % 2 == 0:
+            cases.append(("balanced_even", ((chi // 2, 0, chi // 2),)))
+        else:
+            lo, hi = (chi - 1) // 2, (chi + 1) // 2
+            cases.append(("balanced_odd", ((lo, 0, hi), (hi, 0, lo))))
+    return cases
+
+
 class TestLength2:
     def test_examples(self):
         assert {b.bettis for b in predict_length2(shape(3, 1, 3)).predicted_betti_set} == {
@@ -73,13 +101,16 @@ class TestLength2:
         assert [b.bettis for b in predict_length2(shape(2, 1, 4)).predicted_betti_set] == [(2, 0, 3)]
 
     def test_total_and_boundary_consistent(self):
-        # Every non-negative triple fires at least one case, and whenever
-        # guards overlap the predicted sets agree.
+        # Every non-negative triple fires at least one case, whenever
+        # guards overlap the predicted sets agree, and predict_length2
+        # gives that agreed set.
         for dims in itertools.product(range(21), repeat=3):
             cases = _length2_cases(*dims)
             assert cases, dims
             sets = {tuple(sorted(v)) for _, v in cases}
             assert len(sets) == 1, (dims, cases)
+            predicted = predict_length2(ComplexShape(dims)).predicted_betti_set
+            assert tuple(b.bettis for b in predicted) == sets.pop(), dims
 
     def test_predictions_are_valid_betti_vectors(self):
         for dims in itertools.product(range(13), repeat=3):
@@ -94,6 +125,20 @@ class TestLength2:
             s = ComplexShape(dims)
             for b in predict_length2(s).predicted_betti_set:
                 assert sum(b.bettis) == betti_lower_bound(s)
+
+
+def _hypothesis_oracle(dims, reading):
+    """a_i + a_{i+2} >= a_{i+1} over the reading's window, index by index."""
+    n = len(dims) - 1
+
+    def a(i):
+        return dims[i] if 0 <= i <= n else 0
+
+    if reading is HypothesisReading.SENTINEL:
+        window = range(-1, n)
+    else:
+        window = range(0, n - 1)
+    return all(a(i) + a(i + 2) >= a(i + 1) for i in window)
 
 
 class TestLength3:
@@ -112,6 +157,18 @@ class TestLength3:
         assert hypothesis_holds(shape(2, 3, 2, 1))
         assert not hypothesis_holds(shape(3, 2, 2, 3))  # a_1 < a_0
         assert not hypothesis_holds(shape(1, 2, 1, 2))  # a_3 > a_2
+
+    def test_hypothesis_matches_window_oracle(self):
+        # Every shape with at most 6 spaces and entries <= 4, both readings.
+        checked = 0
+        for length in range(1, 7):
+            for dims in itertools.product(range(5), repeat=length):
+                for reading in HypothesisReading:
+                    expected = _hypothesis_oracle(dims, reading)
+                    assert hypothesis_holds(ComplexShape(dims), reading) is expected, (
+                        dims, reading)
+                    checked += 1
+        assert checked == 39_060
 
     def test_prediction_verified_by_oracle(self):
         applicable = 0
@@ -177,6 +234,34 @@ class TestCheckShape:
         assert result.verdict is Verdict.MATCH
         assert result.observed.maximizers == (RankVector((4, 2, 2, 4)),)
 
+    def test_comparisons_cover_all_predictions(self):
+        # One entry per prediction, in all_predictions order; None exactly
+        # where the prediction does not apply, and the verdict follows them.
+        for dims in itertools.product(range(4), repeat=4):
+            for reading in HypothesisReading:
+                s = ComplexShape(dims)
+                result = check_shape(s, reading)
+                preds = [p for p, _ in result.comparisons]
+                assert preds == list(all_predictions(s, reading))
+                outcomes = [m for _, m in result.comparisons]
+                assert [m is None for m in outcomes] == [not p.applicable for p in preds]
+                if False in outcomes:
+                    assert result.verdict is Verdict.MISMATCH
+                    assert result.prediction == preds[outcomes.index(False)]
+                elif True in outcomes:
+                    assert result.verdict is Verdict.MATCH
+                    assert result.prediction == preds[outcomes.index(True)]
+                else:
+                    assert result.verdict is Verdict.NOT_APPLICABLE
+
+    def test_comparisons_record_mismatch(self):
+        result = check_shape(shape(2, 1, 1, 2), INTERIOR)
+        assert result.verdict is Verdict.MISMATCH
+        outcomes = {p.source_theorem: m for p, m in result.comparisons}
+        assert outcomes[SourceTheorem.LENGTH3_SUM] is False
+        assert outcomes[SourceTheorem.CONJECTURE] is False
+        assert outcomes[SourceTheorem.LENGTH1] is None
+
 
 class TestSweeps:
     def test_theorem_sweep_small(self):
@@ -207,11 +292,42 @@ class TestSweeps:
         report = conjecture_scan(3, 2, INTERIOR)
         found = {c.shape.dims for c in report.counterexamples}
         assert (1, 0, 1, 2) in found and (2, 1, 0, 1) in found
+        for c in report.counterexamples:
+            assert c.comparisons == ((predict_conjecture(c.shape, INTERIOR), False),)
+
+    @pytest.mark.parametrize("run", [conjecture_scan, sweep_theorems])
+    def test_bounds_past_the_caps_refused_before_iterating(self, run):
+        # Each bound alone; without the refusal, (0, MAX_ENTRY + 1) would
+        # scan about 10^6 shapes before failing on the first over-cap one.
+        with pytest.raises(ValueError, match=f"length cap {MAX_LENGTH}"):
+            run(MAX_LENGTH, 0)
+        with pytest.raises(ValueError, match=f"entry cap {MAX_ENTRY}"):
+            run(0, MAX_ENTRY + 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            run(-1, 0)
+        # The caps themselves pass the bounds check; work_cap=0 stops the
+        # run (a truncated scan, or a refused sweep) before any real work.
+        with contextlib.suppress(WorkCapExceeded):
+            run(MAX_LENGTH - 1, MAX_ENTRY, work_cap=0)
 
     def test_scan_truncation(self):
         report = conjecture_scan(3, 3, work_cap=5)
         assert report.truncated
         assert report.shapes_scanned == 5
+
+
+def equal_dim_quadratic_form(n: int) -> list[list[int]]:
+    """Hessian of d(a, r) for equal dimensions: tridiagonal, -2 on the
+    diagonal and -1 off it.  Its k-th leading principal minor is
+    (-1)^k (k+1), so the form is negative definite for every n >= 1."""
+    if n < 1:
+        raise ValueError("the quadratic form needs at least one rank variable")
+    hessian = [[0] * n for _ in range(n)]
+    for i in range(n):
+        hessian[i][i] = -2
+        if i + 1 < n:
+            hessian[i][i + 1] = hessian[i + 1][i] = -1
+    return hessian
 
 
 class TestQuadraticForm:
@@ -256,6 +372,29 @@ def _det_int(matrix):
                 m[r][c] -= factor * m[col][c]
     assert det.denominator == 1
     return int(det)
+
+
+def spread_identity_check(n: int, m: int, ranks: RankVector) -> bool | None:
+    """Verify sum beta_i^2 == 2 f(r) - n m^2 + m^2 with f(r) = sum r_i (r_{i-1} + r_i).
+
+    Holds for equal dimensions m, n even, whenever r_i + r_{i+1} = m for
+    every odd i; returns None when those hypotheses fail.  The identity is
+    what makes maximizing d equivalent to spreading the Betti numbers as
+    evenly as possible.
+    """
+    if n < 2 or n % 2 or m < 1 or len(ranks.ranks) != n:
+        return None
+    r = ranks.ranks
+    dims = (m,) * (n + 1)
+    if not _feasible(dims, r):
+        return None
+    if any(r[i - 1] + r[i] != m for i in range(1, n, 2)):
+        return None
+    padded = (0,) + r + (0,)
+    betti = [dims[i] - padded[i] - padded[i + 1] for i in range(n + 1)]
+    g = sum(b * b for b in betti)
+    f = sum(padded[i] * (padded[i - 1] + padded[i]) for i in range(1, n + 1))
+    return g == 2 * f - n * m * m + m * m
 
 
 class TestSpreadIdentity:
