@@ -18,14 +18,12 @@ from .core import (
     ComplexShape,
     InfeasibleRanksError,
     RankVector,
-    UnrealizableBettiError,
     WorkCapExceeded,
     ambient_dimension,
     betti_from_ranks,
     betti_lower_bound,
     euler_characteristic,
     is_feasible,
-    ranks_from_betti,
     stratum_dimension,
 )
 from .optimizer import (
@@ -61,14 +59,9 @@ from .numerics import (
     DEFAULT_SIZE_CAP,
     DEFAULT_TOLERANCES,
     NumericalComplex,
-    RankInconsistencyError,
     ToleranceConfig,
     canonical_complex,
-    complex_from_json,
-    complex_to_json,
     greedy_rank_vector,
-    kernel_basis,
-    numerical_betti,
     numerical_rank,
     orbit_dimension,
     random_conjugation,

@@ -34,10 +34,6 @@ class InfeasibleRanksError(ValueError):
     """Rank vector violates r_i + r_{i+1} <= a_i; no such complex exists."""
 
 
-class UnrealizableBettiError(ValueError):
-    """No feasible rank vector realizes the requested Betti numbers."""
-
-
 class WorkCapExceeded(RuntimeError):
     """A documented resource cap would be exceeded; the call is refused."""
 
@@ -199,36 +195,3 @@ def betti_from_ranks(shape: ComplexShape, ranks: RankVector) -> BettiVector:
             f"ranks {ranks.ranks} are infeasible for dims {shape.dims}"
         )
     return BettiVector(_betti(shape.dims, ranks.ranks))
-
-
-def ranks_from_betti(shape: ComplexShape, bettis: BettiVector) -> RankVector:
-    """Invert betti_from_ranks via r_{i+1} = a_i - beta_i - r_i.
-
-    Raises UnrealizableBettiError when the recursion leaves the feasible
-    region or the final sentinel r_{n+1} = 0 cannot be met.
-    """
-    dims = shape.dims
-    b = bettis.bettis
-    if len(b) != len(dims):
-        raise ValueError(
-            f"Betti vector of length {len(b)} does not fit shape of length {len(dims)}"
-        )
-    n = len(dims) - 1
-    ranks = []
-    r = 0
-    for i in range(n):
-        r = dims[i] - b[i] - r
-        if r < 0:
-            raise UnrealizableBettiError(
-                f"Betti numbers {b} force a negative rank at map {i + 1}"
-            )
-        ranks.append(r)
-    if b[n] != dims[n] - (ranks[-1] if n else 0):
-        raise UnrealizableBettiError(
-            f"Betti numbers {b} are inconsistent with the final space of {dims}"
-        )
-    if not _feasible(dims, ranks):
-        raise UnrealizableBettiError(
-            f"Betti numbers {b} lead to infeasible ranks {tuple(ranks)} on {dims}"
-        )
-    return RankVector(tuple(ranks))

@@ -24,30 +24,22 @@ complex attains with positive probability.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .core import (
-    BettiVector,
     ComplexShape,
     InfeasibleRanksError,
     RankVector,
     WorkCapExceeded,
-    _feasible,
-    betti_from_ranks,
     is_feasible,
 )
 
 DEFAULT_SIZE_CAP = 4096
 
 _EPS = float(np.finfo(np.float64).eps)
-
-
-class RankInconsistencyError(ValueError):
-    """Numerical ranks of a complex are infeasible; adjust tolerances."""
 
 
 @dataclass(frozen=True)
@@ -139,7 +131,7 @@ def numerical_rank(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     return _pivot_rank(pivots, max(a.shape), config.rank_tolerance_factor)
 
 
-def kernel_basis(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+def _kernel_basis(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Orthonormal columns spanning the numerical kernel.
 
     Completes the pivoted QR of the transpose: the trailing columns of Q
@@ -185,19 +177,6 @@ def canonical_complex(
             m[k, dims[j + 1] - r + k] = 1.0
         maps.append(m)
     return NumericalComplex(shape, tuple(maps), config.composition_tolerance)
-
-
-def numerical_betti(
-    complex_: NumericalComplex, config: ToleranceConfig = DEFAULT_TOLERANCES
-) -> BettiVector:
-    """Betti numbers from the numerical ranks of the maps."""
-    ranks = tuple(numerical_rank(m, config) for m in complex_.maps)
-    if not _feasible(complex_.shape.dims, ranks):
-        raise RankInconsistencyError(
-            f"numerical ranks {ranks} are infeasible for dims "
-            f"{complex_.shape.dims}: rank inconsistency, adjust tolerances"
-        )
-    return betti_from_ranks(complex_.shape, RankVector(ranks))
 
 
 def orbit_dimension(
@@ -281,7 +260,7 @@ def sequential_sample(
         if j == 0:
             m = rng.standard_normal((dims[0], dims[1]))
         else:
-            basis = kernel_basis(maps[-1], config)
+            basis = _kernel_basis(maps[-1], config)
             gauss = rng.standard_normal((basis.shape[1], dims[j + 1]))
             m = basis @ gauss
         maps.append(m)
@@ -320,49 +299,3 @@ def random_conjugation(
             continue
         maps.append(np.linalg.solve(g_right.T, (g_left @ d).T).T)
     return NumericalComplex(complex_.shape, tuple(maps), config.composition_tolerance)
-
-
-def complex_to_json(complex_: NumericalComplex) -> str:
-    """Serialize to {dims, maps, tolerance} with row-major map entries.
-
-    Floats are emitted in shortest round-trip decimal form, so parsing the
-    document reproduces the exact bit patterns.
-    """
-    doc = {
-        "dims": list(complex_.shape.dims),
-        "maps": [m.reshape(-1).tolist() for m in complex_.maps],
-        "tolerance": complex_.composition_tolerance,
-    }
-    return json.dumps(doc)
-
-
-def complex_from_json(text: str) -> NumericalComplex:
-    """Inverse of complex_to_json; ValueError names what a bad document lacks."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("document is not a JSON object")
-    missing = [key for key in ("dims", "maps", "tolerance") if key not in doc]
-    if missing:
-        raise ValueError(f"document lacks {', '.join(missing)}")
-    for key in ("dims", "maps"):
-        if not isinstance(doc[key], list):
-            raise ValueError(f"document field {key} is not a list")
-    shape = ComplexShape(tuple(doc["dims"]))
-    dims = shape.dims
-    flats = doc["maps"]
-    if len(flats) != shape.n_maps:
-        raise ValueError(
-            f"document has {len(flats)} maps, shape {dims} needs {shape.n_maps}"
-        )
-    try:
-        maps = tuple(
-            np.array(flat, dtype=np.float64).reshape(dims[j], dims[j + 1])
-            for j, flat in enumerate(flats)
-        )
-    except TypeError:
-        raise ValueError("document field maps holds a non-numeric entry") from None
-    try:
-        tolerance = float(doc["tolerance"])
-    except TypeError:
-        raise ValueError("document field tolerance is not a number") from None
-    return NumericalComplex(shape, maps, tolerance)

@@ -31,6 +31,10 @@ and lists the maximizers in ascending lexicographic order up to a cap by
 an iterative depth-first walk, so no shape within MAX_LENGTH exhausts the
 recursion limit.
 
+For the conjecture scan and the theorem sweep, _prefix_leaves runs the
+same stage left to right along a depth-first walk over many shapes, so
+shapes that share a prefix share its stages.
+
 brute_force_maximize enumerates the whole feasible region instead and is
 kept deliberately naive: it is the independent oracle the dynamic program
 is tested against.
@@ -82,18 +86,74 @@ def _state_caps(dims):
     return [0] + [min(dims[i - 1], dims[i]) for i in range(1, len(dims))]
 
 
+def _stage(base, count, lo, hi, c0, a, rows, qmax):
+    """One DP stage: rows p in [0, rows), moves q in [0, min(qmax, a - p)].
+
+    A move's value is c q + base[q] with c = c0 - p; callers keep
+    c0 >= a and rows <= a + 1.  The rows are solved in divide-and-conquer
+    order: the middle row m of a range scans the moves in its window once;
+    rows p < m then keep only the moves from m's least optimal move up,
+    rows p > m only those up to m's greatest.  Every tied optimal move
+    lies inside a row's window, so one scan per row yields the best value
+    less p^2, the ascending tie tuple, the count summed over the ties and
+    the least and greatest of q + lo[q] and q + hi[q] over them:
+
+        (new base, ties, new count, new lo, new hi)
+    """
+    ties_of = [None] * rows
+    new_base = [0] * rows
+    new_count = [0] * rows
+    new_lo = [0] * rows
+    new_hi = [0] * rows
+    # Ranges still to solve: (first row, last row, least move, greatest move).
+    todo = [(0, rows - 1, 0, qmax)]
+    while todo:
+        p0, p1, qlo, qhi = todo.pop()
+        p = (p0 + p1) >> 1
+        c = c0 - p
+        last = a - p
+        if last > qhi:
+            last = qhi
+        if qlo == last:
+            # A one-move window; c = 0 (p = c0 = a) always lands here.
+            q = qlo
+            top = c * q + base[q]
+            ties = (q,)
+        else:
+            values = list(map(add, range(c * qlo, c * last + 1, c),
+                              base[qlo:last + 1]))
+            top = max(values)
+            if values.count(top) == 1:
+                q = values.index(top) + qlo
+                ties = (q,)
+            else:
+                ties = tuple([q for q, v in enumerate(values, qlo) if v == top])
+        if len(ties) == 1:
+            new_count[p] = count[q]
+            new_lo[p] = q + lo[q]
+            new_hi[p] = q + hi[q]
+        else:
+            new_count[p] = sum([count[q] for q in ties])
+            new_lo[p] = min([q + lo[q] for q in ties])
+            new_hi[p] = max([q + hi[q] for q in ties])
+        ties_of[p] = ties
+        new_base[p] = top - p * p
+        if p0 < p:
+            todo.append((p0, p - 1, ties[0], qhi))
+        if p < p1:
+            todo.append((p + 1, p1, qlo, ties[-1]))
+    return new_base, ties_of, new_count, new_lo, new_hi
+
+
 def _solve(dims):
     """One backward pass over the states (i, p), meaning r_i = p with r_0 = 0.
 
-    Each stage solves its rows p in divide-and-conquer order: the middle
-    row m of a range scans the moves q (the next rank r_{i+1}) in its
-    window once; rows p < m then keep only the moves from m's least
-    optimal move up, rows p > m only those up to m's greatest.  Every
-    tied optimal move lies inside a row's window, so one scan yields the
-    best suffix value of d, the ascending tuple of tied optimal q, the
-    number of maximizing suffixes and the least and greatest suffix rank
-    sums over them.  Only the tie tuples (moves[i][p]) and the root's four
-    values are kept:
+    Stage i is one _stage: the move q = r_{i+1} from p = r_i is worth
+    (a_i + a_{i+1} - p) q + base[q], base[q] = best[q] - q^2, with
+    q + p <= a_i.  The pass yields the best suffix value of d, the tied
+    optimal moves, the number of maximizing suffixes and the least and
+    greatest suffix rank sums.  Only the tie tuples (moves[i][p]) and the
+    root's four values are kept:
 
         (max d, moves, maximizer count, min sum r_i, max sum r_i)
 
@@ -109,62 +169,68 @@ def _solve(dims):
             f"the DP over a shape of {len(dims)} spaces needs {states} states, "
             f"exceeding the cap of {MAX_DP_STATES}"
         )
-    # base[q] = best[q] - q^2: a move's value is then c q + base[q] with
-    # c = a + b - p, and base[0] = best[0] at the root.
     base = [-q * q for q in range(caps[n] + 1)]
     count = [1] * (caps[n] + 1)
     lo = [0] * (caps[n] + 1)
     hi = [0] * (caps[n] + 1)
     moves = [None] * n
     for i in range(n - 1, -1, -1):
-        a = dims[i]
-        ab = a + dims[i + 1]
-        rows = caps[i] + 1
-        stage_moves = [None] * rows
-        new_base = [0] * rows
-        new_count = [0] * rows
-        new_lo = [0] * rows
-        new_hi = [0] * rows
-        # Ranges still to solve: (first row, last row, least move, greatest move).
-        todo = [(0, rows - 1, 0, caps[i + 1])]
-        while todo:
-            p0, p1, qlo, qhi = todo.pop()
-            p = (p0 + p1) >> 1
-            c = ab - p
-            last = a - p
-            if last > qhi:
-                last = qhi
-            if qlo == last:
-                # A one-move window; c = 0 (p = a, b = 0) always lands here.
-                q = qlo
-                top = c * q + base[q]
-                ties = (q,)
-            else:
-                values = list(map(add, range(c * qlo, c * last + 1, c),
-                                  base[qlo:last + 1]))
-                top = max(values)
-                if values.count(top) == 1:
-                    q = values.index(top) + qlo
-                    ties = (q,)
-                else:
-                    ties = tuple([q for q, v in enumerate(values, qlo) if v == top])
-            if len(ties) == 1:
-                new_count[p] = count[q]
-                new_lo[p] = q + lo[q]
-                new_hi[p] = q + hi[q]
-            else:
-                new_count[p] = sum([count[q] for q in ties])
-                new_lo[p] = min([q + lo[q] for q in ties])
-                new_hi[p] = max([q + hi[q] for q in ties])
-            stage_moves[p] = ties
-            new_base[p] = top - p * p
-            if p0 < p:
-                todo.append((p0, p - 1, ties[0], qhi))
-            if p < p1:
-                todo.append((p + 1, p1, qlo, ties[-1]))
-        moves[i] = stage_moves
-        base, count, lo, hi = new_base, new_count, new_lo, new_hi
+        base, moves[i], count, lo, hi = _stage(
+            base, count, lo, hi, dims[i] + dims[i + 1], dims[i], caps[i] + 1, caps[i + 1])
     return base[0], moves, count[0], lo[0], hi[0]
+
+
+def _prefix_leaves(length, window):
+    """Every shape of `length` entries that `window` admits, in lexicographic
+    order, with its (max d, maximizer count, min sum r_i, max sum r_i).
+
+    window(path, k) gives the inclusive range of the entry at depth k after
+    path[:k]; an empty range prunes the prefix.  One forward DP is shared
+    along common prefixes.  d is symmetric under reversal, so the forward
+    stage has _solve's form: the node of a prefix (..., w, a) at depth k
+    maps the tables of r_k <= min(w, a) to those of r_{k+1} through one
+    _stage with c0 = w + a and the window r_k + r_{k+1} <= a, over as many
+    rows as its largest child needs, and every child reads them.  A shape
+    that ends at the node reads row 0, the closing rank r = 0.  The walk
+    is iterative, and the same path list is yielded at every leaf: copy it
+    to keep it.
+    """
+    last = length - 1
+    path = [0] * length
+    stop = [0] * length
+    # The tables each depth's node reads; the root's hold the state r_0 = 0.
+    tables = [([0], [1], [0], [0])] + [None] * last
+    k = 0
+    path[0], stop[0] = window(path, 0)
+    while True:
+        a = path[k]
+        if k == last:
+            first = end = 0
+        else:
+            first, end = window(path, k + 1)
+        if a <= stop[k] and first <= end:
+            base, count, lo, hi = tables[k]
+            w = path[k - 1] if k else 0
+            rows = min(a, end) + 1
+            if w and a:
+                base, _, count, lo, hi = _stage(base, count, lo, hi, w + a, a, rows, min(w, a))
+            elif a:
+                # r_k = 0 is forced: every row has the one move r_k = 0.
+                base, count, lo, hi = ([base[0] - p * p for p in range(rows)],
+                                       [count[0]] * rows, [lo[0]] * rows, [hi[0]] * rows)
+            # With a = 0 the next rank is 0 too: only row 0, unchanged, is read.
+            if k == last:
+                yield path, base[0], count[0], lo[0], hi[0]
+            else:
+                tables[k + 1] = base, count, lo, hi
+                k += 1
+                path[k], stop[k] = first, end
+                continue
+        while path[k] >= stop[k]:
+            k -= 1
+            if k < 0:
+                return
+        path[k] += 1
 
 
 def _lexicographic_paths(moves, limit):

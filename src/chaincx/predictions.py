@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from itertools import combinations
 
 from .core import (
     MAX_ENTRY,
@@ -34,11 +34,7 @@ from .core import (
     WorkCapExceeded,
     betti_lower_bound,
 )
-from .optimizer import (
-    MaximizerReport,
-    enumerate_maximizers,
-    maximizer_rank_sum_range,
-)
+from .optimizer import MaximizerReport, _prefix_leaves, enumerate_maximizers
 
 DEFAULT_SCAN_CAP = 2_000_000
 CHECK_ENUMERATION_GUARD = 100_000
@@ -298,10 +294,35 @@ def _check_bounds(max_length: int, max_entry: int, what: str) -> None:
         )
 
 
-def _iter_shapes(max_length, max_entry):
-    for n in range(max_length + 1):
-        for dims in product(range(max_entry + 1), repeat=n + 1):
-            yield dims
+def _scan_window(reading, max_entry, length):
+    """The _prefix_leaves window of the scan: the hypothesis shapes whose
+    last entry is at least their first.
+
+    Every append of x after w, a obeys x >= a - w.  The sentinel reading
+    reads a 0 before the shape, so a_1 >= a_0, and one after it, so the
+    last entry is at most its predecessor and a lone entry is 0.  A
+    surviving prefix extends to a hypothesis shape by repeating its last
+    entry.  A shape whose last entry is below its first is greater than
+    its reversal, which the scan covers instead.
+    """
+    sentinel = reading is HypothesisReading.SENTINEL
+    last = length - 1
+
+    def window(path, k):
+        first = 0
+        if k >= 2:
+            first = max(path[k - 1] - path[k - 2], 0)
+        elif k and sentinel:
+            first = path[0]
+        if k < last:
+            return first, max_entry
+        if k:
+            first = max(first, path[0])
+        if not sentinel:
+            return first, max_entry
+        return first, path[k - 1] if k else 0
+
+    return window
 
 
 def conjecture_scan(
@@ -314,31 +335,35 @@ def conjecture_scan(
     sum beta_i = |chi|.
 
     max_length bounds the number of boundary maps; entries run 0..max_entry.
-    Shapes are scanned up to reversal (d is symmetric under it); when a
-    counterexample is found both representatives are reported.  Hitting
-    work_cap stops the scan with partial results and truncated = True.
-    Bounds that are negative or reach past MAX_LENGTH or MAX_ENTRY raise
-    ValueError before anything is scanned.
+    Shapes are scanned up to reversal (d is symmetric under it), by length
+    and then lexicographically; when a counterexample is found both
+    representatives are reported.  Only shapes that satisfy the hypothesis
+    are generated, and one forward DP is shared along their common
+    prefixes.  Hitting work_cap stops the scan with partial results and
+    truncated = True.  Bounds that are negative or reach past MAX_LENGTH
+    or MAX_ENTRY raise ValueError before anything is scanned.
     """
     _check_bounds(max_length, max_entry, "scan")
+    leaves = (
+        leaf
+        for length in range(1, max_length + 2)
+        for leaf in _prefix_leaves(length, _scan_window(reading, max_entry, length))
+    )
     counterexamples = []
     scanned = 0
     truncated = False
-    for dims in _iter_shapes(max_length, max_entry):
-        if dims[::-1] < dims:
-            continue
-        shape = ComplexShape(dims)
-        if not hypothesis_holds(shape, reading):
+    for path, _, _, lo, hi in leaves:
+        if path[::-1] < path:
             continue
         if scanned >= work_cap:
             truncated = True
             break
         scanned += 1
-        total = sum(dims)
-        _, lo, hi = maximizer_rank_sum_range(shape)
-        target = betti_lower_bound(shape)
+        total = sum(path)
+        target = abs(sum(path[::2]) - sum(path[1::2]))  # |chi|
         if total - 2 * hi == target and total - 2 * lo == target:
             continue
+        dims = tuple(path)
         representatives = [dims] if dims == dims[::-1] else [dims, dims[::-1]]
         for rep in representatives:
             rep_shape = ComplexShape(rep)
@@ -362,9 +387,14 @@ def sweep_theorems(
     reading: HypothesisReading = HypothesisReading.SENTINEL,
     work_cap: int = DEFAULT_SCAN_CAP,
 ) -> SweepSummary:
-    """Run check_shape over every shape in the rectangle and tally verdicts.
+    """Tally check_shape's verdicts over every shape in the rectangle.
 
-    Bounds are refused as in conjecture_scan, before the work cap is read.
+    A shape with three or more maps and unequal dimensions has only the
+    two sum-only predictions, both |chi|, so its verdict follows from the
+    rank-sum range of a forward DP shared along common prefixes; every
+    other shape, every mismatch and every shape with more maximizers than
+    the comparison guard goes through check_shape itself.  Bounds are
+    refused as in conjecture_scan, before the work cap is read.
     """
     _check_bounds(max_length, max_entry, "sweep")
     total = sum((max_entry + 1) ** (n + 1) for n in range(max_length + 1))
@@ -373,11 +403,26 @@ def sweep_theorems(
             f"sweep up to {max_length} maps with entries up to {max_entry} "
             f"exceeds the work cap of {work_cap} shapes"
         )
+    leaves = (
+        leaf
+        for length in range(1, max_length + 2)
+        for leaf in _prefix_leaves(length, lambda path, k: (0, max_entry))
+    )
     checked = matches = mismatches = not_applicable = 0
     details = []
-    for dims in _iter_shapes(max_length, max_entry):
-        result = check_shape(ComplexShape(dims), reading)
+    for path, _, count, lo, hi in leaves:
+        shape = ComplexShape(tuple(path))
         checked += 1
+        if len(path) > 3 and count <= CHECK_ENUMERATION_GUARD and min(path) < max(path):
+            if not hypothesis_holds(shape, reading):
+                not_applicable += 1
+                continue
+            sum_a = sum(path)
+            target = betti_lower_bound(shape)
+            if sum_a - 2 * lo == target == sum_a - 2 * hi:
+                matches += 1
+                continue
+        result = check_shape(shape, reading)
         if result.verdict is Verdict.MATCH:
             matches += 1
         elif result.verdict is Verdict.MISMATCH:

@@ -296,6 +296,18 @@ class TestSweep:
         assert out == ""
         assert err.startswith("chaincx: error: ") and cap in err
 
+    def test_wide_entries_reach_the_work_cap(self, capsys, monkeypatch):
+        # Only hypothesis shapes are generated, so entries up to MAX_ENTRY
+        # reach the cap at once instead of walking the rectangle.
+        monkeypatch.delenv("CHAINCX_WORK_CAP", raising=False)
+        argv = ["sweep", "--max-length", "1", "--max-entry", "1048576",
+                "--mode", "conjecture", "--work-cap", "1000"]
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 2.0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert (payload["shapes_scanned"], payload["truncated"]) == (1000, True)
+
 
 class TestOutputModes:
     def test_byte_stable(self):
@@ -405,6 +417,8 @@ class TestContractFuzz:
     @example(["sweep", "--max-length", "1100", "--max-entry", "0", "--mode", "conjecture"], {})
     @example(["sweep", "--max-length", "0", "--max-entry", "1048577", "--mode", "conjecture"],
              {})
+    @example(["sweep", "--max-length", "1", "--max-entry", "1048576", "--mode", "conjecture",
+              "--work-cap", "1000"], {})
     @example(["dimension", "--dims", "2,1", "--ranks", "1", "--out", "MISSING"], {})
     @example(["dimension", "--dims", "2,1", "--ranks", "1", "--out", "DIR"], {})
     @example(["sample", "--dims", "0,0,0,1,1,1", "--rank-tol", "inf"], {})

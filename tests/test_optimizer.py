@@ -21,7 +21,7 @@ from chaincx import (
     maximizer_rank_sum_range,
     stratum_dimension,
 )
-from chaincx.optimizer import _solve, _state_caps
+from chaincx.optimizer import _prefix_leaves, _solve, _state_caps
 
 
 def shape(*dims):
@@ -270,6 +270,37 @@ class TestQuadraticOracle:
     def test_property(self, dims):
         dims = tuple(dims)
         assert _solve(dims) == _quadratic_solve(dims)
+
+
+class TestPrefixLeaves:
+    """The forward DP shared along prefixes gives every shape the root
+    values of the backward pass: best value, count and rank-sum range."""
+
+    def test_every_small_shape_in_lexicographic_order(self):
+        for length in range(1, 6):
+            leaves = [(tuple(path), *root)
+                      for path, *root in _prefix_leaves(length, lambda path, k: (0, 5))]
+            assert [leaf[0] for leaf in leaves] == list(itertools.product(range(6),
+                                                                          repeat=length))
+            for dims, *root in leaves:
+                best, _, count, lo, hi = _solve(dims)
+                assert root == [best, count, lo, hi], dims
+
+    def test_random_wide_shapes(self):
+        # A window of one entry per depth walks a single shape.
+        rng = random.Random(20261019)
+        for _ in range(300):
+            dims = tuple(rng.randint(0, 30) for _ in range(rng.randint(1, 9)))
+            (path, *root), = _prefix_leaves(len(dims), lambda path, k: (dims[k], dims[k]))
+            best, _, count, lo, hi = _solve(dims)
+            assert (tuple(path), root) == (dims, [best, count, lo, hi])
+
+    def test_empty_windows_prune(self):
+        # Nothing may follow a 3: the leaves are exactly the admitted shapes.
+        leaves = [tuple(path) for path, *_ in _prefix_leaves(
+            3, lambda path, k: (1, 0) if k and path[k - 1] == 3 else (0, 3))]
+        assert leaves == [d for d in itertools.product(range(4), repeat=3) if 3 not in d[:2]]
+        assert list(_prefix_leaves(2, lambda path, k: (1, 0))) == []
 
 
 class TestStateCap:

@@ -25,13 +25,24 @@ from chaincx import (
     predict_length1,
     predict_length2,
     predict_length3_sum,
-    ranks_from_betti,
     is_feasible,
+    maximizer_rank_sum_range,
     predict_conjecture,
     stratum_dimension,
     sweep_theorems,
 )
 from chaincx.core import MAX_ENTRY, MAX_LENGTH, _feasible
+from chaincx.optimizer import _prefix_leaves
+from chaincx.predictions import (
+    DEFAULT_SCAN_CAP,
+    ComparisonResult,
+    ScanReport,
+    SweepSummary,
+    _check_bounds,
+    _full_report,
+    _scan_window,
+)
+from test_core import ranks_from_betti
 
 INTERIOR = HypothesisReading.INTERIOR
 
@@ -314,6 +325,171 @@ class TestSweeps:
         report = conjecture_scan(3, 3, work_cap=5)
         assert report.truncated
         assert report.shapes_scanned == 5
+
+
+# The scan and the sweep as they were before the prefix-sharing engine: a
+# fresh DP per shape over the whole rectangle, kept as the reference.
+def _iter_shapes(max_length, max_entry):
+    for n in range(max_length + 1):
+        for dims in itertools.product(range(max_entry + 1), repeat=n + 1):
+            yield dims
+
+
+def _reference_conjecture_scan(
+    max_length: int,
+    max_entry: int,
+    reading: HypothesisReading = HypothesisReading.SENTINEL,
+    work_cap: int = DEFAULT_SCAN_CAP,
+) -> ScanReport:
+    """Hunt for hypothesis-satisfying shapes whose maximizers violate
+    sum beta_i = |chi|.
+
+    max_length bounds the number of boundary maps; entries run 0..max_entry.
+    Shapes are scanned up to reversal (d is symmetric under it); when a
+    counterexample is found both representatives are reported.  Hitting
+    work_cap stops the scan with partial results and truncated = True.
+    Bounds that are negative or reach past MAX_LENGTH or MAX_ENTRY raise
+    ValueError before anything is scanned.
+    """
+    _check_bounds(max_length, max_entry, "scan")
+    counterexamples = []
+    scanned = 0
+    truncated = False
+    for dims in _iter_shapes(max_length, max_entry):
+        if dims[::-1] < dims:
+            continue
+        shape = ComplexShape(dims)
+        if not hypothesis_holds(shape, reading):
+            continue
+        if scanned >= work_cap:
+            truncated = True
+            break
+        scanned += 1
+        total = sum(dims)
+        _, lo, hi = maximizer_rank_sum_range(shape)
+        target = betti_lower_bound(shape)
+        if total - 2 * hi == target and total - 2 * lo == target:
+            continue
+        representatives = [dims] if dims == dims[::-1] else [dims, dims[::-1]]
+        for rep in representatives:
+            rep_shape = ComplexShape(rep)
+            prediction = predict_conjecture(rep_shape, reading)
+            counterexamples.append(
+                ComparisonResult(
+                    rep_shape,
+                    prediction,
+                    _full_report(rep_shape),
+                    Verdict.MISMATCH,
+                    ((prediction, False),),
+                )
+            )
+    counterexamples.sort(key=lambda c: (len(c.shape.dims), c.shape.dims))
+    return ScanReport(tuple(counterexamples), scanned, truncated)
+
+
+def _reference_sweep_theorems(
+    max_length: int,
+    max_entry: int,
+    reading: HypothesisReading = HypothesisReading.SENTINEL,
+    work_cap: int = DEFAULT_SCAN_CAP,
+) -> SweepSummary:
+    """Run check_shape over every shape in the rectangle and tally verdicts.
+
+    Bounds are refused as in conjecture_scan, before the work cap is read.
+    """
+    _check_bounds(max_length, max_entry, "sweep")
+    total = sum((max_entry + 1) ** (n + 1) for n in range(max_length + 1))
+    if total > work_cap:  # total can pass the 4300 digits str() allows, so it is not shown
+        raise WorkCapExceeded(
+            f"sweep up to {max_length} maps with entries up to {max_entry} "
+            f"exceeds the work cap of {work_cap} shapes"
+        )
+    checked = matches = mismatches = not_applicable = 0
+    details = []
+    for dims in _iter_shapes(max_length, max_entry):
+        result = check_shape(ComplexShape(dims), reading)
+        checked += 1
+        if result.verdict is Verdict.MATCH:
+            matches += 1
+        elif result.verdict is Verdict.MISMATCH:
+            mismatches += 1
+            details.append(result)
+        else:
+            not_applicable += 1
+    return SweepSummary(checked, matches, mismatches, not_applicable, tuple(details))
+
+
+def _outcome(run, *args, **kwargs):
+    try:
+        return run(*args, **kwargs)
+    except WorkCapExceeded as exc:
+        return str(exc)
+
+
+_REFERENCE_BOUNDS = [(4, 4), (5, 5), (3, 8), (2, 12), (6, 4), (7, 2)]
+# The reference sweep of (5, 5) and (6, 4) takes about 10 s per reading.
+_REFERENCE_SWEEP_BOUNDS = [(4, 4), (3, 8), (2, 12), (7, 2)]
+_REFERENCE_CAPS = [{"work_cap": cap} for cap in (0, 1, 5, 7, 100, 1000)] + [{}]
+
+
+class TestAgainstReference:
+    """The prefix-sharing scan and sweep equal the per-shape reference
+    exactly: counterexample reports, tallies, truncation and refusals."""
+
+    @pytest.mark.parametrize("reading", list(HypothesisReading))
+    @pytest.mark.parametrize("bounds", _REFERENCE_BOUNDS)
+    def test_conjecture_scan(self, bounds, reading):
+        for caps in _REFERENCE_CAPS:
+            assert conjecture_scan(*bounds, reading, **caps) == \
+                _reference_conjecture_scan(*bounds, reading, **caps), caps
+
+    @pytest.mark.parametrize("reading", list(HypothesisReading))
+    @pytest.mark.parametrize("bounds", _REFERENCE_SWEEP_BOUNDS)
+    def test_sweep_theorems(self, bounds, reading):
+        for caps in _REFERENCE_CAPS:
+            assert _outcome(sweep_theorems, *bounds, reading, **caps) == \
+                _outcome(_reference_sweep_theorems, *bounds, reading, **caps), caps
+
+    @pytest.mark.parametrize("reading", list(HypothesisReading))
+    def test_longest_shapes(self, reading):
+        # 1024 all-zero shapes, the longest a walk 1024 deep.
+        report = conjecture_scan(MAX_LENGTH - 1, 0, reading)
+        assert report.shapes_scanned == MAX_LENGTH
+        assert report == _reference_conjecture_scan(MAX_LENGTH - 1, 0, reading)
+
+    @pytest.mark.parametrize("reading", list(HypothesisReading))
+    def test_scan_window_admits_the_hypothesis_shapes(self, reading):
+        # Exactly the hypothesis shapes whose last entry is at least their
+        # first, in product order.
+        for length in range(1, 7):
+            leaves = [tuple(path) for path, *_ in
+                      _prefix_leaves(length, _scan_window(reading, 4, length))]
+            assert leaves == [
+                dims for dims in itertools.product(range(5), repeat=length)
+                if hypothesis_holds(ComplexShape(dims), reading) and dims[-1] >= dims[0]
+            ], length
+
+
+class TestConjectureFrontier:
+    """What the scan finds past the proven cases, under the sentinel reading."""
+
+    def test_none_up_to_six_maps(self):
+        report = conjecture_scan(6, 6)
+        assert report.counterexamples == ()
+        assert (report.shapes_scanned, report.truncated) == (59_167, False)
+
+    def test_seven_maps_without_a_zero_space(self):
+        # No interior space is 0, so the complex does not split; yet every
+        # maximizer has total homology 2 > |chi| = 0.
+        s = shape(1, 1, 2, 1, 1, 2, 1, 1)
+        assert hypothesis_holds(s)
+        assert betti_lower_bound(s) == 0
+        report = brute_force_maximize(s)
+        assert report.maximizer_count == 4
+        assert [sum(b.bettis) for b in report.betti_spectrum] == [2] * 4
+        scan = conjecture_scan(7, 2)
+        assert len(scan.counterexamples) == 36
+        assert s in [c.shape for c in scan.counterexamples]
 
 
 def equal_dim_quadratic_form(n: int) -> list[list[int]]:
