@@ -12,12 +12,15 @@ linearized change-of-basis action.
 __version__ = "0.1.0"
 
 from .core import (
+    DEFAULT_SIZE_CAP,
+    DEFAULT_TOLERANCES,
     MAX_ENTRY,
     MAX_LENGTH,
     BettiVector,
     ComplexShape,
     InfeasibleRanksError,
     RankVector,
+    ToleranceConfig,
     WorkCapExceeded,
     ambient_dimension,
     betti_from_ranks,
@@ -55,17 +58,20 @@ from .predictions import (
     predict_length3_sum,
     sweep_theorems,
 )
-from .numerics import (
-    DEFAULT_SIZE_CAP,
-    DEFAULT_TOLERANCES,
-    NumericalComplex,
-    ToleranceConfig,
-    canonical_complex,
-    greedy_rank_vector,
-    numerical_rank,
-    orbit_dimension,
-    random_conjugation,
-    sequential_sample,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# numerics imports numpy and scipy, so it and its names load on first access.
+_NUMERICS_NAMES = ("NumericalComplex", "canonical_complex", "greedy_rank_vector",
+                   "numerical_rank", "orbit_dimension", "random_conjugation",
+                   "sequential_sample")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["numerics", *_NUMERICS_NAMES])
+
+
+def __getattr__(name):
+    if name == "numerics" or name in _NUMERICS_NAMES:
+        import importlib
+
+        numerics = importlib.import_module(".numerics", __name__)
+        return numerics if name == "numerics" else getattr(numerics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,12 +16,13 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from . import __version__
 from .core import (
+    DEFAULT_SIZE_CAP,
     ComplexShape,
     RankVector,
+    ToleranceConfig,
     WorkCapExceeded,
     ambient_dimension,
     betti_from_ranks,
@@ -43,15 +44,6 @@ from .predictions import (
     check_shape,
     conjecture_scan,
     sweep_theorems,
-)
-from .numerics import (
-    DEFAULT_SIZE_CAP,
-    ToleranceConfig,
-    canonical_complex,
-    greedy_rank_vector,
-    numerical_rank,
-    orbit_dimension,
-    sequential_sample,
 )
 
 SCHEMA_VERSION = 1
@@ -262,6 +254,9 @@ def cmd_verify_dim(args):
     if not is_feasible(shape, ranks):
         return _infeasible("verify-dim", shape, ranks)
     config = _tolerances(args)
+    # numpy and scipy load only here and in cmd_sample, past the integer checks.
+    from .numerics import canonical_complex, orbit_dimension
+
     complex_ = canonical_complex(shape, ranks, config)
     formula_d = stratum_dimension(shape, ranks)
     orbit_d = orbit_dimension(complex_, config, size_cap=args.size_cap)
@@ -285,6 +280,8 @@ def cmd_sample(args):
     if args.limit < 1:
         raise _UsageError("--limit must be positive")
     config = _tolerances(args)
+    from .numerics import greedy_rank_vector, numerical_rank, sequential_sample
+
     trial_ranks = []
     for t in range(args.trials):
         try:
@@ -361,6 +358,8 @@ def _render_table(envelope) -> str:
 def _emit(envelope, args) -> None:
     text = json.dumps(envelope, indent=2) + "\n"
     if args.out:
+        import tempfile
+
         tmp = None
         try:
             directory = os.path.dirname(os.path.abspath(args.out))

@@ -19,6 +19,10 @@ and the alternating sum of the beta_i equals chi.
 Entries are capped at 2^20 and lengths at 2^10 so that every derived
 quantity fits comfortably in 64-bit signed integers when callers move
 the numbers into fixed-width storage.
+
+The float tolerances and the orbit-matrix size cap of the numerics module
+also live here, so that the CLI can build its parser and validate its
+flags without importing numpy or scipy.
 """
 
 from __future__ import annotations
@@ -36,6 +40,24 @@ class InfeasibleRanksError(ValueError):
 
 class WorkCapExceeded(RuntimeError):
     """A documented resource cap would be exceeded; the call is refused."""
+
+
+DEFAULT_SIZE_CAP = 4096  # refusal cap on either side of the orbit matrix
+
+
+@dataclass(frozen=True)
+class ToleranceConfig:
+    """Knobs for the two floating-point comparisons in the numerics module."""
+
+    rank_tolerance_factor: float = 1000.0
+    composition_tolerance: float = 1e-8
+
+    def __post_init__(self):
+        if not (self.rank_tolerance_factor > 0 and self.composition_tolerance > 0):
+            raise ValueError("tolerances must be positive")
+
+
+DEFAULT_TOLERANCES = ToleranceConfig()
 
 
 def _int_tuple(values, what):

@@ -30,31 +30,17 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
+    DEFAULT_SIZE_CAP,
+    DEFAULT_TOLERANCES,
     ComplexShape,
     InfeasibleRanksError,
     RankVector,
+    ToleranceConfig,
     WorkCapExceeded,
     is_feasible,
 )
 
-DEFAULT_SIZE_CAP = 4096
-
 _EPS = float(np.finfo(np.float64).eps)
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Knobs for the two floating-point comparisons in this module."""
-
-    rank_tolerance_factor: float = 1000.0
-    composition_tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if not (self.rank_tolerance_factor > 0 and self.composition_tolerance > 0):
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
 
 
 def _max_norm(a: np.ndarray) -> float:

@@ -18,17 +18,21 @@ from chaincx.cli import main
 SAMPLER_WARNING = "sequential sampler does not realize the conditional measure"
 
 
-def run_cli(*args, env_extra=None, timeout=None):
+def child_env(env_extra=None):
     env = os.environ.copy()
     env.pop("CHAINCX_RANK_TOL", None)
     env.pop("CHAINCX_WORK_CAP", None)
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(*args, env_extra=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "chaincx", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(env_extra),
         timeout=timeout,
     )
 
@@ -307,6 +311,65 @@ class TestSweep:
         assert time.perf_counter() - start < 2.0
         payload = json.loads(capsys.readouterr().out)["payload"]
         assert (payload["shapes_scanned"], payload["truncated"]) == (1000, True)
+
+
+# Imports `module`, runs cli.main on the argv in sys.argv[1] (if any) with
+# its output discarded, and prints the exit code and the heavy modules loaded.
+_IMPORT_PROBE = """
+import contextlib, importlib, io, json, sys
+importlib.import_module(sys.argv[2])
+argv, code = json.loads(sys.argv[1]), None
+if argv:
+    from chaincx.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+print(json.dumps([code, [m for m in ("numpy", "scipy") if m in sys.modules]]))
+"""
+
+
+def probe_imports(module, argv=(), env_extra=None):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(list(argv)), module],
+        capture_output=True, text=True, env=child_env(env_extra),
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    return code, loaded
+
+
+class TestImportGraph:
+    """Integer-only commands and the error paths before any float work leave
+    numpy and scipy unloaded; only verify-dim and sample past their checks
+    load them."""
+
+    @pytest.mark.parametrize("module", ["chaincx", "chaincx.cli"])
+    def test_import_is_numpy_free(self, module):
+        assert probe_imports(module) == (None, [])
+
+    @pytest.mark.parametrize("argv,env,code", [
+        (["dimension", "--dims", "2,1,1,2", "--ranks", "1,0,1"], None, 0),
+        (["maximize", "--dims", "3,1,3"], None, 0),
+        (["predict", "--dims", "2,2,2"], None, 0),
+        (["check", "--dims", "2,1,1,2", "--reading", "interior"], None, 4),
+        (["sweep", "--max-length", "2", "--max-entry", "4"], None, 0),
+        (["sweep", "--max-length", "3", "--max-entry", "2", "--mode", "conjecture"], None, 0),
+        (["--version"], None, 0),
+        (["verify-dim", "--dims", "2,2,2", "--ranks", "2,1"], None, 2),
+        (["sample", "--dims", "1,2,1,2", "--trials", "0"], None, 64),
+        (["verify-dim", "--dims", "2,2", "--ranks", "1"], {"CHAINCX_RANK_TOL": "x"}, 64),
+    ])
+    def test_integer_paths_are_numpy_free(self, argv, env, code):
+        assert probe_imports("chaincx.cli", argv, env) == (code, [])
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-dim", "--dims", "2,2", "--ranks", "1"],
+        ["sample", "--dims", "1,2,1,2"],
+    ])
+    def test_float_commands_load_numerics(self, argv):
+        assert probe_imports("chaincx.cli", argv) == (0, ["numpy", "scipy"])
 
 
 class TestOutputModes:

@@ -1,0 +1,44 @@
+"""The public surface of the package: names, re-exports and lazy loading."""
+
+import pytest
+
+import chaincx
+from chaincx import core
+
+PUBLIC_NAMES = [
+    "BettiVector", "ComparisonResult", "ComplexShape", "DEFAULT_ENUMERATION_CAP",
+    "DEFAULT_SIZE_CAP", "DEFAULT_TOLERANCES", "DEFAULT_WORK_CAP", "HypothesisReading",
+    "InfeasibleRanksError", "MAX_DP_STATES", "MAX_ENTRY", "MAX_LENGTH", "MaximizerReport",
+    "NumericalComplex", "Prediction", "RankVector", "ScanReport", "SourceTheorem",
+    "SweepSummary", "ToleranceConfig", "Verdict", "WorkCapExceeded", "all_predictions",
+    "ambient_dimension", "betti_from_ranks", "betti_lower_bound", "brute_force_maximize",
+    "canonical_complex", "check_shape", "conjecture_scan", "core", "enumerate_maximizers",
+    "euler_characteristic", "greedy_rank_vector", "hypothesis_holds", "is_feasible",
+    "maximize_dp", "maximizer_rank_sum_range", "numerical_rank", "numerics", "optimizer",
+    "orbit_dimension", "predict_conjecture", "predict_equal_dim", "predict_length1",
+    "predict_length2", "predict_length3_sum", "predictions", "random_conjugation",
+    "sequential_sample", "stratum_dimension", "sweep_theorems",
+]
+
+
+def test_all_is_pinned():
+    assert sorted(chaincx.__all__) == PUBLIC_NAMES
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from chaincx import *", namespace)
+    assert set(PUBLIC_NAMES) <= namespace.keys()
+    assert namespace["numerics"] is chaincx.numerics
+    assert namespace["orbit_dimension"] is chaincx.numerics.orbit_dimension
+
+
+def test_tolerances_are_one_object_everywhere():
+    assert chaincx.ToleranceConfig is chaincx.numerics.ToleranceConfig is core.ToleranceConfig
+    assert chaincx.DEFAULT_TOLERANCES is chaincx.numerics.DEFAULT_TOLERANCES
+    assert chaincx.DEFAULT_SIZE_CAP == chaincx.numerics.DEFAULT_SIZE_CAP == 4096
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="^module 'chaincx' has no attribute 'no_such_name'$"):
+        chaincx.no_such_name
