@@ -44,7 +44,7 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 def _max_norm(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +60,8 @@ class NumericalComplex:
     composition_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.composition_tolerance <= 0:
+        tol = self.composition_tolerance
+        if not tol > 0:
             raise ValueError("composition tolerance must be positive")
         dims = self.shape.dims
         if len(self.maps) != self.shape.n_maps:
@@ -69,25 +70,22 @@ class NumericalComplex:
                 f"got {len(self.maps)}"
             )
         frozen = []
+        norms = []
         for j, raw in enumerate(self.maps):
             m = np.array(raw, dtype=np.float64)
             if m.shape != (dims[j], dims[j + 1]):
                 raise ValueError(
                     f"map {j + 1} has shape {m.shape}, expected {(dims[j], dims[j + 1])}"
                 )
-            if not np.all(np.isfinite(m)):
+            if not np.isfinite(m).all():
                 raise ValueError(f"map {j + 1} has non-finite entries")
             m.setflags(write=False)
             frozen.append(m)
+            norms.append(_max_norm(m))
         object.__setattr__(self, "maps", tuple(frozen))
         for j in range(len(frozen) - 1):
             residual = _max_norm(frozen[j] @ frozen[j + 1])
-            bound = (
-                self.composition_tolerance
-                * _max_norm(frozen[j])
-                * _max_norm(frozen[j + 1])
-                * dims[j + 1]
-            )
+            bound = tol * norms[j] * norms[j + 1] * dims[j + 1]
             if residual > bound:
                 raise ValueError(
                     f"maps {j + 1} and {j + 2} do not compose to zero: "
@@ -188,26 +186,29 @@ def orbit_dimension(
             f"orbit computation needs a {ambient} x {domain} matrix, "
             f"exceeding the size cap of {size_cap}"
         )
-    if ambient == 0:
-        return 0
-    col_off = [0]
-    for a in dims:
-        col_off.append(col_off[-1] + a * a)
+    return numerical_rank(_orbit_matrix(complex_, ambient, domain), config)
+
+
+def _orbit_matrix(complex_: NumericalComplex, ambient: int, domain: int) -> np.ndarray:
+    """The ambient x domain matrix of L in row-major vec coordinates."""
+    dims = complex_.shape.dims
     lin = np.zeros((ambient, domain))
-    row = 0
-    for i in range(1, n + 1):
-        block_rows = dims[i - 1] * dims[i]
-        if block_rows:
-            d = complex_.maps[i - 1]
-            # Row-major vec: vec(X D) = kron(I, D.T) vec(X); vec(D X) = kron(D, I) vec(X).
-            lin[row : row + block_rows, col_off[i - 1] : col_off[i]] += np.kron(
-                np.eye(dims[i - 1]), d.T
-            )
-            lin[row : row + block_rows, col_off[i] : col_off[i + 1]] -= np.kron(
-                d, np.eye(dims[i])
-            )
-        row += block_rows
-    return numerical_rank(lin, config)
+    row = col = 0
+    for i, d in enumerate(complex_.maps, 1):
+        m, k = dims[i - 1], dims[i]
+        # Row-major vec; row (p, q) of block i:
+        #   vec(X_{i-1} D_i):  L[(p, q), X_{i-1}[p, s]] =  D_i[s, q]
+        #   vec(D_i X_i):      L[(p, q), X_i[t, q]]     = -D_i[p, t]
+        # written by index scatter into reshaped views of the row block.
+        # "+ 0.0" and "0.0 -" turn -0.0 into +0.0, so L holds no negative
+        # zero (the QR's Householder signs read the sign of zero).
+        ar_m, ar_k = np.arange(m), np.arange(k)
+        rows = lin[row : row + m * k]
+        rows[:, col : col + m * m].reshape(m, k, m, m)[ar_m, :, ar_m, :] = d.T + 0.0
+        col += m * m
+        rows[:, col : col + k * k].reshape(m, k, k, k)[:, ar_k, :, ar_k] = 0.0 - d
+        row += m * k
+    return lin
 
 
 def greedy_rank_vector(shape: ComplexShape) -> RankVector:
@@ -261,8 +262,8 @@ def random_conjugation(
 ) -> NumericalComplex:
     """Another point of the same stratum: D_i -> g_{i-1} D_i g_i^{-1} with
     random invertible g_i of condition number at most max_condition."""
-    if max_condition < 1.0:
-        raise ValueError("condition bound must be at least 1")
+    if not (max_condition >= 1.0 and np.isfinite(max_condition)):
+        raise ValueError("condition bound must be finite and at least 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xC0,)))
@@ -273,10 +274,10 @@ def random_conjugation(
         if a == 0:
             basis_changes.append(np.zeros((0, 0)))
             continue
-        q1 = np.linalg.qr(rng.standard_normal((a, a)))[0]
-        q2 = np.linalg.qr(rng.standard_normal((a, a)))[0]
+        # One stacked QR factors the pair q1, q2, drawn in that order.
+        q1, q2 = np.linalg.qr(rng.standard_normal((2, a, a)))[0]
         singular = np.exp(rng.uniform(-half_log, half_log, size=a))
-        basis_changes.append(q1 @ np.diag(singular) @ q2.T)
+        basis_changes.append((q1 * singular) @ q2.T)
     maps = []
     for i, d in enumerate(complex_.maps):
         g_left, g_right = basis_changes[i], basis_changes[i + 1]

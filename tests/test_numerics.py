@@ -28,7 +28,7 @@ from chaincx import (
     stratum_dimension,
 )
 from chaincx.core import _feasible
-from chaincx.numerics import _kernel_basis
+from chaincx.numerics import _kernel_basis, _orbit_matrix
 
 
 def shape(*dims):
@@ -142,6 +142,13 @@ class TestNumericalComplexValidation:
         with pytest.raises(ValueError):
             NumericalComplex(shape(1, 1), (np.array([[np.nan]]),))
 
+    def test_nan_tolerance_rejected(self):
+        # A NaN bound would make every composition check pass.
+        with pytest.raises(ValueError, match="composition tolerance must be positive"):
+            NumericalComplex(shape(2, 2, 2), (np.eye(2), np.eye(2)), float("nan"))
+        with pytest.raises(ValueError, match="composition tolerance must be positive"):
+            NumericalComplex(shape(2, 2), (np.eye(2),), float("nan"))
+
     def test_maps_frozen(self):
         cx = canonical_complex(shape(2, 2), ranks(1))
         with pytest.raises(ValueError):
@@ -191,6 +198,96 @@ class TestNumericalBetti:
             numerical_betti(cx)
 
 
+def kron_orbit_matrix(complex_: NumericalComplex) -> np.ndarray:
+    """Reference build of L from Kronecker products, one block at a time."""
+    dims = complex_.shape.dims
+    n = complex_.shape.n_maps
+    col_off = [0]
+    for a in dims:
+        col_off.append(col_off[-1] + a * a)
+    lin = np.zeros((sum(dims[i - 1] * dims[i] for i in range(1, n + 1)), col_off[-1]))
+    row = 0
+    for i in range(1, n + 1):
+        block_rows = dims[i - 1] * dims[i]
+        if block_rows:
+            d = complex_.maps[i - 1]
+            # Row-major vec: vec(X D) = kron(I, D.T) vec(X); vec(D X) = kron(D, I) vec(X).
+            lin[row : row + block_rows, col_off[i - 1] : col_off[i]] += np.kron(
+                np.eye(dims[i - 1]), d.T
+            )
+            lin[row : row + block_rows, col_off[i] : col_off[i + 1]] -= np.kron(
+                d, np.eye(dims[i])
+            )
+        row += block_rows
+    return lin
+
+
+def two_qr_conjugation(
+    complex_: NumericalComplex, seed: int, max_condition: float = 1000.0
+) -> NumericalComplex:
+    """Reference random_conjugation: one QR per factor and an explicit diagonal."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xC0,)))
+    half_log = 0.5 * np.log(max_condition)
+    basis_changes = []
+    for a in complex_.shape.dims:
+        if a == 0:
+            basis_changes.append(np.zeros((0, 0)))
+            continue
+        q1 = np.linalg.qr(rng.standard_normal((a, a)))[0]
+        q2 = np.linalg.qr(rng.standard_normal((a, a)))[0]
+        singular = np.exp(rng.uniform(-half_log, half_log, size=a))
+        basis_changes.append(q1 @ np.diag(singular) @ q2.T)
+    maps = []
+    for i, d in enumerate(complex_.maps):
+        g_left, g_right = basis_changes[i], basis_changes[i + 1]
+        if d.size == 0:
+            maps.append(np.zeros_like(d))
+            continue
+        maps.append(np.linalg.solve(g_right.T, (g_left @ d).T).T)
+    return NumericalComplex(complex_.shape, tuple(maps), complex_.composition_tolerance)
+
+
+def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal entries and equal signs of zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def orbit_instances(max_spaces, max_entry):
+    for k in range(1, max_spaces + 1):
+        for dims in itertools.product(range(max_entry + 1), repeat=k):
+            s = ComplexShape(dims)
+            for rv in feasible_rank_vectors(s):
+                yield canonical_complex(s, rv)
+
+
+class TestOrbitOracles:
+    # The index-scatter L and the stacked-QR conjugation against the
+    # Kronecker and two-QR references, bit for bit.
+
+    def test_orbit_matrix_matches_kron(self):
+        for cx in orbit_instances(3, 4):
+            for moved in (cx, random_conjugation(cx, sum(cx.shape.dims))):
+                ref = kron_orbit_matrix(moved)
+                assert bit_equal(_orbit_matrix(moved, *ref.shape), ref), moved.shape
+
+    def test_orbit_matrix_negative_zeros(self):
+        d = np.array([[-0.0, 2.0], [0.0, -3.0]])
+        cx = NumericalComplex(shape(2, 2, 1), (d, np.array([[-0.0], [0.0]])))
+        ref = kron_orbit_matrix(cx)
+        assert bit_equal(_orbit_matrix(cx, *ref.shape), ref)
+        assert not np.signbit(ref[ref == 0]).any()
+
+    def test_conjugation_matches_two_qr(self):
+        for cx in orbit_instances(3, 4):
+            for seed in range(10):
+                moved = random_conjugation(cx, seed)
+                ref = two_qr_conjugation(cx, seed)
+                assert all(bit_equal(a, b) for a, b in zip(moved.maps, ref.maps)), (
+                    cx.shape,
+                    seed,
+                )
+
+
 class TestOrbitDimension:
     def test_examples(self):
         assert orbit_dimension(canonical_complex(shape(1, 1), ranks(1))) == 1
@@ -214,6 +311,12 @@ class TestOrbitDimension:
         for seed in range(100):
             moved = random_conjugation(cx, seed)
             assert orbit_dimension(moved) == expected
+
+    def test_condition_bound_validated(self):
+        cx = canonical_complex(shape(2, 2), ranks(1))
+        for bound in (0.5, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="condition bound"):
+                random_conjugation(cx, 0, max_condition=bound)
 
     def test_size_cap_refusal(self):
         cx = canonical_complex(shape(70, 70), ranks(0))
