@@ -24,6 +24,7 @@ from .core import (
     RankVector,
     ToleranceConfig,
     WorkCapExceeded,
+    _orbit_matrix_sides,
     ambient_dimension,
     betti_from_ranks,
     betti_lower_bound,
@@ -254,6 +255,7 @@ def cmd_verify_dim(args):
     if not is_feasible(shape, ranks):
         return _infeasible("verify-dim", shape, ranks)
     config = _tolerances(args)
+    _orbit_matrix_sides(shape, args.size_cap)
     # numpy and scipy load only here and in cmd_sample, past the integer checks.
     from .numerics import canonical_complex, orbit_dimension
 
@@ -280,6 +282,11 @@ def cmd_sample(args):
     if args.limit < 1:
         raise _UsageError("--limit must be positive")
     config = _tolerances(args)
+    if max(shape.dims) > DEFAULT_SIZE_CAP:
+        raise WorkCapExceeded(
+            f"sampling shape {shape.dims} needs a space of dimension {max(shape.dims)}, "
+            f"exceeding the size cap of {DEFAULT_SIZE_CAP}"
+        )
     from .numerics import greedy_rank_vector, numerical_rank, sequential_sample
 
     trial_ranks = []

@@ -20,9 +20,9 @@ Entries are capped at 2^20 and lengths at 2^10 so that every derived
 quantity fits comfortably in 64-bit signed integers when callers move
 the numbers into fixed-width storage.
 
-The float tolerances and the orbit-matrix size cap of the numerics module
-also live here, so that the CLI can build its parser and validate its
-flags without importing numpy or scipy.
+The float tolerances and the orbit-matrix size rule of the numerics module
+also live here, so that the CLI can build its parser, validate its flags
+and refuse oversized orbit checks without importing numpy or scipy.
 """
 
 from __future__ import annotations
@@ -90,15 +90,6 @@ class ComplexShape:
     def n_maps(self) -> int:
         return len(self.dims) - 1
 
-    def reversed(self) -> "ComplexShape":
-        return ComplexShape(self.dims[::-1])
-
-    def __len__(self):
-        return len(self.dims)
-
-    def __iter__(self):
-        return iter(self.dims)
-
 
 @dataclass(frozen=True, order=True)
 class RankVector:
@@ -116,12 +107,6 @@ class RankVector:
             first = next(r for r in ranks if r < 0)
             raise ValueError(f"ranks must be non-negative, got {first}")
 
-    def __len__(self):
-        return len(self.ranks)
-
-    def __iter__(self):
-        return iter(self.ranks)
-
 
 @dataclass(frozen=True, order=True)
 class BettiVector:
@@ -135,20 +120,6 @@ class BettiVector:
         if bettis and min(bettis) < 0:
             first = next(b for b in bettis if b < 0)
             raise ValueError(f"Betti numbers must be non-negative, got {first}")
-
-    def __len__(self):
-        return len(self.bettis)
-
-    def __iter__(self):
-        return iter(self.bettis)
-
-
-def _check_lengths(shape: ComplexShape, ranks: RankVector) -> None:
-    if len(ranks.ranks) != shape.n_maps:
-        raise ValueError(
-            f"rank vector of length {len(ranks.ranks)} does not fit shape "
-            f"with {shape.n_maps} maps"
-        )
 
 
 # Tuple-level kernels, shared with the optimizer's hot loops.
@@ -177,15 +148,32 @@ def _betti(dims, ranks):
     return tuple(map(operator.sub, map(operator.sub, dims, padded), padded[1:]))
 
 
+def _chi(dims) -> int:
+    return sum(dims[::2]) - sum(dims[1::2])
+
+
 def euler_characteristic(shape: ComplexShape) -> int:
     """Alternating sum of the space dimensions."""
-    return sum(a if i % 2 == 0 else -a for i, a in enumerate(shape.dims))
+    return _chi(shape.dims)
 
 
 def ambient_dimension(shape: ComplexShape) -> int:
     """Total matrix-entry count N = sum a_{i-1} a_i of the boundary maps."""
     dims = shape.dims
     return sum(dims[i - 1] * dims[i] for i in range(1, len(dims)))
+
+
+def _orbit_matrix_sides(shape: ComplexShape, size_cap: int) -> tuple[int, int]:
+    """Rows N and columns sum a_i^2 of the orbit matrix of
+    numerics.orbit_dimension; refused when either side exceeds size_cap."""
+    ambient = ambient_dimension(shape)
+    domain = sum(a * a for a in shape.dims)
+    if domain > size_cap or ambient > size_cap:
+        raise WorkCapExceeded(
+            f"orbit computation needs a {ambient} x {domain} matrix, "
+            f"exceeding the size cap of {size_cap}"
+        )
+    return ambient, domain
 
 
 def betti_lower_bound(shape: ComplexShape) -> int:
@@ -195,25 +183,28 @@ def betti_lower_bound(shape: ComplexShape) -> int:
 
 def is_feasible(shape: ComplexShape, ranks: RankVector) -> bool:
     """True iff r_i + r_{i+1} <= a_i for all i = 0..n with zero sentinels."""
-    _check_lengths(shape, ranks)
+    if len(ranks.ranks) != shape.n_maps:
+        raise ValueError(
+            f"rank vector of length {len(ranks.ranks)} does not fit shape "
+            f"with {shape.n_maps} maps"
+        )
     return _feasible(shape.dims, ranks.ranks)
+
+
+def _require_feasible(shape: ComplexShape, ranks: RankVector) -> None:
+    if not is_feasible(shape, ranks):
+        raise InfeasibleRanksError(
+            f"ranks {ranks.ranks} are infeasible for dims {shape.dims}"
+        )
 
 
 def stratum_dimension(shape: ComplexShape, ranks: RankVector) -> int:
     """Dimension d(a, r) of the set of complexes with these dims and ranks."""
-    _check_lengths(shape, ranks)
-    if not _feasible(shape.dims, ranks.ranks):
-        raise InfeasibleRanksError(
-            f"ranks {ranks.ranks} are infeasible for dims {shape.dims}"
-        )
+    _require_feasible(shape, ranks)
     return _dimension(shape.dims, ranks.ranks)
 
 
 def betti_from_ranks(shape: ComplexShape, ranks: RankVector) -> BettiVector:
     """Betti numbers beta_i = a_i - r_i - r_{i+1} of a complex with these ranks."""
-    _check_lengths(shape, ranks)
-    if not _feasible(shape.dims, ranks.ranks):
-        raise InfeasibleRanksError(
-            f"ranks {ranks.ranks} are infeasible for dims {shape.dims}"
-        )
+    _require_feasible(shape, ranks)
     return BettiVector(_betti(shape.dims, ranks.ranks))

@@ -33,11 +33,10 @@ from .core import (
     DEFAULT_SIZE_CAP,
     DEFAULT_TOLERANCES,
     ComplexShape,
-    InfeasibleRanksError,
     RankVector,
     ToleranceConfig,
-    WorkCapExceeded,
-    is_feasible,
+    _orbit_matrix_sides,
+    _require_feasible,
 )
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -93,26 +92,32 @@ class NumericalComplex:
                 )
 
 
-def _pivot_rank(pivots: np.ndarray, longest_side: int, factor: float) -> int:
+def _as_matrix(matrix) -> np.ndarray:
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    return a
+
+
+def _pivot_rank(r: np.ndarray, longest_side: int, config: ToleranceConfig) -> int:
+    """Pivots of the pivoted QR factor r above the relative threshold."""
+    pivots = np.abs(np.diag(r))
     if pivots.size == 0 or pivots[0] <= 0.0:
         return 0
-    threshold = factor * _EPS * longest_side * pivots[0]
+    threshold = config.rank_tolerance_factor * _EPS * longest_side * pivots[0]
     return int(np.count_nonzero(pivots > threshold))
 
 
 def numerical_rank(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     """Pivot count of a column-pivoted QR factorization above the relative
     threshold; 0 for empty or zero matrices."""
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+    a = _as_matrix(matrix)
     if a.size == 0:
         return 0
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
     r = scipy.linalg.qr(a, mode="r", pivoting=True)[0]
-    pivots = np.abs(np.diag(r))
-    return _pivot_rank(pivots, max(a.shape), config.rank_tolerance_factor)
+    return _pivot_rank(r, max(a.shape), config)
 
 
 def _kernel_basis(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -122,20 +127,14 @@ def _kernel_basis(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> np.nd
     are orthogonal to the row space.  The rank cut uses the same pivot
     threshold as numerical_rank.
     """
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+    a = _as_matrix(matrix)
     cols = a.shape[1]
     if cols == 0:
         return np.zeros((0, 0))
     if a.shape[0] == 0 or not a.any():
         return np.eye(cols)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
     q, r, _ = scipy.linalg.qr(a.T, pivoting=True)
-    pivots = np.abs(np.diag(r))
-    rank = _pivot_rank(pivots, max(a.shape), config.rank_tolerance_factor)
-    return q[:, rank:]
+    return q[:, _pivot_rank(r, max(a.shape), config):]
 
 
 def canonical_complex(
@@ -149,10 +148,7 @@ def canonical_complex(
     of A_{i-1}; feasibility puts the image inside the kernel of D_{i-1},
     so compositions vanish exactly and every numerical rank is exact.
     """
-    if not is_feasible(shape, ranks):
-        raise InfeasibleRanksError(
-            f"ranks {ranks.ranks} are infeasible for dims {shape.dims}"
-        )
+    _require_feasible(shape, ranks)
     dims = shape.dims
     maps = []
     for j, r in enumerate(ranks.ranks):
@@ -177,15 +173,7 @@ def orbit_dimension(
     equals the stratum dimension; this is the numerical cross-check of the
     closed-form d(a, r).
     """
-    dims = complex_.shape.dims
-    n = complex_.shape.n_maps
-    domain = sum(a * a for a in dims)
-    ambient = sum(dims[i - 1] * dims[i] for i in range(1, n + 1))
-    if domain > size_cap or ambient > size_cap:
-        raise WorkCapExceeded(
-            f"orbit computation needs a {ambient} x {domain} matrix, "
-            f"exceeding the size cap of {size_cap}"
-        )
+    ambient, domain = _orbit_matrix_sides(complex_.shape, size_cap)
     return numerical_rank(_orbit_matrix(complex_, ambient, domain), config)
 
 

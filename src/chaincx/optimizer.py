@@ -24,12 +24,12 @@ optimal move never increase with p, and each row needs only the window
 its neighbours leave open.  Shapes whose pass would exceed MAX_DP_STATES
 states are refused before anything is allocated.
 
-The public entry points only read the pass's result: maximize_dp
-follows the first tie at each step, maximizer_rank_sum_range returns the
-root's rank-sum extrema, and enumerate_maximizers takes the root's count
-and lists the maximizers in ascending lexicographic order up to a cap by
-an iterative depth-first walk, so no shape within MAX_LENGTH exhausts the
-recursion limit.
+The public entry points only read the pass's result:
+maximizer_rank_sum_range returns the root's rank-sum extrema, and
+maximize_dp and enumerate_maximizers list the maximizers in ascending
+lexicographic order, the first one or up to a cap, by an iterative
+depth-first walk, so no shape within MAX_LENGTH exhausts the recursion
+limit.
 
 For the conjecture scan and the theorem sweep, _prefix_leaves runs the
 same stage left to right along a depth-first walk over many shapes, so
@@ -264,15 +264,21 @@ def _lexicographic_paths(moves, limit):
         p = path[-1] = ties[-1][pos[-1]]
 
 
+def _report(dims, best, count, listed, cap) -> MaximizerReport:
+    return MaximizerReport(
+        max_dimension=best,
+        maximizer_count=count,
+        maximizers=tuple(RankVector(r) for r in listed),
+        betti_spectrum=tuple(BettiVector(_betti(dims, r)) for r in listed),
+        truncated=count > cap,
+        enumeration_cap=cap,
+    )
+
+
 def maximize_dp(shape: ComplexShape) -> tuple[int, RankVector]:
     """Maximum of d(a, r) and its lexicographically smallest maximizer."""
     best, moves, _, _, _ = _solve(shape.dims)
-    witness = []
-    p = 0
-    for stage in moves:
-        p = stage[p][0]
-        witness.append(p)
-    return best, RankVector(tuple(witness))
+    return best, RankVector(_lexicographic_paths(moves, 1)[0])
 
 
 def enumerate_maximizers(
@@ -284,19 +290,8 @@ def enumerate_maximizers(
     """
     if cap < 1:
         raise ValueError("enumeration cap must be positive")
-    dims = shape.dims
-    best, moves, count, _, _ = _solve(dims)
-    listed = _lexicographic_paths(moves, cap)
-    maximizers = tuple(RankVector(r) for r in listed)
-    spectrum = tuple(BettiVector(_betti(dims, r)) for r in listed)
-    return MaximizerReport(
-        max_dimension=best,
-        maximizer_count=count,
-        maximizers=maximizers,
-        betti_spectrum=spectrum,
-        truncated=count > cap,
-        enumeration_cap=cap,
-    )
+    best, moves, count, _, _ = _solve(shape.dims)
+    return _report(shape.dims, best, count, _lexicographic_paths(moves, cap), cap)
 
 
 def maximizer_rank_sum_range(shape: ComplexShape) -> tuple[int, int, int]:
@@ -339,13 +334,4 @@ def brute_force_maximize(
             argmax = [r]
         elif d == best:
             argmax.append(r)
-    maximizers = tuple(RankVector(r) for r in argmax)
-    spectrum = tuple(BettiVector(_betti(dims, r)) for r in argmax)
-    return MaximizerReport(
-        max_dimension=best,
-        maximizer_count=len(argmax),
-        maximizers=maximizers,
-        betti_spectrum=spectrum,
-        truncated=False,
-        enumeration_cap=len(argmax),
-    )
+    return _report(dims, best, len(argmax), argmax, len(argmax))

@@ -32,6 +32,7 @@ from .core import (
     BettiVector,
     ComplexShape,
     WorkCapExceeded,
+    _chi,
     betti_lower_bound,
 )
 from .optimizer import MaximizerReport, _prefix_leaves, enumerate_maximizers
@@ -116,6 +117,13 @@ def _not_applicable(source: SourceTheorem) -> Prediction:
     return Prediction(False, (), None, source)
 
 
+def _sum_prediction(shape: ComplexShape, applies: bool, source: SourceTheorem) -> Prediction:
+    """sum beta_i = |chi| when `applies`, else not applicable."""
+    if not applies:
+        return _not_applicable(source)
+    return Prediction(True, (), betti_lower_bound(shape), source)
+
+
 def hypothesis_holds(
     shape: ComplexShape, reading: HypothesisReading = HypothesisReading.SENTINEL
 ) -> bool:
@@ -165,9 +173,8 @@ def predict_length3_sum(
     shape: ComplexShape, reading: HypothesisReading = HypothesisReading.SENTINEL
 ) -> Prediction:
     """Three maps under the no-forced-homology hypothesis: sum beta_i = |chi|."""
-    if shape.n_maps != 3 or not hypothesis_holds(shape, reading):
-        return _not_applicable(SourceTheorem.LENGTH3_SUM)
-    return Prediction(True, (), betti_lower_bound(shape), SourceTheorem.LENGTH3_SUM)
+    return _sum_prediction(shape, shape.n_maps == 3 and hypothesis_holds(shape, reading),
+                           SourceTheorem.LENGTH3_SUM)
 
 
 def _spread_set(n, m):
@@ -204,9 +211,7 @@ def predict_conjecture(
     shape: ComplexShape, reading: HypothesisReading = HypothesisReading.SENTINEL
 ) -> Prediction:
     """Any length under the no-forced-homology hypothesis: sum beta_i = |chi|."""
-    if not hypothesis_holds(shape, reading):
-        return _not_applicable(SourceTheorem.CONJECTURE)
-    return Prediction(True, (), betti_lower_bound(shape), SourceTheorem.CONJECTURE)
+    return _sum_prediction(shape, hypothesis_holds(shape, reading), SourceTheorem.CONJECTURE)
 
 
 def all_predictions(
@@ -214,18 +219,13 @@ def all_predictions(
 ) -> tuple[Prediction, ...]:
     """Every implemented prediction for the shape, applicable or not."""
     equal = predict_equal_dim(shape)
-    if equal.applicable and shape.n_maps % 2 == 0:
-        equal_even_sum = Prediction(
-            True, (), betti_lower_bound(shape), SourceTheorem.EQUAL_EVEN_SUM
-        )
-    else:
-        equal_even_sum = _not_applicable(SourceTheorem.EQUAL_EVEN_SUM)
     return (
         predict_length1(shape),
         predict_length2(shape),
         predict_length3_sum(shape, reading),
         equal,
-        equal_even_sum,
+        _sum_prediction(shape, equal.applicable and shape.n_maps % 2 == 0,
+                        SourceTheorem.EQUAL_EVEN_SUM),
         predict_conjecture(shape, reading),
     )
 
@@ -237,6 +237,13 @@ def _prediction_matches(prediction: Prediction, observed: MaximizerReport) -> bo
     return all(
         sum(b.bettis) == prediction.predicted_sum for b in observed.betti_spectrum
     )
+
+
+def _homology_is_chi(path, lo, hi) -> bool:
+    """Whether every maximizer has sum beta_i = |chi|, read from the range
+    [lo, hi] of their rank sums: sum beta_i = sum a_i - 2 sum r_i."""
+    total = sum(path)
+    return total - 2 * lo == abs(_chi(path)) == total - 2 * hi
 
 
 def _full_report(shape: ComplexShape) -> MaximizerReport:
@@ -359,9 +366,7 @@ def conjecture_scan(
             truncated = True
             break
         scanned += 1
-        total = sum(path)
-        target = abs(sum(path[::2]) - sum(path[1::2]))  # |chi|
-        if total - 2 * hi == target and total - 2 * lo == target:
+        if _homology_is_chi(path, lo, hi):
             continue
         dims = tuple(path)
         representatives = [dims] if dims == dims[::-1] else [dims, dims[::-1]]
@@ -417,9 +422,7 @@ def sweep_theorems(
             if not hypothesis_holds(shape, reading):
                 not_applicable += 1
                 continue
-            sum_a = sum(path)
-            target = betti_lower_bound(shape)
-            if sum_a - 2 * lo == target == sum_a - 2 * hi:
+            if _homology_is_chi(path, lo, hi):
                 matches += 1
                 continue
         result = check_shape(shape, reading)
