@@ -56,6 +56,9 @@ EXIT_MISMATCH = 4
 EXIT_NUMERIC_DISAGREEMENT = 5
 EXIT_USAGE = 64
 
+# Largest --size-cap: an orbit matrix of at most 16384^2 doubles, 2 GiB.
+MAX_SIZE_CAP = 16384
+
 ENV_RANK_TOL = "CHAINCX_RANK_TOL"
 ENV_WORK_CAP = "CHAINCX_WORK_CAP"
 
@@ -252,6 +255,8 @@ def cmd_verify_dim(args):
     ranks = _ranks_of(args, shape)
     if args.size_cap < 1:
         raise _UsageError("--size-cap must be positive")
+    if args.size_cap > MAX_SIZE_CAP:
+        raise _UsageError(f"--size-cap must be at most {MAX_SIZE_CAP}")
     if not is_feasible(shape, ranks):
         return _infeasible("verify-dim", shape, ranks)
     config = _tolerances(args)
@@ -286,6 +291,13 @@ def cmd_sample(args):
         raise WorkCapExceeded(
             f"sampling shape {shape.dims} needs a space of dimension {max(shape.dims)}, "
             f"exceeding the size cap of {DEFAULT_SIZE_CAP}"
+        )
+    # Every map stays in memory, so the total is capped as well.
+    entries = ambient_dimension(shape)
+    if entries > DEFAULT_SIZE_CAP ** 2:
+        raise WorkCapExceeded(
+            f"sampling shape {shape.dims} needs {entries} map entries, "
+            f"exceeding the cap of {DEFAULT_SIZE_CAP ** 2}"
         )
     from .numerics import greedy_rank_vector, numerical_rank, sequential_sample
 

@@ -40,6 +40,8 @@ from .core import (
 )
 
 _EPS = float(np.finfo(np.float64).eps)
+# Condition-number bound of the basis changes random_conjugation draws.
+_MAX_CONDITION = 1000.0
 
 
 def _max_norm(a: np.ndarray) -> float:
@@ -242,21 +244,14 @@ def sequential_sample(
     return NumericalComplex(shape, tuple(maps), config.composition_tolerance)
 
 
-def random_conjugation(
-    complex_: NumericalComplex,
-    seed: int,
-    max_condition: float = 1000.0,
-    config: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> NumericalComplex:
+def random_conjugation(complex_: NumericalComplex, seed: int) -> NumericalComplex:
     """Another point of the same stratum: D_i -> g_{i-1} D_i g_i^{-1} with
-    random invertible g_i of condition number at most max_condition."""
-    if not (max_condition >= 1.0 and np.isfinite(max_condition)):
-        raise ValueError("condition bound must be finite and at least 1")
+    random invertible g_i of condition number at most _MAX_CONDITION."""
     if seed < 0:
         raise ValueError("seed must be non-negative")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xC0,)))
     dims = complex_.shape.dims
-    half_log = 0.5 * np.log(max_condition)
+    half_log = 0.5 * np.log(_MAX_CONDITION)
     basis_changes = []
     for a in dims:
         if a == 0:
@@ -273,4 +268,4 @@ def random_conjugation(
             maps.append(np.zeros_like(d))
             continue
         maps.append(np.linalg.solve(g_right.T, (g_left @ d).T).T)
-    return NumericalComplex(complex_.shape, tuple(maps), config.composition_tolerance)
+    return NumericalComplex(complex_.shape, tuple(maps), complex_.composition_tolerance)

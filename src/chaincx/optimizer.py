@@ -13,27 +13,25 @@ with r_i <= min(a_{i-1}, a_i).  That makes an exact dynamic program over
 states r_i in [0, min(a_{i-1}, a_i)] possible: O(n A log A) time and
 O(n A) space for A = max a_i.
 
-A single backward pass (_solve) finds, per state, the ascending tuple of
-tied optimal moves; from the same scan it carries the best suffix value,
-the exact number of maximizing suffixes (Python integers, no overflow)
-and the least and greatest suffix rank sums.  The scan of a stage is a
-divide and conquer over its rows: a move's value is g(q) - p q, so for
-q1 < q2 the gain of q2 over q1 falls as p grows, and the admissible
-moves q <= a_{i-1} - p shrink with p; hence the least and the greatest
-optimal move never increase with p, and each row needs only the window
-its neighbours leave open.  Shapes whose pass would exceed MAX_DP_STATES
-states are refused before anything is allocated.
+One DP walk (_prefix_leaves) runs left to right over a depth-first walk
+of shapes, so shapes that share a prefix share its stages; the scan and
+the sweep walk many shapes, and _solve walks the reversal of one (d is
+symmetric under reversal).  Per state it finds the ascending tuple of
+tied optimal moves and carries the best value, the exact number of
+maximizing paths (Python integers, no overflow) and the least and
+greatest rank sums.  The scan of a stage is a divide and conquer over
+its rows: a move's value is g(q) - p q and the moves q <= a - p shrink
+with p, so the least and the greatest optimal move never increase with
+p, and each row needs only the window its neighbours leave open.
+Shapes whose DP would exceed MAX_DP_STATES states are refused before
+anything is allocated.
 
-The public entry points only read the pass's result:
+The public entry points only read _solve's result:
 maximizer_rank_sum_range returns the root's rank-sum extrema, and
 maximize_dp and enumerate_maximizers list the maximizers in ascending
 lexicographic order, the first one or up to a cap, by an iterative
 depth-first walk, so no shape within MAX_LENGTH exhausts the recursion
 limit.
-
-For the conjecture scan and the theorem sweep, _prefix_leaves runs the
-same stage left to right along a depth-first walk over many shapes, so
-shapes that share a prefix share its stages.
 
 brute_force_maximize enumerates the whole feasible region instead and is
 kept deliberately naive: it is the independent oracle the dynamic program
@@ -59,8 +57,8 @@ from .core import (
 DEFAULT_ENUMERATION_CAP = 10_000
 DEFAULT_WORK_CAP = 100_000_000
 # Largest DP state count sum_i (min(a_{i-1}, a_i) + 1) that _solve accepts.
-# At MAX_ENTRY a state costs about 150 bytes at the pass's peak (its tie
-# tuple plus the stage tables), so the cap keeps a pass under about
+# At MAX_ENTRY a state costs about 150 bytes at the DP's peak (its tie
+# tuple plus the stage tables), so the cap keeps a DP under about
 # 0.5 GB; it serves three spaces of MAX_ENTRY (2,097,155 states).
 MAX_DP_STATES = 3 << 20
 
@@ -146,22 +144,16 @@ def _stage(base, count, lo, hi, c0, a, rows, qmax):
 
 
 def _solve(dims):
-    """One backward pass over the states (i, p), meaning r_i = p with r_0 = 0.
-
-    Stage i is one _stage: the move q = r_{i+1} from p = r_i is worth
-    (a_i + a_{i+1} - p) q + base[q], base[q] = best[q] - q^2, with
-    q + p <= a_i.  The pass yields the best suffix value of d, the tied
-    optimal moves, the number of maximizing suffixes and the least and
-    greatest suffix rank sums.  Only the tie tuples (moves[i][p]) and the
-    root's four values are kept:
+    """The DP over one shape, as the one leaf of the walk over its reversal:
 
         (max d, moves, maximizer count, min sum r_i, max sum r_i)
 
-    Every state is reachable and admits q = 0, so every tie tuple is
-    non-empty and every state lies on some maximizer's path.  Raises
-    WorkCapExceeded when the states outnumber MAX_DP_STATES.
+    The node at depth n - i holds moves[i][p], the ascending tuple of
+    optimal r_{i+1} given r_i = p (r_0 = 0).  Every state is reachable and
+    admits q = 0, so every tie tuple is non-empty and every state lies on
+    some maximizer's path.  Raises WorkCapExceeded when the states
+    outnumber MAX_DP_STATES.
     """
-    n = len(dims) - 1
     caps = _state_caps(dims)
     states = sum(caps) + len(caps)
     if states > MAX_DP_STATES:
@@ -169,35 +161,30 @@ def _solve(dims):
             f"the DP over a shape of {len(dims)} spaces needs {states} states, "
             f"exceeding the cap of {MAX_DP_STATES}"
         )
-    base = [-q * q for q in range(caps[n] + 1)]
-    count = [1] * (caps[n] + 1)
-    lo = [0] * (caps[n] + 1)
-    hi = [0] * (caps[n] + 1)
-    moves = [None] * n
-    for i in range(n - 1, -1, -1):
-        base, moves[i], count, lo, hi = _stage(
-            base, count, lo, hi, dims[i] + dims[i + 1], dims[i], caps[i] + 1, caps[i + 1])
-    return base[0], moves, count[0], lo[0], hi[0]
+    rev = dims[::-1]
+    (_, moves, best, count, lo, hi), = _prefix_leaves(len(rev), lambda path, k: (rev[k], rev[k]))
+    return best, moves[:0:-1], count, lo, hi
 
 
 def _prefix_leaves(length, window):
     """Every shape of `length` entries that `window` admits, in lexicographic
-    order, with its (max d, maximizer count, min sum r_i, max sum r_i).
+    order, with its (moves, max d, maximizer count, min sum r_i, max sum r_i).
 
     window(path, k) gives the inclusive range of the entry at depth k after
-    path[:k]; an empty range prunes the prefix.  One forward DP is shared
-    along common prefixes.  d is symmetric under reversal, so the forward
-    stage has _solve's form: the node of a prefix (..., w, a) at depth k
-    maps the tables of r_k <= min(w, a) to those of r_{k+1} through one
-    _stage with c0 = w + a and the window r_k + r_{k+1} <= a, over as many
-    rows as its largest child needs, and every child reads them.  A shape
-    that ends at the node reads row 0, the closing rank r = 0.  The walk
-    is iterative, and the same path list is yielded at every leaf: copy it
-    to keep it.
+    path[:k]; an empty range prunes the prefix.  The node of a prefix
+    (..., w, a) at depth k maps the tables of r_k <= min(w, a) to those of
+    r_{k+1} through one _stage with c0 = w + a and the window
+    r_k + r_{k+1} <= a, over as many rows as its largest child needs, and
+    every child reads them; moves[k] holds its tie tuples.  A shape that
+    ends at the node reads row 0, the closing rank r = 0.  The last sibling
+    at a depth drops the tables it read, so a one-shape walk holds one
+    stage's tables at a time.  The walk is iterative, and the same path and
+    moves lists are yielded at every leaf: copy them to keep them.
     """
     last = length - 1
     path = [0] * length
     stop = [0] * length
+    moves = [None] * length
     # The tables each depth's node reads; the root's hold the state r_0 = 0.
     tables = [([0], [1], [0], [0])] + [None] * last
     k = 0
@@ -210,17 +197,22 @@ def _prefix_leaves(length, window):
             first, end = window(path, k + 1)
         if a <= stop[k] and first <= end:
             base, count, lo, hi = tables[k]
+            if a == stop[k]:
+                tables[k] = None
             w = path[k - 1] if k else 0
             rows = min(a, end) + 1
             if w and a:
-                base, _, count, lo, hi = _stage(base, count, lo, hi, w + a, a, rows, min(w, a))
-            elif a:
+                base, moves[k], count, lo, hi = _stage(
+                    base, count, lo, hi, w + a, a, rows, min(w, a))
+            else:
                 # r_k = 0 is forced: every row has the one move r_k = 0.
-                base, count, lo, hi = ([base[0] - p * p for p in range(rows)],
-                                       [count[0]] * rows, [lo[0]] * rows, [hi[0]] * rows)
-            # With a = 0 the next rank is 0 too: only row 0, unchanged, is read.
+                moves[k] = [(0,)] * rows
+                if a:
+                    base, count, lo, hi = ([base[0] - p * p for p in range(rows)],
+                                           [count[0]] * rows, [lo[0]] * rows, [hi[0]] * rows)
+                # With a = 0 the next rank is 0 too: only row 0, unchanged, is read.
             if k == last:
-                yield path, base[0], count[0], lo[0], hi[0]
+                yield path, moves, base[0], count[0], lo[0], hi[0]
             else:
                 tables[k + 1] = base, count, lo, hi
                 k += 1

@@ -359,7 +359,7 @@ def conjecture_scan(
     counterexamples = []
     scanned = 0
     truncated = False
-    for path, _, _, lo, hi in leaves:
+    for path, _, _, _, lo, hi in leaves:
         if path[::-1] < path:
             continue
         if scanned >= work_cap:
@@ -415,7 +415,7 @@ def sweep_theorems(
     )
     checked = matches = mismatches = not_applicable = 0
     details = []
-    for path, _, count, lo, hi in leaves:
+    for path, _, _, count, lo, hi in leaves:
         shape = ComplexShape(tuple(path))
         checked += 1
         if len(path) > 3 and count <= CHECK_ENUMERATION_GUARD and min(path) < max(path):

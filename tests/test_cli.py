@@ -362,6 +362,9 @@ class TestImportGraph:
         (["verify-dim", "--dims", "2,2", "--ranks", "1"], {"CHAINCX_RANK_TOL": "x"}, 64),
         (["verify-dim", "--dims", "70,70", "--ranks", "35"], None, 3),
         (["sample", "--dims", "1048576,1048576"], None, 3),
+        (["verify-dim", "--dims", "1048576,1048576", "--ranks", "0",
+          "--size-cap", "100000000000000"], None, 64),
+        (["sample", "--dims", "4096,4096,4096"], None, 3),
     ])
     def test_integer_paths_are_numpy_free(self, argv, env, code):
         assert probe_imports("chaincx.cli", argv, env) == (code, [])
@@ -489,6 +492,9 @@ class TestContractFuzz:
     @example(["sample", "--dims", "0,0,0,1,1,1", "--rank-tol", "inf"], {})
     @example(["verify-dim", "--dims", "1048576,1048576", "--ranks", "0"], {})
     @example(["sample", "--dims", "1048576,1048576"], {})
+    @example(["verify-dim", "--dims", "1048576,1048576", "--ranks", "0",
+              "--size-cap", "100000000000000"], {})
+    @example(["sample", "--dims", "4096,4096,4096"], {})
     @given(argv=_argv(),
            env=st.fixed_dictionaries({k: st.none() | st.sampled_from(v)
                                       for k, v in _ENV_VALUES.items()}))

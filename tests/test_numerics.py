@@ -312,11 +312,9 @@ class TestOrbitDimension:
             moved = random_conjugation(cx, seed)
             assert orbit_dimension(moved) == expected
 
-    def test_condition_bound_validated(self):
-        cx = canonical_complex(shape(2, 2), ranks(1))
-        for bound in (0.5, float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ValueError, match="condition bound"):
-                random_conjugation(cx, 0, max_condition=bound)
+    def test_conjugation_keeps_composition_tolerance(self):
+        cx = canonical_complex(shape(2, 2), ranks(1), ToleranceConfig(composition_tolerance=10.0))
+        assert random_conjugation(cx, 0).composition_tolerance == 10.0
 
     def test_size_cap_refusal(self):
         cx = canonical_complex(shape(70, 70), ranks(0))

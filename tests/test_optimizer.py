@@ -279,7 +279,7 @@ class TestPrefixLeaves:
     def test_every_small_shape_in_lexicographic_order(self):
         for length in range(1, 6):
             leaves = [(tuple(path), *root)
-                      for path, *root in _prefix_leaves(length, lambda path, k: (0, 5))]
+                      for path, _, *root in _prefix_leaves(length, lambda path, k: (0, 5))]
             assert [leaf[0] for leaf in leaves] == list(itertools.product(range(6),
                                                                           repeat=length))
             for dims, *root in leaves:
@@ -291,7 +291,7 @@ class TestPrefixLeaves:
         rng = random.Random(20261019)
         for _ in range(300):
             dims = tuple(rng.randint(0, 30) for _ in range(rng.randint(1, 9)))
-            (path, *root), = _prefix_leaves(len(dims), lambda path, k: (dims[k], dims[k]))
+            (path, _, *root), = _prefix_leaves(len(dims), lambda path, k: (dims[k], dims[k]))
             best, _, count, lo, hi = _solve(dims)
             assert (tuple(path), root) == (dims, [best, count, lo, hi])
 
