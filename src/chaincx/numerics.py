@@ -12,7 +12,10 @@ pivoting that exceed a relative threshold
 
 with eps the double-precision machine epsilon.  The same rule fixes the
 kernel dimension used by the sampler, so a single tolerance knob governs
-all rank decisions.
+all rank decisions.  The factorization is one direct call of LAPACK's
+dgeqp3 on a Fortran-ordered array, overwritten in place: numerical_rank
+factors one copy of its input, and orbit_dimension ranks the orbit matrix
+L in place, so a rank check holds a single copy of L.
 
 The sequential sampler draws D_1 with i.i.d. standard Gaussian entries
 and each later map as K @ G, with K an orthonormal kernel basis of the
@@ -24,10 +27,11 @@ complex attains with positive probability.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .core import (
     DEFAULT_SIZE_CAP,
@@ -103,23 +107,41 @@ def _as_matrix(matrix) -> np.ndarray:
     return a
 
 
-def _pivot_rank(r: np.ndarray, longest_side: int, config: ToleranceConfig) -> int:
-    """Pivots of the pivoted QR factor r above the relative threshold."""
-    pivots = np.abs(np.diag(r))
+@functools.lru_cache(maxsize=1024)
+def _geqp3_lwork(m: int, n: int) -> int:
+    # The workspace query reads only the sides; an untouched Fortran-ordered
+    # zero array spares the m x n pages and f2py's copy.
+    return int(lapack.dgeqp3(np.zeros((m, n), order="F"), lwork=-1, overwrite_a=1)[3][0])
+
+
+def _geqp3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column-pivoted QR of the non-empty Fortran-ordered float64 array a,
+    overwriting a: LAPACK's (qr, tau), with R on and above qr's diagonal."""
+    qr, _, tau, _, _ = lapack.dgeqp3(a, lwork=_geqp3_lwork(*a.shape), overwrite_a=1)
+    return qr, tau
+
+
+def _pivot_rank(qr: np.ndarray, longest_side: int, config: ToleranceConfig) -> int:
+    """Pivots on the diagonal of the pivoted QR factor above the relative
+    threshold."""
+    pivots = np.abs(np.diag(qr))
     if pivots.size == 0 or pivots[0] <= 0.0:
         return 0
     threshold = config.rank_tolerance_factor * _EPS * longest_side * pivots[0]
     return int(np.count_nonzero(pivots > threshold))
 
 
+def _rank_in_place(a: np.ndarray, config: ToleranceConfig) -> int:
+    """numerical_rank of the Fortran-ordered float64 array a, overwriting a."""
+    if a.size == 0:
+        return 0
+    return _pivot_rank(_geqp3(a)[0], max(a.shape), config)
+
+
 def numerical_rank(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     """Pivot count of a column-pivoted QR factorization above the relative
     threshold; 0 for empty or zero matrices."""
-    a = _as_matrix(matrix)
-    if a.size == 0:
-        return 0
-    r = scipy.linalg.qr(a, mode="r", pivoting=True)[0]
-    return _pivot_rank(r, max(a.shape), config)
+    return _rank_in_place(np.array(_as_matrix(matrix), order="F"), config)
 
 
 def _kernel_basis(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -130,13 +152,22 @@ def _kernel_basis(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> np.nd
     threshold as numerical_rank.
     """
     a = _as_matrix(matrix)
-    cols = a.shape[1]
+    rows, cols = a.shape
     if cols == 0:
         return np.zeros((0, 0))
-    if a.shape[0] == 0 or not a.any():
+    if rows == 0 or not a.any():
         return np.eye(cols)
-    q, r, _ = scipy.linalg.qr(a.T, pivoting=True)
-    return q[:, _pivot_rank(r, max(a.shape), config):]
+    qr, tau = _geqp3(np.array(a.T, order="F"))
+    rank = _pivot_rank(qr, max(rows, cols), config)
+    # dorgqr expands the reflectors into the cols x cols Q in place, from
+    # the leading square of qr or, when qr is narrower, from a padded copy.
+    if cols <= rows:
+        q = qr[:, :cols]
+    else:
+        q = np.zeros((cols, cols), order="F")
+        q[:, :rows] = qr
+    lwork = int(lapack.dorgqr(q, tau, lwork=-1, overwrite_a=1)[1][0])
+    return lapack.dorgqr(q, tau, lwork=lwork, overwrite_a=1)[0][:, rank:]
 
 
 def canonical_complex(
@@ -176,13 +207,17 @@ def orbit_dimension(
     closed-form d(a, r).
     """
     ambient, domain = _orbit_matrix_sides(complex_.shape, size_cap)
-    return numerical_rank(_orbit_matrix(complex_, ambient, domain), config)
+    # The maps were checked finite, so L is too.
+    return _rank_in_place(_orbit_matrix(complex_, ambient, domain), config)
 
 
 def _orbit_matrix(complex_: NumericalComplex, ambient: int, domain: int) -> np.ndarray:
-    """The ambient x domain matrix of L in row-major vec coordinates."""
+    """The ambient x domain matrix of L in row-major vec coordinates, in
+    Fortran order so that it can be factored in place."""
     dims = complex_.shape.dims
-    lin = np.zeros((ambient, domain))
+    # Written through the transpose; the reshapes below only split axes, so
+    # they stay views of it.
+    lin = np.zeros((domain, ambient)).T
     row = col = 0
     for i, d in enumerate(complex_.maps, 1):
         m, k = dims[i - 1], dims[i]
@@ -252,15 +287,19 @@ def random_conjugation(complex_: NumericalComplex, seed: int) -> NumericalComple
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xC0,)))
     dims = complex_.shape.dims
     half_log = 0.5 * np.log(_MAX_CONDITION)
-    basis_changes = []
-    for a in dims:
-        if a == 0:
-            basis_changes.append(np.zeros((0, 0)))
-            continue
-        # One stacked QR factors the pair q1, q2, drawn in that order.
-        q1, q2 = np.linalg.qr(rng.standard_normal((2, a, a)))[0]
-        singular = np.exp(rng.uniform(-half_log, half_log, size=a))
-        basis_changes.append((q1 * singular) @ q2.T)
+    # Each space draws the pair q1, q2 to orthogonalize, then its singular
+    # values; one stacked QR then factors the pairs of all spaces of a size.
+    gauss, singular = {}, {}
+    for j, a in enumerate(dims):
+        if a:
+            gauss[j] = rng.standard_normal((2, a, a))
+            singular[j] = np.exp(rng.uniform(-half_log, half_log, size=a))
+    basis_changes = [np.zeros((0, 0))] * len(dims)
+    for a in set(dims) - {0}:
+        spaces = [j for j in gauss if dims[j] == a]
+        qs = np.linalg.qr(np.concatenate([gauss[j] for j in spaces]))[0]
+        for j, q1, q2 in zip(spaces, qs[0::2], qs[1::2]):
+            basis_changes[j] = (q1 * singular[j]) @ q2.T
     maps = []
     for i, d in enumerate(complex_.maps):
         g_left, g_right = basis_changes[i], basis_changes[i + 1]

@@ -175,10 +175,11 @@ def _prefix_leaves(length, window):
     (..., w, a) at depth k maps the tables of r_k <= min(w, a) to those of
     r_{k+1} through one _stage with c0 = w + a and the window
     r_k + r_{k+1} <= a, over as many rows as its largest child needs, and
-    every child reads them; moves[k] holds its tie tuples.  A shape that
-    ends at the node reads row 0, the closing rank r = 0.  The last sibling
-    at a depth drops the tables it read, so a one-shape walk holds one
-    stage's tables at a time.  The walk is iterative, and the same path and
+    every child reads them; moves[k] holds its tie tuples, except at the
+    root, whose one move r_0 = 0 is not stored.  A shape that ends at the
+    node reads row 0, the closing rank r = 0.  The last sibling at a depth
+    drops the tables it read, so a one-shape walk holds one stage's tables
+    at a time.  The walk is iterative, and the same path and
     moves lists are yielded at every leaf: copy them to keep them.
     """
     last = length - 1
@@ -206,7 +207,8 @@ def _prefix_leaves(length, window):
                     base, count, lo, hi, w + a, a, rows, min(w, a))
             else:
                 # r_k = 0 is forced: every row has the one move r_k = 0.
-                moves[k] = [(0,)] * rows
+                if k:
+                    moves[k] = [(0,)] * rows
                 if a:
                     base, count, lo, hi = ([base[0] - p * p for p in range(rows)],
                                            [count[0]] * rows, [lo[0]] * rows, [hi[0]] * rows)

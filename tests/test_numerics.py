@@ -3,9 +3,11 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chaincx import (
     DEFAULT_TOLERANCES,
@@ -27,8 +29,14 @@ from chaincx import (
     sequential_sample,
     stratum_dimension,
 )
-from chaincx.core import _feasible
-from chaincx.numerics import _kernel_basis, _orbit_matrix
+from chaincx.core import DEFAULT_SIZE_CAP, _feasible, _orbit_matrix_sides
+from chaincx.numerics import (
+    _geqp3,
+    _kernel_basis,
+    _matrix_rng,
+    _orbit_matrix,
+    _pivot_rank,
+)
 
 
 def shape(*dims):
@@ -286,6 +294,80 @@ class TestOrbitOracles:
                     cx.shape,
                     seed,
                 )
+
+
+def wrapper_kernel_basis(a: np.ndarray) -> np.ndarray:
+    """Reference _kernel_basis through scipy.linalg.qr's full pivoted QR."""
+    rows, cols = a.shape
+    if cols == 0:
+        return np.zeros((0, 0))
+    if rows == 0 or not a.any():
+        return np.eye(cols)
+    q, r, _ = scipy.linalg.qr(a.T, pivoting=True)
+    return q[:, _pivot_rank(r, max(a.shape), DEFAULT_TOLERANCES):]
+
+
+def low_rank(rng, m, n, r):
+    return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+
+
+class TestDirectLapack:
+    # The direct dgeqp3 and dorgqr calls against scipy.linalg.qr, bit for
+    # bit, and the copies they are allowed to make.
+
+    def test_pivot_diagonal_matches_wrapper(self):
+        for cx in orbit_instances(3, 4):
+            for moved in (cx, random_conjugation(cx, sum(cx.shape.dims))):
+                lin = _orbit_matrix(moved, *_orbit_matrix_sides(moved.shape, DEFAULT_SIZE_CAP))
+                if lin.size == 0:
+                    continue
+                ref = np.diag(scipy.linalg.qr(lin, mode="r", pivoting=True)[0])
+                assert bit_equal(np.diag(_geqp3(lin)[0]), ref), moved.shape
+
+    def test_kernel_basis_matches_wrapper(self):
+        rng = np.random.default_rng(20261018)
+        small = [(m, n, r) for m, n in [(3, 7), (9, 4), (6, 6), (1, 12), (12, 1), (17, 17)]
+                 for r in range(min(m, n) + 1)]
+        # Past LAPACK's crossover width the blocked path runs, whose bits
+        # depend on the workspace size.
+        for m, n, r in small + [(150, 200, 90), (200, 150, 90), (180, 180, 120)]:
+            a = low_rank(rng, m, n, r)
+            assert bit_equal(_kernel_basis(a), wrapper_kernel_basis(a)), (m, n, r)
+
+    def test_orbit_dimension_holds_one_copy_of_orbit_matrix(self):
+        cx = random_conjugation(canonical_complex(shape(20, 20), ranks(10)), 3)
+        ambient, domain = _orbit_matrix_sides(cx.shape, DEFAULT_SIZE_CAP)
+        # The first call caches the workspace query, whose zero array is
+        # allocated but never touched.
+        expected = orbit_dimension(cx)
+        tracemalloc.start()
+        try:
+            assert orbit_dimension(cx) == expected == 300
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * ambient * domain
+
+    def test_numerical_rank_leaves_input_intact(self):
+        a = np.asfortranarray(low_rank(np.random.default_rng(4), 7, 5, 3))
+        before = a.copy()
+        assert numerical_rank(a) == 3
+        assert bit_equal(a, before)
+
+    def test_sampler_maps_match_wrapper_and_stay_intact(self):
+        # Each map is rebuilt from the sampled map before it: a map that the
+        # kernel step overwrote, or a kernel basis off by a bit, fails.
+        for dims in [(1, 2, 1, 2), (3, 7, 2, 9), (9, 3, 9, 3), (6, 6, 6, 6, 6), (2, 0, 3, 3)]:
+            for seed in range(5):
+                cx = sequential_sample(ComplexShape(dims), seed)
+                for j, m in enumerate(cx.maps):
+                    rng = _matrix_rng(seed, j)
+                    if j == 0:
+                        ref = rng.standard_normal(m.shape)
+                    else:
+                        basis = wrapper_kernel_basis(cx.maps[j - 1])
+                        ref = basis @ rng.standard_normal((basis.shape[1], m.shape[1]))
+                    assert bit_equal(m, ref), (dims, seed, j)
 
 
 class TestOrbitDimension:

@@ -273,8 +273,9 @@ class TestQuadraticOracle:
 
 
 class TestPrefixLeaves:
-    """The forward DP shared along prefixes gives every shape the root
-    values of the backward pass: best value, count and rank-sum range."""
+    """The walk over many shapes, shared along prefixes, gives each shape
+    the best value, count and rank-sum range that _solve's walk over the
+    shape's reversal gives it."""
 
     def test_every_small_shape_in_lexicographic_order(self):
         for length in range(1, 6):
