@@ -27,7 +27,6 @@ complex attains with positive probability.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,17 +106,19 @@ def _as_matrix(matrix) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=1024)
-def _geqp3_lwork(m: int, n: int) -> int:
-    # The workspace query reads only the sides; an untouched Fortran-ordered
-    # zero array spares the m x n pages and f2py's copy.
-    return int(lapack.dgeqp3(np.zeros((m, n), order="F"), lwork=-1, overwrite_a=1)[3][0])
+def _check_info(routine: str, info: int) -> None:
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
 
 
 def _geqp3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column-pivoted QR of the non-empty Fortran-ordered float64 array a,
     overwriting a: LAPACK's (qr, tau), with R on and above qr's diagonal."""
-    qr, _, tau, _, _ = lapack.dgeqp3(a, lwork=_geqp3_lwork(*a.shape), overwrite_a=1)
+    # The workspace query leaves a untouched; the factorization needs its
+    # answer to give the same bits as scipy.linalg.qr.
+    lwork = int(lapack.dgeqp3(a, lwork=-1, overwrite_a=1)[3][0])
+    qr, _, tau, _, info = lapack.dgeqp3(a, lwork=lwork, overwrite_a=1)
+    _check_info("dgeqp3", info)
     return qr, tau
 
 
@@ -167,7 +168,9 @@ def _kernel_basis(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> np.nd
         q = np.zeros((cols, cols), order="F")
         q[:, :rows] = qr
     lwork = int(lapack.dorgqr(q, tau, lwork=-1, overwrite_a=1)[1][0])
-    return lapack.dorgqr(q, tau, lwork=lwork, overwrite_a=1)[0][:, rank:]
+    q, _, info = lapack.dorgqr(q, tau, lwork=lwork, overwrite_a=1)
+    _check_info("dorgqr", info)
+    return q[:, rank:]
 
 
 def canonical_complex(
@@ -287,19 +290,15 @@ def random_conjugation(complex_: NumericalComplex, seed: int) -> NumericalComple
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xC0,)))
     dims = complex_.shape.dims
     half_log = 0.5 * np.log(_MAX_CONDITION)
-    # Each space draws the pair q1, q2 to orthogonalize, then its singular
-    # values; one stacked QR then factors the pairs of all spaces of a size.
-    gauss, singular = {}, {}
-    for j, a in enumerate(dims):
-        if a:
-            gauss[j] = rng.standard_normal((2, a, a))
-            singular[j] = np.exp(rng.uniform(-half_log, half_log, size=a))
-    basis_changes = [np.zeros((0, 0))] * len(dims)
-    for a in set(dims) - {0}:
-        spaces = [j for j in gauss if dims[j] == a]
-        qs = np.linalg.qr(np.concatenate([gauss[j] for j in spaces]))[0]
-        for j, q1, q2 in zip(spaces, qs[0::2], qs[1::2]):
-            basis_changes[j] = (q1 * singular[j]) @ q2.T
+    basis_changes = []
+    for a in dims:
+        if a == 0:
+            basis_changes.append(np.zeros((0, 0)))
+            continue
+        # One stacked QR factors the pair q1, q2, drawn in that order.
+        q1, q2 = np.linalg.qr(rng.standard_normal((2, a, a)))[0]
+        singular = np.exp(rng.uniform(-half_log, half_log, size=a))
+        basis_changes.append((q1 * singular) @ q2.T)
     maps = []
     for i, d in enumerate(complex_.maps):
         g_left, g_right = basis_changes[i], basis_changes[i + 1]

@@ -337,8 +337,6 @@ class TestDirectLapack:
     def test_orbit_dimension_holds_one_copy_of_orbit_matrix(self):
         cx = random_conjugation(canonical_complex(shape(20, 20), ranks(10)), 3)
         ambient, domain = _orbit_matrix_sides(cx.shape, DEFAULT_SIZE_CAP)
-        # The first call caches the workspace query, whose zero array is
-        # allocated but never touched.
         expected = orbit_dimension(cx)
         tracemalloc.start()
         try:
@@ -347,6 +345,19 @@ class TestDirectLapack:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * ambient * domain
+
+    @pytest.mark.parametrize("routine", ["dgeqp3", "dorgqr"])
+    def test_illegal_argument_raises(self, monkeypatch, routine):
+        # A negative info from LAPACK is an error, as in scipy.linalg.
+        real = getattr(scipy.linalg.lapack, routine)
+
+        def bad_info(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, -2)
+
+        monkeypatch.setattr(scipy.linalg.lapack, routine, bad_info)
+        with pytest.raises(ValueError, match=f"argument 2 of LAPACK {routine}"):
+            _kernel_basis(np.ones((2, 3)))
 
     def test_numerical_rank_leaves_input_intact(self):
         a = np.asfortranarray(low_rank(np.random.default_rng(4), 7, 5, 3))
