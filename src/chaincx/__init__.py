@@ -26,6 +26,7 @@ from .core import (
     betti_from_ranks,
     betti_lower_bound,
     euler_characteristic,
+    greedy_rank_vector,
     is_feasible,
     stratum_dimension,
 )
@@ -60,9 +61,8 @@ from .predictions import (
 )
 
 # numerics imports numpy and scipy, so it and its names load on first access.
-_NUMERICS_NAMES = ("NumericalComplex", "canonical_complex", "greedy_rank_vector",
-                   "numerical_rank", "orbit_dimension", "random_conjugation",
-                   "sequential_sample")
+_NUMERICS_NAMES = ("NumericalComplex", "canonical_complex", "numerical_rank",
+                   "orbit_dimension", "random_conjugation", "sequential_sample")
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")]
                  + ["numerics", *_NUMERICS_NAMES])

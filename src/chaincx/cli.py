@@ -29,6 +29,7 @@ from .core import (
     betti_from_ranks,
     betti_lower_bound,
     euler_characteristic,
+    greedy_rank_vector,
     is_feasible,
     stratum_dimension,
 )
@@ -299,7 +300,7 @@ def cmd_sample(args):
             f"sampling shape {shape.dims} needs {entries} map entries, "
             f"exceeding the cap of {DEFAULT_SIZE_CAP ** 2}"
         )
-    from .numerics import greedy_rank_vector, numerical_rank, sequential_sample
+    from .numerics import numerical_rank, sequential_sample
 
     trial_ranks = []
     for t in range(args.trials):

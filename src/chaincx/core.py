@@ -208,3 +208,15 @@ def betti_from_ranks(shape: ComplexShape, ranks: RankVector) -> BettiVector:
     """Betti numbers beta_i = a_i - r_i - r_{i+1} of a complex with these ranks."""
     _require_feasible(shape, ranks)
     return BettiVector(_betti(shape.dims, ranks.ranks))
+
+
+def greedy_rank_vector(shape: ComplexShape) -> RankVector:
+    """Ranks the sequential sampler attains almost surely:
+    r_1 = min(a_0, a_1), then r_{i+1} = min(a_{i+1}, a_i - r_i)."""
+    dims = shape.dims
+    ranks = []
+    prev = 0
+    for i in range(shape.n_maps):
+        prev = min(dims[i + 1], dims[i] - prev)
+        ranks.append(prev)
+    return RankVector(tuple(ranks))

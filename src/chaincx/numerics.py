@@ -40,6 +40,7 @@ from .core import (
     ToleranceConfig,
     _orbit_matrix_sides,
     _require_feasible,
+    greedy_rank_vector,
 )
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -237,18 +238,6 @@ def _orbit_matrix(complex_: NumericalComplex, ambient: int, domain: int) -> np.n
         rows[:, col : col + k * k].reshape(m, k, k, k)[:, ar_k, :, ar_k] = 0.0 - d
         row += m * k
     return lin
-
-
-def greedy_rank_vector(shape: ComplexShape) -> RankVector:
-    """Ranks the sequential sampler attains almost surely:
-    r_1 = min(a_0, a_1), then r_{i+1} = min(a_{i+1}, a_i - r_i)."""
-    dims = shape.dims
-    ranks = []
-    prev = 0
-    for i in range(shape.n_maps):
-        prev = min(dims[i + 1], dims[i] - prev)
-        ranks.append(prev)
-    return RankVector(tuple(ranks))
 
 
 def _matrix_rng(seed: int, index: int) -> np.random.Generator:

@@ -4,7 +4,7 @@ For several families of shapes the positive-probability Betti vectors
 have closed forms: complexes with one or two maps, three maps under a
 no-forced-homology hypothesis on the dimensions, and arbitrary length
 with all dimensions equal.  This module implements those closed forms,
-compares them against the optimizer's observed maximizer spectrum, and
+decides them from the DP's exact maximizer count and rank-sum range, and
 scans shape space for counterexamples to the general conjecture that
 total homology is almost surely |chi| whenever no Betti number is
 forced positive by the dimensions alone.
@@ -22,9 +22,11 @@ window conventions are implemented:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
+from math import comb
+from operator import add, ge
 
 from .core import (
     MAX_ENTRY,
@@ -33,9 +35,9 @@ from .core import (
     ComplexShape,
     WorkCapExceeded,
     _chi,
-    betti_lower_bound,
+    _dimension,
 )
-from .optimizer import MaximizerReport, _prefix_leaves, enumerate_maximizers
+from .optimizer import MaximizerReport, _lexicographic_paths, _prefix_leaves, _report, _solve
 
 DEFAULT_SCAN_CAP = 2_000_000
 CHECK_ENUMERATION_GUARD = 100_000
@@ -78,6 +80,11 @@ class Prediction:
     source_theorem: SourceTheorem
 
 
+# One shared not-applicable prediction per source, in SourceTheorem order.
+(_NA_LENGTH1, _NA_LENGTH2, _NA_LENGTH3_SUM, _NA_EQUAL_ODD, _NA_EQUAL_EVEN_SUM,
+ _NA_EQUAL_EVEN_SPREAD, _NA_CONJECTURE) = (Prediction(False, (), None, s) for s in SourceTheorem)
+
+
 @dataclass(frozen=True)
 class ComparisonResult:
     """A verdict on one shape.  `prediction` is the deciding prediction;
@@ -113,15 +120,11 @@ class SweepSummary:
     mismatch_details: tuple[ComparisonResult, ...]
 
 
-def _not_applicable(source: SourceTheorem) -> Prediction:
-    return Prediction(False, (), None, source)
-
-
-def _sum_prediction(shape: ComplexShape, applies: bool, source: SourceTheorem) -> Prediction:
-    """sum beta_i = |chi| when `applies`, else not applicable."""
+def _sum_prediction(shape: ComplexShape, applies: bool, not_applicable: Prediction) -> Prediction:
+    """sum beta_i = |chi| from not_applicable's source when `applies`, else not_applicable."""
     if not applies:
-        return _not_applicable(source)
-    return Prediction(True, (), betti_lower_bound(shape), source)
+        return not_applicable
+    return Prediction(True, (), abs(_chi(shape.dims)), not_applicable.source_theorem)
 
 
 def hypothesis_holds(
@@ -131,13 +134,13 @@ def hypothesis_holds(
     p = shape.dims
     if reading is HypothesisReading.SENTINEL:
         p = (0, *p, 0)
-    return all(x + z >= y for x, y, z in zip(p, p[1:], p[2:]))
+    return all(map(ge, map(add, p, p[2:]), p[1:]))
 
 
 def predict_length1(shape: ComplexShape) -> Prediction:
     """Single map: full rank a.s., so (beta_0, beta_1) = (a_0 - a_1, 0) or (0, a_1 - a_0)."""
     if shape.n_maps != 1:
-        return _not_applicable(SourceTheorem.LENGTH1)
+        return _NA_LENGTH1
     a0, a1 = shape.dims
     betti = (0, a1 - a0) if a0 <= a1 else (a0 - a1, 0)
     return Prediction(True, (BettiVector(betti),), None, SourceTheorem.LENGTH1)
@@ -152,7 +155,7 @@ def predict_length2(shape: ComplexShape) -> Prediction:
     cases meet, both give the same set.
     """
     if shape.n_maps != 2:
-        return _not_applicable(SourceTheorem.LENGTH2)
+        return _NA_LENGTH2
     a0, a1, a2 = shape.dims
     if a0 >= a1 + a2:
         bettis = {(a0 - a1, 0, a2)}
@@ -174,7 +177,7 @@ def predict_length3_sum(
 ) -> Prediction:
     """Three maps under the no-forced-homology hypothesis: sum beta_i = |chi|."""
     return _sum_prediction(shape, shape.n_maps == 3 and hypothesis_holds(shape, reading),
-                           SourceTheorem.LENGTH3_SUM)
+                           _NA_LENGTH3_SUM)
 
 
 def _spread_set(n, m):
@@ -182,6 +185,12 @@ def _spread_set(n, m):
     m / (n/2 + 1), summing to m; sorted lexicographically."""
     slots = n // 2 + 1
     base, extra = divmod(m, slots)
+    size = comb(slots, extra)
+    if size > CHECK_ENUMERATION_GUARD:
+        raise WorkCapExceeded(
+            f"the spread set of {n} maps of dimension {m} has {size} Betti vectors, "
+            f"more than the comparison guard of {CHECK_ENUMERATION_GUARD}"
+        )
     vectors = []
     for raised in combinations(range(slots), extra):
         betti = [0] * (n + 1)
@@ -193,67 +202,84 @@ def _spread_set(n, m):
 
 def predict_equal_dim(shape: ComplexShape) -> Prediction:
     """All dimensions equal m >= 1: exact for odd n, evenly spread |chi| = m
-    across the even Betti numbers for even n."""
+    across the even Betti numbers for even n.  Raises WorkCapExceeded when
+    the spread set outnumbers CHECK_ENUMERATION_GUARD."""
     dims = shape.dims
     n = shape.n_maps
     m = dims[0]
-    source = SourceTheorem.EQUAL_ODD if n % 2 else SourceTheorem.EQUAL_EVEN_SPREAD
-    if m < 1 or any(a != m for a in dims):
-        return _not_applicable(source)
+    not_applicable = _NA_EQUAL_ODD if n % 2 else _NA_EQUAL_EVEN_SPREAD
+    if m < 1 or dims.count(m) != len(dims):
+        return not_applicable
     if n % 2:
         betti_set = (BettiVector((0,) * (n + 1)),)
     else:
         betti_set = _spread_set(n, m)
-    return Prediction(True, betti_set, None, source)
+    return Prediction(True, betti_set, None, not_applicable.source_theorem)
 
 
 def predict_conjecture(
     shape: ComplexShape, reading: HypothesisReading = HypothesisReading.SENTINEL
 ) -> Prediction:
     """Any length under the no-forced-homology hypothesis: sum beta_i = |chi|."""
-    return _sum_prediction(shape, hypothesis_holds(shape, reading), SourceTheorem.CONJECTURE)
+    return _sum_prediction(shape, hypothesis_holds(shape, reading), _NA_CONJECTURE)
 
 
 def all_predictions(
     shape: ComplexShape, reading: HypothesisReading = HypothesisReading.SENTINEL
 ) -> tuple[Prediction, ...]:
     """Every implemented prediction for the shape, applicable or not."""
+    n = shape.n_maps
+    holds = hypothesis_holds(shape, reading)
     equal = predict_equal_dim(shape)
     return (
         predict_length1(shape),
         predict_length2(shape),
-        predict_length3_sum(shape, reading),
+        _sum_prediction(shape, n == 3 and holds, _NA_LENGTH3_SUM),
         equal,
-        _sum_prediction(shape, equal.applicable and shape.n_maps % 2 == 0,
-                        SourceTheorem.EQUAL_EVEN_SUM),
-        predict_conjecture(shape, reading),
+        _sum_prediction(shape, equal.applicable and n % 2 == 0, _NA_EQUAL_EVEN_SUM),
+        _sum_prediction(shape, holds, _NA_CONJECTURE),
     )
 
 
-def _prediction_matches(prediction: Prediction, observed: MaximizerReport) -> bool:
-    """Whether the observed maximizer spectrum fulfils an applicable prediction."""
-    if prediction.predicted_betti_set:
-        return sorted(observed.betti_spectrum) == sorted(prediction.predicted_betti_set)
-    return all(
-        sum(b.bettis) == prediction.predicted_sum for b in observed.betti_spectrum
-    )
+def _homology_is(dims, lo, hi, total_homology) -> bool:
+    """Whether every maximizer has sum beta_i = total_homology, read from
+    the range [lo, hi] of their rank sums: sum beta_i = sum a_i - 2 sum r_i."""
+    total = sum(dims)
+    return total - 2 * lo == total_homology == total - 2 * hi
 
 
-def _homology_is_chi(path, lo, hi) -> bool:
-    """Whether every maximizer has sum beta_i = |chi|, read from the range
-    [lo, hi] of their rank sums: sum beta_i = sum a_i - 2 sum r_i."""
-    total = sum(path)
-    return total - 2 * lo == abs(_chi(path)) == total - 2 * hi
+def _fulfils(prediction, dims, best, count, lo, hi) -> bool:
+    """Whether the maximizers fulfil an applicable prediction, without listing them.
+
+    A Betti vector fixes its ranks, r_{i+1} = a_i - beta_i - r_i closing at
+    r_{n+1} = 0, so a predicted set is the spectrum iff it has `count` members
+    whose ranks are non-negative (hence feasible) and reach max d `best`.
+    """
+    if not prediction.predicted_betti_set:
+        return _homology_is(dims, lo, hi, prediction.predicted_sum)
+    if len(prediction.predicted_betti_set) != count:
+        return False
+    for betti in prediction.predicted_betti_set:
+        ranks = [0]
+        for a, b in zip(dims, betti.bettis):
+            ranks.append(a - b - ranks[-1])
+        if ranks[-1] or min(ranks) < 0 or _dimension(dims, ranks[1:-1]) != best:
+            return False
+    return True
 
 
-def _full_report(shape: ComplexShape) -> MaximizerReport:
-    report = enumerate_maximizers(shape, CHECK_ENUMERATION_GUARD)
-    if report.truncated:
-        raise WorkCapExceeded(
-            f"shape {shape.dims} has {report.maximizer_count} maximizers, "
-            f"more than the comparison guard of {CHECK_ENUMERATION_GUARD}"
-        )
-    return report
+def _judge(shape, reading, best, count, lo, hi):
+    """check_shape's (verdict, deciding prediction, predictions, outcomes)
+    from the DP's max d, maximizer count and rank-sum range."""
+    predictions = all_predictions(shape, reading)
+    outcomes = []  # a loop, since a comprehension would close over five names
+    for p in predictions:
+        outcomes.append(_fulfils(p, shape.dims, best, count, lo, hi) if p.applicable else None)
+    if False in outcomes:
+        return Verdict.MISMATCH, predictions[outcomes.index(False)], predictions, outcomes
+    if True in outcomes:
+        return Verdict.MATCH, predictions[outcomes.index(True)], predictions, outcomes
+    return Verdict.NOT_APPLICABLE, _NA_CONJECTURE, predictions, outcomes
 
 
 def check_shape(
@@ -261,29 +287,25 @@ def check_shape(
 ) -> ComparisonResult:
     """Compare every applicable prediction with the observed spectrum.
 
-    Any mismatch dominates the verdict; with no applicable prediction the
-    verdict is NOT_APPLICABLE.  The returned prediction is the deciding
-    one (first mismatch, else first applicable match); `comparisons`
-    holds all six predictions with their outcomes.
+    Every prediction is decided from one DP's max d, maximizer count and
+    rank-sum range, as in sweep_theorems; a shape with more than
+    CHECK_ENUMERATION_GUARD maximizers is refused before any is listed.
+    Any mismatch dominates the verdict; with no applicable prediction it
+    is NOT_APPLICABLE.  The returned prediction is the deciding one (first
+    mismatch, else first applicable match); `comparisons` holds all six
+    predictions with their outcomes.
     """
-    observed = _full_report(shape)
-    comparisons = tuple(
-        (p, _prediction_matches(p, observed) if p.applicable else None)
-        for p in all_predictions(shape, reading)
-    )
-    applicable = [(p, matched) for p, matched in comparisons if matched is not None]
-    if not applicable:
-        return ComparisonResult(
-            shape,
-            _not_applicable(SourceTheorem.CONJECTURE),
-            observed,
-            Verdict.NOT_APPLICABLE,
-            comparisons,
+    best, moves, count, lo, hi = _solve(shape.dims)
+    if count > CHECK_ENUMERATION_GUARD:
+        raise WorkCapExceeded(
+            f"shape {shape.dims} has {count} maximizers, "
+            f"more than the comparison guard of {CHECK_ENUMERATION_GUARD}"
         )
-    for pred, matched in applicable:
-        if not matched:
-            return ComparisonResult(shape, pred, observed, Verdict.MISMATCH, comparisons)
-    return ComparisonResult(shape, applicable[0][0], observed, Verdict.MATCH, comparisons)
+    verdict, prediction, predictions, outcomes = _judge(shape, reading, best, count, lo, hi)
+    observed = _report(shape.dims, best, count, _lexicographic_paths(moves, count),
+                       CHECK_ENUMERATION_GUARD)
+    return ComparisonResult(shape, prediction, observed, verdict,
+                            tuple(zip(predictions, outcomes)))
 
 
 def _check_bounds(max_length: int, max_entry: int, what: str) -> None:
@@ -366,22 +388,16 @@ def conjecture_scan(
             truncated = True
             break
         scanned += 1
-        if _homology_is_chi(path, lo, hi):
+        if _homology_is(path, lo, hi, abs(_chi(path))):
             continue
         dims = tuple(path)
         representatives = [dims] if dims == dims[::-1] else [dims, dims[::-1]]
         for rep in representatives:
-            rep_shape = ComplexShape(rep)
-            prediction = predict_conjecture(rep_shape, reading)
+            # A mismatch, reported against the conjecture alone.
+            result = check_shape(ComplexShape(rep), reading)
+            prediction = predict_conjecture(result.shape, reading)
             counterexamples.append(
-                ComparisonResult(
-                    rep_shape,
-                    prediction,
-                    _full_report(rep_shape),
-                    Verdict.MISMATCH,
-                    ((prediction, False),),
-                )
-            )
+                replace(result, prediction=prediction, comparisons=((prediction, False),)))
     counterexamples.sort(key=lambda c: (len(c.shape.dims), c.shape.dims))
     return ScanReport(tuple(counterexamples), scanned, truncated)
 
@@ -394,12 +410,11 @@ def sweep_theorems(
 ) -> SweepSummary:
     """Tally check_shape's verdicts over every shape in the rectangle.
 
-    A shape with three or more maps and unequal dimensions has only the
-    two sum-only predictions, both |chi|, so its verdict follows from the
-    rank-sum range of a forward DP shared along common prefixes; every
-    other shape, every mismatch and every shape with more maximizers than
-    the comparison guard goes through check_shape itself.  Bounds are
-    refused as in conjecture_scan, before the work cap is read.
+    One forward DP is shared along common prefixes, and each shape is
+    decided from its max d, exact count and rank-sum range as check_shape
+    decides it, without listing maximizers; only a mismatch goes through
+    check_shape itself, for its details.  Bounds are refused as in
+    conjecture_scan, before the work cap is read.
     """
     _check_bounds(max_length, max_entry, "sweep")
     total = sum((max_entry + 1) ** (n + 1) for n in range(max_length + 1))
@@ -408,29 +423,17 @@ def sweep_theorems(
             f"sweep up to {max_length} maps with entries up to {max_entry} "
             f"exceeds the work cap of {work_cap} shapes"
         )
-    leaves = (
-        leaf
-        for length in range(1, max_length + 2)
-        for leaf in _prefix_leaves(length, lambda path, k: (0, max_entry))
-    )
-    checked = matches = mismatches = not_applicable = 0
+    checked = matches = 0
     details = []
-    for path, _, _, count, lo, hi in leaves:
-        shape = ComplexShape(tuple(path))
-        checked += 1
-        if len(path) > 3 and count <= CHECK_ENUMERATION_GUARD and min(path) < max(path):
-            if not hypothesis_holds(shape, reading):
-                not_applicable += 1
-                continue
-            if _homology_is_chi(path, lo, hi):
+    for length in range(1, max_length + 2):
+        for path, _, best, count, lo, hi in _prefix_leaves(length, lambda path, k: (0, max_entry)):
+            checked += 1
+            shape = ComplexShape(tuple(path))
+            verdict = _judge(shape, reading, best, count, lo, hi)[0]
+            if verdict is Verdict.MATCH:
                 matches += 1
-                continue
-        result = check_shape(shape, reading)
-        if result.verdict is Verdict.MATCH:
-            matches += 1
-        elif result.verdict is Verdict.MISMATCH:
-            mismatches += 1
-            details.append(result)
-        else:
-            not_applicable += 1
-    return SweepSummary(checked, matches, mismatches, not_applicable, tuple(details))
+            elif verdict is Verdict.MISMATCH:
+                details.append(check_shape(shape, reading))
+    mismatches = len(details)
+    return SweepSummary(checked, matches, mismatches, checked - matches - mismatches,
+                        tuple(details))

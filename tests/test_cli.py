@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from chaincx import optimizer, predictions
 from chaincx.cli import main
 
 SAMPLER_WARNING = "sequential sampler does not realize the conditional measure"
@@ -158,6 +159,17 @@ class TestPredict:
         env = run_json("predict", "--dims", "2,1,1,2")
         assert all(not p["applicable"] for p in env["payload"]["predictions"])
 
+    def test_spread_set_over_the_guard_exits_3(self):
+        # C(31, 15) = 3.0e8 spread vectors and as many maximizers.
+        dims = ",".join(["15"] * 61)
+        for command, refusal in [("predict", "the spread set of 60 maps of dimension 15 has "
+                                             "300540195 Betti vectors"),
+                                 ("check", "has 300540195 maximizers")]:
+            proc = run_cli(command, "--dims", dims, timeout=60)
+            assert proc.returncode == 3, proc.stderr
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("chaincx: ") and refusal in proc.stderr
+
 
 class TestCheck:
     def test_match(self):
@@ -175,6 +187,21 @@ class TestCheck:
     def test_not_applicable_exits_0(self):
         env = run_json("check", "--dims", "2,1,1,2")
         assert env["payload"]["verdict"] == "NotApplicable"
+
+    @pytest.mark.parametrize("dims,count", [
+        (",".join(["10"] * 41), 352_716),  # equal dimensions, a spread set as large
+        (",".join(["10"] * 40 + ["11"]), 184_756),  # no closed form applies
+    ])
+    def test_over_the_guard_refused_before_listing(self, dims, count, capsys, monkeypatch):
+        def no_listing(moves, limit):
+            raise AssertionError("maximizers were listed")
+
+        monkeypatch.setattr(optimizer, "_lexicographic_paths", no_listing)
+        monkeypatch.setattr(predictions, "_lexicographic_paths", no_listing)
+        assert main(["check", "--dims", dims]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"has {count} maximizers, more than the comparison guard of 100000" in err
 
 
 class TestVerifyDim:
@@ -365,6 +392,8 @@ class TestImportGraph:
         (["verify-dim", "--dims", "1048576,1048576", "--ranks", "0",
           "--size-cap", "100000000000000"], None, 64),
         (["sample", "--dims", "4096,4096,4096"], None, 3),
+        (["predict", "--dims", ",".join(["15"] * 61)], None, 3),
+        (["check", "--dims", ",".join(["15"] * 61)], None, 3),
     ])
     def test_integer_paths_are_numpy_free(self, argv, env, code):
         assert probe_imports("chaincx.cli", argv, env) == (code, [])

@@ -16,6 +16,7 @@ from chaincx import (
     WorkCapExceeded,
     brute_force_maximize,
     enumerate_maximizers,
+    greedy_rank_vector,
     is_feasible,
     maximize_dp,
     maximizer_rank_sum_range,
@@ -302,6 +303,30 @@ class TestPrefixLeaves:
             3, lambda path, k: (1, 0) if k and path[k - 1] == 3 else (0, 3))]
         assert leaves == [d for d in itertools.product(range(4), repeat=3) if 3 not in d[:2]]
         assert list(_prefix_leaves(2, lambda path, k: (1, 0))) == []
+
+
+class TestForcedHomology:
+    """Every maximizer has the rank sum of the greedy ranks g (r_1 = min(a_0,
+    a_1), then r_{i+1} = min(a_{i+1}, a_i - r_i)), so sum beta_i =
+    sum a_i - 2 sum g_i almost surely.  Observed on every shape tried, not
+    proven; a violation would be a finding."""
+
+    def test_every_shape_of_the_rectangle(self):
+        # Every shape of at most 4 maps with entries up to 6.
+        leaves = 0
+        for length in range(1, 6):
+            for path, _, _, _, lo, hi in _prefix_leaves(length, lambda path, k: (0, 6)):
+                greedy = sum(greedy_rank_vector(ComplexShape(tuple(path))).ranks)
+                assert lo == hi == greedy, path
+                leaves += 1
+        assert leaves == 19_607
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    def test_property_against_brute_force(self, dims):
+        s = ComplexShape(tuple(dims))
+        sums = {sum(r.ranks) for r in brute_force_maximize(s).maximizers}
+        assert sums == {sum(greedy_rank_vector(s).ranks)}
 
 
 class TestStateCap:

@@ -39,6 +39,12 @@ def test_tolerances_are_one_object_everywhere():
     assert chaincx.DEFAULT_SIZE_CAP == chaincx.numerics.DEFAULT_SIZE_CAP == 4096
 
 
+def test_greedy_ranks_are_one_object_everywhere():
+    # Integer-only, so it lives in core and loads without numpy.
+    assert chaincx.greedy_rank_vector is chaincx.numerics.greedy_rank_vector
+    assert chaincx.greedy_rank_vector is core.greedy_rank_vector
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="^module 'chaincx' has no attribute 'no_such_name'$"):
         chaincx.no_such_name

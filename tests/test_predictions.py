@@ -10,6 +10,7 @@ from chaincx import (
     BettiVector,
     ComplexShape,
     HypothesisReading,
+    Prediction,
     RankVector,
     SourceTheorem,
     Verdict,
@@ -32,14 +33,15 @@ from chaincx import (
     sweep_theorems,
 )
 from chaincx.core import MAX_ENTRY, MAX_LENGTH, _feasible
-from chaincx.optimizer import _prefix_leaves
+from chaincx.optimizer import _prefix_leaves, _solve
 from chaincx.predictions import (
+    CHECK_ENUMERATION_GUARD,
     DEFAULT_SCAN_CAP,
     ComparisonResult,
     ScanReport,
     SweepSummary,
     _check_bounds,
-    _full_report,
+    _fulfils,
     _scan_window,
 )
 from test_core import ranks_from_betti
@@ -218,6 +220,15 @@ class TestEqualDim:
                 pred = predict_equal_dim(ComplexShape((m,) * (n + 1)))
                 assert len(pred.predicted_betti_set) == comb(slots, m % slots)
 
+    def test_spread_set_refused_past_the_guard(self):
+        # C(31, 15) = 3.0e8 vectors are refused before any is built, and so
+        # is C(20, 10) = 184,756; C(17, 8) = 24,310 is served.
+        for m, spaces, size in [(15, 61, 300_540_195), (10, 39, 184_756)]:
+            with pytest.raises(WorkCapExceeded, match=f"has {size} Betti vectors, more than "
+                                                      f"the comparison guard of 100000"):
+                predict_equal_dim(ComplexShape((m,) * spaces))
+        assert len(predict_equal_dim(ComplexShape((8,) * 33)).predicted_betti_set) == 24_310
+
     def test_spread_vectors_realizable(self):
         for n, m in [(2, 3), (4, 5), (6, 4)]:
             s = ComplexShape((m,) * (n + 1))
@@ -247,11 +258,15 @@ class TestCheckShape:
 
     def test_comparisons_cover_all_predictions(self):
         # One entry per prediction, in all_predictions order; None exactly
-        # where the prediction does not apply, and the verdict follows them.
-        for dims in itertools.product(range(4), repeat=4):
+        # where the prediction does not apply, the verdict follows them, and
+        # the whole result equals the listing oracle's.  Every shape of at
+        # most 4 maps with entries up to 3, and equal shapes with spread sets.
+        shapes = [dims for k in range(1, 6) for dims in itertools.product(range(4), repeat=k)]
+        for dims in shapes + [(6,) * 5, (3,) * 7, (2,) * 9]:
             for reading in HypothesisReading:
                 s = ComplexShape(dims)
                 result = check_shape(s, reading)
+                assert result == _reference_check_shape(s, reading), (dims, reading)
                 preds = [p for p, _ in result.comparisons]
                 assert preds == list(all_predictions(s, reading))
                 outcomes = [m for _, m in result.comparisons]
@@ -264,6 +279,32 @@ class TestCheckShape:
                     assert result.prediction == preds[outcomes.index(True)]
                 else:
                     assert result.verdict is Verdict.NOT_APPLICABLE
+
+    def test_decision_rejects_wrong_predictions(self):
+        # The closed forms are right, so wrong ones are made up: the listing-
+        # free decision must judge each as the listing oracle does.  The
+        # maximizers of 3,3,3 have Betti vectors (1,0,2) and (2,0,1); the one
+        # of 0,0,1 has (0,0,1).
+        cases = [
+            ((3, 3, 3), [(1, 0, 2), (2, 0, 1)], True),
+            ((3, 3, 3), [(2, 0, 1)], False),  # too few
+            ((3, 3, 3), [(1, 0, 2), (2, 0, 1), (3, 0, 0)], False),  # too many
+            ((3, 3, 3), [(0, 0, 3), (2, 0, 1)], False),  # ranks (3, 0): d = 9 < 11
+            ((3, 3, 3), [(1, 0, 1), (2, 0, 1)], False),  # ranks (2, 1) leave r_3 = 1
+            ((0, 0, 1), [(1, 0, 0)], False),  # ranks (-1, 1) reach d = 0
+            ((3, 3, 3), 3, True),
+            ((3, 3, 3), 5, False),
+        ]
+        for dims, predicted, expected in cases:
+            if isinstance(predicted, int):
+                pred = Prediction(True, (), predicted, SourceTheorem.CONJECTURE)
+            else:
+                pred = Prediction(True, tuple(map(BettiVector, predicted)), None,
+                                  SourceTheorem.EQUAL_ODD)
+            best, _, count, lo, hi = _solve(dims)
+            assert _fulfils(pred, dims, best, count, lo, hi) is expected, (dims, predicted)
+            observed = enumerate_maximizers(ComplexShape(dims))
+            assert _prediction_matches(pred, observed) is expected, (dims, predicted)
 
     def test_comparisons_record_mismatch(self):
         result = check_shape(shape(2, 1, 1, 2), INTERIOR)
@@ -327,6 +368,48 @@ class TestSweeps:
         assert report.shapes_scanned == 5
 
 
+# check_shape as it was before the listing-free decision: list every
+# maximizer, then compare the spectrum with each prediction.
+def _reference_full_report(shape):
+    report = enumerate_maximizers(shape, CHECK_ENUMERATION_GUARD)
+    if report.truncated:
+        raise WorkCapExceeded(
+            f"shape {shape.dims} has {report.maximizer_count} maximizers, "
+            f"more than the comparison guard of {CHECK_ENUMERATION_GUARD}"
+        )
+    return report
+
+
+def _prediction_matches(prediction, observed):
+    """Whether the observed maximizer spectrum fulfils an applicable prediction."""
+    if prediction.predicted_betti_set:
+        return sorted(observed.betti_spectrum) == sorted(prediction.predicted_betti_set)
+    return all(
+        sum(b.bettis) == prediction.predicted_sum for b in observed.betti_spectrum
+    )
+
+
+def _reference_check_shape(shape, reading=HypothesisReading.SENTINEL):
+    observed = _reference_full_report(shape)
+    comparisons = tuple(
+        (p, _prediction_matches(p, observed) if p.applicable else None)
+        for p in all_predictions(shape, reading)
+    )
+    applicable = [(p, matched) for p, matched in comparisons if matched is not None]
+    if not applicable:
+        return ComparisonResult(
+            shape,
+            Prediction(False, (), None, SourceTheorem.CONJECTURE),
+            observed,
+            Verdict.NOT_APPLICABLE,
+            comparisons,
+        )
+    for pred, matched in applicable:
+        if not matched:
+            return ComparisonResult(shape, pred, observed, Verdict.MISMATCH, comparisons)
+    return ComparisonResult(shape, applicable[0][0], observed, Verdict.MATCH, comparisons)
+
+
 # The scan and the sweep as they were before the prefix-sharing engine: a
 # fresh DP per shape over the whole rectangle, kept as the reference.
 def _iter_shapes(max_length, max_entry):
@@ -378,7 +461,7 @@ def _reference_conjecture_scan(
                 ComparisonResult(
                     rep_shape,
                     prediction,
-                    _full_report(rep_shape),
+                    _reference_full_report(rep_shape),
                     Verdict.MISMATCH,
                     ((prediction, False),),
                 )
@@ -393,7 +476,8 @@ def _reference_sweep_theorems(
     reading: HypothesisReading = HypothesisReading.SENTINEL,
     work_cap: int = DEFAULT_SCAN_CAP,
 ) -> SweepSummary:
-    """Run check_shape over every shape in the rectangle and tally verdicts.
+    """Run the listing oracle of check_shape over every shape in the
+    rectangle and tally verdicts.
 
     Bounds are refused as in conjecture_scan, before the work cap is read.
     """
@@ -407,7 +491,7 @@ def _reference_sweep_theorems(
     checked = matches = mismatches = not_applicable = 0
     details = []
     for dims in _iter_shapes(max_length, max_entry):
-        result = check_shape(ComplexShape(dims), reading)
+        result = _reference_check_shape(ComplexShape(dims), reading)
         checked += 1
         if result.verdict is Verdict.MATCH:
             matches += 1
