@@ -108,11 +108,13 @@ def _ranks_of(args, shape: ComplexShape) -> RankVector:
         raise _UsageError(str(exc)) from None
 
 
-def _env(name: str, kind, noun: str):
-    """Environment variable `name` parsed by `kind`, or None when unset."""
+def _setting(flag, name: str, kind, noun: str, default):
+    """The flag if given, else environment variable `name` parsed by `kind`, else default."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(name)
     if raw is None:
-        return None
+        return default
     try:
         return kind(raw)
     except ValueError:
@@ -120,11 +122,8 @@ def _env(name: str, kind, noun: str):
 
 
 def _tolerances(args) -> ToleranceConfig:
-    factor = args.rank_tol
-    if factor is None:
-        factor = _env(ENV_RANK_TOL, float, "a number")
-    if factor is None:
-        factor = ToleranceConfig().rank_tolerance_factor
+    factor = _setting(args.rank_tol, ENV_RANK_TOL, float, "a number",
+                      ToleranceConfig().rank_tolerance_factor)
     try:
         return ToleranceConfig(rank_tolerance_factor=factor,
                                composition_tolerance=args.composition_tol)
@@ -133,11 +132,7 @@ def _tolerances(args) -> ToleranceConfig:
 
 
 def _work_cap(args) -> int:
-    cap = args.work_cap
-    if cap is None:
-        cap = _env(ENV_WORK_CAP, int, "an integer")
-    if cap is None:
-        return DEFAULT_WORK_CAP
+    cap = _setting(args.work_cap, ENV_WORK_CAP, int, "an integer", DEFAULT_WORK_CAP)
     if cap < 1:
         raise _UsageError("work cap must be positive")
     return cap

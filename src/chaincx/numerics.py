@@ -62,7 +62,7 @@ class NumericalComplex:
 
     shape: ComplexShape
     maps: tuple[np.ndarray, ...] = field(repr=False)
-    composition_tolerance: float = 1e-8
+    composition_tolerance: float = DEFAULT_TOLERANCES.composition_tolerance
 
     def __post_init__(self):
         tol = self.composition_tolerance
@@ -149,9 +149,9 @@ def numerical_rank(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
 def _kernel_basis(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Orthonormal columns spanning the numerical kernel.
 
-    Completes the pivoted QR of the transpose: the trailing columns of Q
-    are orthogonal to the row space.  The rank cut uses the same pivot
-    threshold as numerical_rank.
+    Completes the pivoted QR of the transpose by direct LAPACK calls, which
+    keep the sampler faster on small shapes than scipy.linalg.qr.  The trailing
+    columns of Q span the kernel; the rank cut is numerical_rank's threshold.
     """
     a = _as_matrix(matrix)
     rows, cols = a.shape

@@ -87,14 +87,14 @@ def _state_caps(dims):
 def _stage(base, count, lo, hi, c0, a, rows, qmax):
     """One DP stage: rows p in [0, rows), moves q in [0, min(qmax, a - p)].
 
-    A move's value is c q + base[q] with c = c0 - p; callers keep
-    c0 >= a and rows <= a + 1.  The rows are solved in divide-and-conquer
-    order: the middle row m of a range scans the moves in its window once;
-    rows p < m then keep only the moves from m's least optimal move up,
-    rows p > m only those up to m's greatest.  Every tied optimal move
-    lies inside a row's window, so one scan per row yields the best value
-    less p^2, the ascending tie tuple, the count summed over the ties and
-    the least and greatest of q + lo[q] and q + hi[q] over them:
+    A move's value is c q + base[q] with c = c0 - p; the one caller passes
+    c0 = w + a with w, a >= 1 and rows <= a + 1, so c >= 1.  The rows are
+    solved in divide-and-conquer order: the middle row m of a range scans
+    the moves in its window once; rows p < m then keep only the moves from
+    m's least optimal move up, rows p > m only those up to m's greatest.
+    Every tied optimal move lies inside a row's window, so one scan per row
+    yields the best value less p^2, the ascending tie tuple, the count summed
+    over the ties and the least and greatest of q + lo[q] and q + hi[q]:
 
         (new base, ties, new count, new lo, new hi)
     """
@@ -113,7 +113,7 @@ def _stage(base, count, lo, hi, c0, a, rows, qmax):
         if last > qhi:
             last = qhi
         if qlo == last:
-            # A one-move window; c = 0 (p = c0 = a) always lands here.
+            # A one-move window, read without building a list (faster at MAX_ENTRY).
             q = qlo
             top = c * q + base[q]
             ties = (q,)
@@ -121,11 +121,13 @@ def _stage(base, count, lo, hi, c0, a, rows, qmax):
             values = list(map(add, range(c * qlo, c * last + 1, c),
                               base[qlo:last + 1]))
             top = max(values)
+            # A lone top is the common case; testing for it first beats a tie scan.
             if values.count(top) == 1:
                 q = values.index(top) + qlo
                 ties = (q,)
             else:
                 ties = tuple([q for q, v in enumerate(values, qlo) if v == top])
+        # One tie, the common case, builds no lists, which speeds up the scan.
         if len(ties) == 1:
             new_count[p] = count[q]
             new_lo[p] = q + lo[q]
@@ -206,7 +208,8 @@ def _prefix_leaves(length, window):
                 base, moves[k], count, lo, hi = _stage(
                     base, count, lo, hi, w + a, a, rows, min(w, a))
             else:
-                # r_k = 0 is forced: every row has the one move r_k = 0.
+                # r_k = 0 is forced: every row has the one move r_k = 0.  Sharing one
+                # tie tuple, not running _stage, saves time and memory at MAX_ENTRY.
                 if k:
                     moves[k] = [(0,)] * rows
                 if a:

@@ -11,8 +11,6 @@ import itertools
 import random
 from math import comb
 
-import pytest
-
 from chaincx import (
     BettiVector,
     ComplexShape,
@@ -36,6 +34,7 @@ from chaincx import (
     stratum_dimension,
 )
 from chaincx.cli import build_parser
+from test_core import iter_feasible_ranks, iter_shapes
 
 SENTINEL = HypothesisReading.SENTINEL
 INTERIOR = HypothesisReading.INTERIOR
@@ -45,21 +44,6 @@ def _verdict(num, description, failures):
     status = "PASS" if not failures else "FAIL"
     print(f"[acceptance {num:02d}] {status}: {description}")
     assert not failures, f"criterion {num}: {failures[:5]}"
-
-
-def _all_shapes(max_spaces, max_entry):
-    for k in range(1, max_spaces + 1):
-        for dims in itertools.product(range(max_entry + 1), repeat=k):
-            yield ComplexShape(dims)
-
-
-def _feasible_rank_vectors(shape):
-    dims = shape.dims
-    ranges = [range(min(dims[i - 1], dims[i]) + 1) for i in range(1, len(dims))]
-    for r in itertools.product(*ranges):
-        rv = RankVector(r)
-        if is_feasible(shape, rv):
-            yield rv
 
 
 def test_criterion_01_length2_exhaustive():
@@ -168,7 +152,7 @@ def test_criterion_06_oracle_equivalence():
             failures.append(shape.dims)
 
     exhaustive = 0
-    for shape in _all_shapes(5, 6):
+    for shape in iter_shapes(5, 6):
         exhaustive += 1
         compare(shape)
     rng = random.Random(0xC4A1)
@@ -187,8 +171,8 @@ def test_criterion_07_dimension_formula_verification():
     # (condition number <= 1e3).  Integer equality throughout.
     failures = []
     instances = 0
-    for shape in _all_shapes(4, 4):
-        for rv in _feasible_rank_vectors(shape):
+    for shape in iter_shapes(4, 4):
+        for rv in iter_feasible_ranks(shape):
             instances += 1
             expected = stratum_dimension(shape, rv)
             base = canonical_complex(shape, rv)
@@ -253,7 +237,7 @@ def test_criterion_09_conjecture_scan():
         if hypothesis_holds(result.shape, SENTINEL):
             failures.append(("both-readings", result.shape.dims))
     # Subsumption sanity: sentinel-satisfying shapes all satisfy interior.
-    for shape in _all_shapes(6, 5):
+    for shape in iter_shapes(6, 5):
         if hypothesis_holds(shape, SENTINEL) and not hypothesis_holds(shape, INTERIOR):
             failures.append(("subsumption", shape.dims))
     _verdict(9, f"conjecture scan clean on {sentinel_scan.shapes_scanned} shapes "

@@ -4,7 +4,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from chaincx import (
@@ -24,6 +24,7 @@ from chaincx import (
 from chaincx.core import _feasible
 
 
+# Helpers shared with the other test modules, which import them from here.
 def shape(*dims):
     return ComplexShape(dims)
 

@@ -1,7 +1,5 @@
-"""Numerical ranks, model complexes, orbit dimension, sampler, serialization."""
+"""Numerical ranks, model complexes, orbit dimension, sampler."""
 
-import itertools
-import json
 import random
 import tracemalloc
 
@@ -37,23 +35,7 @@ from chaincx.numerics import (
     _orbit_matrix,
     _pivot_rank,
 )
-
-
-def shape(*dims):
-    return ComplexShape(dims)
-
-
-def ranks(*values):
-    return RankVector(values)
-
-
-def feasible_rank_vectors(s):
-    dims = s.dims
-    ranges = [range(min(dims[i - 1], dims[i]) + 1) for i in range(1, len(dims))]
-    for r in itertools.product(*ranges):
-        rv = RankVector(r)
-        if is_feasible(s, rv):
-            yield rv
+from test_core import _exactly, iter_feasible_ranks, iter_shapes, ranks, shape
 
 
 class TestNumericalRank:
@@ -84,6 +66,9 @@ class TestNumericalRank:
             numerical_rank(np.array([[np.nan]]))
         with pytest.raises(ValueError):
             numerical_rank(np.array([[np.inf, 1.0]]))
+        # So is a vector, before its entries are read.
+        with pytest.raises(ValueError, match=_exactly("expected a matrix, got ndim=1")):
+            numerical_rank(np.array([np.nan, 1.0]))
 
     def test_random_low_rank(self):
         rng = np.random.default_rng(5)
@@ -127,7 +112,7 @@ class TestCanonicalComplex:
 
     def test_ranks_exact(self):
         for s in [shape(3, 2, 4), shape(2, 1, 1, 2), shape(4, 4)]:
-            for rv in feasible_rank_vectors(s):
+            for rv in iter_feasible_ranks(s):
                 cx = canonical_complex(s, rv)
                 assert tuple(numerical_rank(m) for m in cx.maps) == rv.ranks
 
@@ -140,6 +125,9 @@ class TestNumericalComplexValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             NumericalComplex(shape(2, 2), (np.zeros((3, 2)),))
+        with pytest.raises(ValueError, match=_exactly(
+                "expected 2 maps for shape (2, 2, 2), got 1")):
+            NumericalComplex(shape(2, 2, 2), (np.eye(2),))
 
     def test_composition_violation_rejected(self):
         bad = (np.eye(2), np.eye(2))
@@ -193,7 +181,7 @@ class TestNumericalBetti:
 
     def test_agrees_with_integer_layer(self):
         for s in [shape(3, 2, 4), shape(2, 1, 1, 2)]:
-            for rv in feasible_rank_vectors(s):
+            for rv in iter_feasible_ranks(s):
                 cx = canonical_complex(s, rv)
                 assert numerical_betti(cx) == betti_from_ranks(s, rv)
 
@@ -261,11 +249,9 @@ def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def orbit_instances(max_spaces, max_entry):
-    for k in range(1, max_spaces + 1):
-        for dims in itertools.product(range(max_entry + 1), repeat=k):
-            s = ComplexShape(dims)
-            for rv in feasible_rank_vectors(s):
-                yield canonical_complex(s, rv)
+    for s in iter_shapes(max_spaces, max_entry):
+        for rv in iter_feasible_ranks(s):
+            yield canonical_complex(s, rv)
 
 
 class TestOrbitOracles:
@@ -389,12 +375,10 @@ class TestOrbitDimension:
 
     def test_matches_formula_small(self):
         # Unit-scale slice; the acceptance suite runs the documented bounds.
-        for k in range(1, 4):
-            for dims in itertools.product(range(4), repeat=k):
-                s = ComplexShape(dims)
-                for rv in feasible_rank_vectors(s):
-                    cx = canonical_complex(s, rv)
-                    assert orbit_dimension(cx) == stratum_dimension(s, rv), (s, rv)
+        for s in iter_shapes(3, 3):
+            for rv in iter_feasible_ranks(s):
+                cx = canonical_complex(s, rv)
+                assert orbit_dimension(cx) == stratum_dimension(s, rv), (s, rv)
 
     def test_conjugation_invariance(self):
         s = shape(3, 2, 2, 3)
@@ -443,6 +427,8 @@ class TestSequentialSampler:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             sequential_sample(shape(2, 2), -1)
+        with pytest.raises(ValueError, match=_exactly("seed must be non-negative")):
+            random_conjugation(canonical_complex(shape(2, 2), ranks(1)), -1)
 
     def test_rank_law(self):
         rng = random.Random(99)
@@ -473,87 +459,3 @@ class TestSequentialSampler:
     def test_single_space(self):
         cx = sequential_sample(shape(2), 0)
         assert cx.maps == ()
-
-
-def complex_to_json(complex_: NumericalComplex) -> str:
-    """Serialize to {dims, maps, tolerance} with row-major map entries.
-
-    Floats are emitted in shortest round-trip decimal form, so parsing the
-    document reproduces the exact bit patterns.
-    """
-    doc = {
-        "dims": list(complex_.shape.dims),
-        "maps": [m.reshape(-1).tolist() for m in complex_.maps],
-        "tolerance": complex_.composition_tolerance,
-    }
-    return json.dumps(doc)
-
-
-def complex_from_json(text: str) -> NumericalComplex:
-    """Inverse of complex_to_json; ValueError names what a bad document lacks."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("document is not a JSON object")
-    missing = [key for key in ("dims", "maps", "tolerance") if key not in doc]
-    if missing:
-        raise ValueError(f"document lacks {', '.join(missing)}")
-    for key in ("dims", "maps"):
-        if not isinstance(doc[key], list):
-            raise ValueError(f"document field {key} is not a list")
-    shape = ComplexShape(tuple(doc["dims"]))
-    dims = shape.dims
-    flats = doc["maps"]
-    if len(flats) != shape.n_maps:
-        raise ValueError(
-            f"document has {len(flats)} maps, shape {dims} needs {shape.n_maps}"
-        )
-    try:
-        maps = tuple(
-            np.array(flat, dtype=np.float64).reshape(dims[j], dims[j + 1])
-            for j, flat in enumerate(flats)
-        )
-    except TypeError:
-        raise ValueError("document field maps holds a non-numeric entry") from None
-    try:
-        tolerance = float(doc["tolerance"])
-    except TypeError:
-        raise ValueError("document field tolerance is not a number") from None
-    return NumericalComplex(shape, maps, tolerance)
-
-
-class TestSerialization:
-    def test_round_trip_exact(self):
-        cx = sequential_sample(shape(2, 3, 1, 2), 123)
-        back = complex_from_json(complex_to_json(cx))
-        assert back.shape == cx.shape
-        assert back.composition_tolerance == cx.composition_tolerance
-        assert all(np.array_equal(a, b) for a, b in zip(cx.maps, back.maps))
-
-    def test_adversarial_floats_round_trip(self):
-        maps = (np.array([[0.1, -0.0, 1e-300, 1.0 + 2**-52]]),)
-        cx = NumericalComplex(shape(1, 4), maps)
-        back = complex_from_json(complex_to_json(cx))
-        assert back.maps[0].tobytes() == cx.maps[0].tobytes()
-
-    def test_document_fields(self):
-        doc = json.loads(complex_to_json(canonical_complex(shape(2, 1), ranks(1))))
-        assert set(doc) == {"dims", "maps", "tolerance"}
-        assert doc["dims"] == [2, 1]
-        assert doc["maps"] == [[1.0, 0.0]]  # row-major
-
-    def test_map_count_validated(self):
-        with pytest.raises(ValueError):
-            complex_from_json('{"dims": [2, 2], "maps": [], "tolerance": 1e-8}')
-        for text, problem in [
-            ('{"maps": [[1.0]], "tolerance": 1e-8}', "dims"),
-            ('{"dims": [1, 1], "tolerance": 1e-8}', "maps"),
-            ('{"dims": [1, 1], "maps": [[1.0]]}', "tolerance"),
-            ("[[1, 1], [[1.0]], 1e-8]", "not a JSON object"),
-            ('"dims"', "not a JSON object"),
-            ('{"dims": 3, "maps": [], "tolerance": 1}', "dims"),
-            ('{"dims": [1, 1], "maps": 5, "tolerance": 1e-8}', "maps"),
-            ('{"dims": [1, 1], "maps": [{"a": 1}], "tolerance": 1e-8}', "maps"),
-            ('{"dims": [1, 1], "maps": [[1.0]], "tolerance": null}', "tolerance"),
-        ]:
-            with pytest.raises(ValueError, match=problem):
-                complex_from_json(text)

@@ -23,16 +23,7 @@ from chaincx import (
     stratum_dimension,
 )
 from chaincx.optimizer import _prefix_leaves, _solve, _state_caps
-
-
-def shape(*dims):
-    return ComplexShape(dims)
-
-
-def iter_shapes(max_spaces, max_entry):
-    for k in range(1, max_spaces + 1):
-        for dims in itertools.product(range(max_entry + 1), repeat=k):
-            yield ComplexShape(dims)
+from test_core import iter_feasible_ranks, iter_shapes, shape
 
 
 class TestMaximizeDp:
@@ -166,7 +157,7 @@ class TestMonotonicity:
     def test_unit_increment_strictly_increases(self):
         # d(r + e_i) >= d(r) + 1 whenever the increment stays feasible.
         for s in iter_shapes(4, 4):
-            for rv in _feasible_vectors(s):
+            for rv in iter_feasible_ranks(s):
                 base = stratum_dimension(s, rv)
                 for i in range(len(rv.ranks)):
                     bumped = list(rv.ranks)
@@ -196,15 +187,6 @@ class TestRankSumRange:
             assert best == report.max_dimension
             assert lo == min(sums)
             assert hi == max(sums)
-
-
-def _feasible_vectors(s):
-    dims = s.dims
-    ranges = [range(min(dims[i - 1], dims[i]) + 1) for i in range(1, len(dims))]
-    for r in itertools.product(*ranges):
-        rv = RankVector(r)
-        if is_feasible(s, rv):
-            yield rv
 
 
 def _quadratic_solve(dims):

@@ -33,6 +33,7 @@ from chaincx import (
     sweep_theorems,
 )
 from chaincx.core import MAX_ENTRY, MAX_LENGTH, _feasible
+from chaincx import predictions
 from chaincx.optimizer import _prefix_leaves, _solve
 from chaincx.predictions import (
     CHECK_ENUMERATION_GUARD,
@@ -44,13 +45,9 @@ from chaincx.predictions import (
     _fulfils,
     _scan_window,
 )
-from test_core import ranks_from_betti
+from test_core import iter_shapes, ranks_from_betti, shape
 
 INTERIOR = HypothesisReading.INTERIOR
-
-
-def shape(*dims):
-    return ComplexShape(dims)
 
 
 def spectrum_set(s):
@@ -174,13 +171,11 @@ class TestLength3:
     def test_hypothesis_matches_window_oracle(self):
         # Every shape with at most 6 spaces and entries <= 4, both readings.
         checked = 0
-        for length in range(1, 7):
-            for dims in itertools.product(range(5), repeat=length):
-                for reading in HypothesisReading:
-                    expected = _hypothesis_oracle(dims, reading)
-                    assert hypothesis_holds(ComplexShape(dims), reading) is expected, (
-                        dims, reading)
-                    checked += 1
+        for s in iter_shapes(6, 4):
+            for reading in HypothesisReading:
+                expected = _hypothesis_oracle(s.dims, reading)
+                assert hypothesis_holds(s, reading) is expected, (s.dims, reading)
+                checked += 1
         assert checked == 39_060
 
     def test_prediction_verified_by_oracle(self):
@@ -261,7 +256,7 @@ class TestCheckShape:
         # where the prediction does not apply, the verdict follows them, and
         # the whole result equals the listing oracle's.  Every shape of at
         # most 4 maps with entries up to 3, and equal shapes with spread sets.
-        shapes = [dims for k in range(1, 6) for dims in itertools.product(range(4), repeat=k)]
+        shapes = [s.dims for s in iter_shapes(5, 3)]
         for dims in shapes + [(6,) * 5, (3,) * 7, (2,) * 9]:
             for reading in HypothesisReading:
                 s = ComplexShape(dims)
@@ -305,6 +300,16 @@ class TestCheckShape:
             assert _fulfils(pred, dims, best, count, lo, hi) is expected, (dims, predicted)
             observed = enumerate_maximizers(ComplexShape(dims))
             assert _prediction_matches(pred, observed) is expected, (dims, predicted)
+
+    def test_a_mismatch_outranks_an_earlier_match(self, monkeypatch):
+        # The first applicable prediction holds and the later ones fail.
+        s = shape(3, 3, 3)
+        applicable = [p for p in all_predictions(s) if p.applicable]
+        assert len(applicable) >= 2
+        monkeypatch.setattr(predictions, "_fulfils", lambda p, *_: p == applicable[0])
+        result = check_shape(s)
+        assert result.verdict is Verdict.MISMATCH
+        assert result.prediction == applicable[1]
 
     def test_comparisons_record_mismatch(self):
         result = check_shape(shape(2, 1, 1, 2), INTERIOR)
@@ -412,12 +417,6 @@ def _reference_check_shape(shape, reading=HypothesisReading.SENTINEL):
 
 # The scan and the sweep as they were before the prefix-sharing engine: a
 # fresh DP per shape over the whole rectangle, kept as the reference.
-def _iter_shapes(max_length, max_entry):
-    for n in range(max_length + 1):
-        for dims in itertools.product(range(max_entry + 1), repeat=n + 1):
-            yield dims
-
-
 def _reference_conjecture_scan(
     max_length: int,
     max_entry: int,
@@ -438,10 +437,10 @@ def _reference_conjecture_scan(
     counterexamples = []
     scanned = 0
     truncated = False
-    for dims in _iter_shapes(max_length, max_entry):
+    for shape in iter_shapes(max_length + 1, max_entry):
+        dims = shape.dims
         if dims[::-1] < dims:
             continue
-        shape = ComplexShape(dims)
         if not hypothesis_holds(shape, reading):
             continue
         if scanned >= work_cap:
@@ -490,8 +489,8 @@ def _reference_sweep_theorems(
         )
     checked = matches = mismatches = not_applicable = 0
     details = []
-    for dims in _iter_shapes(max_length, max_entry):
-        result = _reference_check_shape(ComplexShape(dims), reading)
+    for shape in iter_shapes(max_length + 1, max_entry):
+        result = _reference_check_shape(shape, reading)
         checked += 1
         if result.verdict is Verdict.MATCH:
             matches += 1
@@ -574,64 +573,6 @@ class TestConjectureFrontier:
         scan = conjecture_scan(7, 2)
         assert len(scan.counterexamples) == 36
         assert s in [c.shape for c in scan.counterexamples]
-
-
-def equal_dim_quadratic_form(n: int) -> list[list[int]]:
-    """Hessian of d(a, r) for equal dimensions: tridiagonal, -2 on the
-    diagonal and -1 off it.  Its k-th leading principal minor is
-    (-1)^k (k+1), so the form is negative definite for every n >= 1."""
-    if n < 1:
-        raise ValueError("the quadratic form needs at least one rank variable")
-    hessian = [[0] * n for _ in range(n)]
-    for i in range(n):
-        hessian[i][i] = -2
-        if i + 1 < n:
-            hessian[i][i + 1] = hessian[i + 1][i] = -1
-    return hessian
-
-
-class TestQuadraticForm:
-    def test_examples(self):
-        assert equal_dim_quadratic_form(1) == [[-2]]
-        assert equal_dim_quadratic_form(2) == [[-2, -1], [-1, -2]]
-
-    def test_leading_minors(self):
-        # det of the k x k leading block is (-1)^k (k+1): negative definite.
-        hessian = equal_dim_quadratic_form(8)
-        minors = [1, -2]
-        for k in range(2, 9):
-            minors.append(-2 * minors[k - 1] - minors[k - 2])
-        for k in range(1, 9):
-            assert minors[k] == (-1) ** k * (k + 1)
-            assert _det_int([row[:k] for row in hessian[:k]]) == minors[k]
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            equal_dim_quadratic_form(0)
-
-
-def _det_int(matrix):
-    """Fraction-free integer determinant (Bareiss), used as an oracle."""
-    from fractions import Fraction
-
-    m = [[Fraction(v) for v in row] for row in matrix]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            factor = m[r][col] * inv
-            for c in range(col, size):
-                m[r][c] -= factor * m[col][c]
-    assert det.denominator == 1
-    return int(det)
 
 
 def spread_identity_check(n: int, m: int, ranks: RankVector) -> bool | None:
