@@ -60,7 +60,8 @@ from .predictions import (
     sweep_theorems,
 )
 
-# numerics imports numpy and scipy, so it and its names load on first access.
+# numerics imports numpy, the bare scipy package and scipy's LAPACK extension
+# (not scipy.linalg), so it and its names load on first access.
 _NUMERICS_NAMES = ("NumericalComplex", "canonical_complex", "numerical_rank",
                    "orbit_dimension", "random_conjugation", "sequential_sample")
 

@@ -20,6 +20,7 @@ import sys
 from . import __version__
 from .core import (
     DEFAULT_SIZE_CAP,
+    DEFAULT_TOLERANCES,
     ComplexShape,
     RankVector,
     ToleranceConfig,
@@ -123,7 +124,7 @@ def _setting(flag, name: str, kind, noun: str, default):
 
 def _tolerances(args) -> ToleranceConfig:
     factor = _setting(args.rank_tol, ENV_RANK_TOL, float, "a number",
-                      ToleranceConfig().rank_tolerance_factor)
+                      DEFAULT_TOLERANCES.rank_tolerance_factor)
     try:
         return ToleranceConfig(rank_tolerance_factor=factor,
                                composition_tolerance=args.composition_tol)
@@ -257,7 +258,8 @@ def cmd_verify_dim(args):
         return _infeasible("verify-dim", shape, ranks)
     config = _tolerances(args)
     _orbit_matrix_sides(shape, args.size_cap)
-    # numpy and scipy load only here and in cmd_sample, past the integer checks.
+    # numpy, the bare scipy package and scipy's LAPACK extension load only
+    # here and in cmd_sample, past the integer checks; scipy.linalg never does.
     from .numerics import canonical_complex, orbit_dimension
 
     complex_ = canonical_complex(shape, ranks, config)
@@ -417,12 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="maximizer listing cap (count stays exact)")
     tolerances.add_argument("--rank-tol", type=float, default=None, metavar="FACTOR",
                             help=f"numerical-rank pivot threshold factor "
-                                 f"(default {ToleranceConfig().rank_tolerance_factor:g}; "
+                                 f"(default {DEFAULT_TOLERANCES.rank_tolerance_factor:g}; "
                                  f"env {ENV_RANK_TOL})")
     tolerances.add_argument("--composition-tol", type=float, metavar="TOL",
-                            default=ToleranceConfig().composition_tolerance,
+                            default=DEFAULT_TOLERANCES.composition_tolerance,
                             help="relative composition-zero tolerance "
-                                 f"(default {ToleranceConfig().composition_tolerance:g})")
+                                 f"(default {DEFAULT_TOLERANCES.composition_tolerance:g})")
 
     p = commands.add_parser("dimension", parents=[dims, ranks, output],
                             help="stratum dimension and Betti data")

@@ -17,6 +17,13 @@ dgeqp3 on a Fortran-ordered array, overwritten in place: numerical_rank
 factors one copy of its input, and orbit_dimension ranks the orbit matrix
 L in place, so a rank check holds a single copy of L.
 
+The two LAPACK routines, dgeqp3 and dorgqr, come from scipy's f2py
+extension scipy/linalg/_flapack, loaded straight from its file.  Importing
+the scipy.linalg package instead would run its __init__, which pulls in
+numpy.f2py, numpy.testing and numpy.ma and more than doubles the start-up
+time of the float commands.  The routines are the same function objects
+that scipy.linalg.lapack re-exports.
+
 The sequential sampler draws D_1 with i.i.d. standard Gaussian entries
 and each later map as K @ G, with K an orthonormal kernel basis of the
 previous map and G Gaussian.  It is greedy and biased: it almost surely
@@ -27,10 +34,14 @@ complex attains with positive probability.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .core import (
     DEFAULT_SIZE_CAP,
@@ -43,6 +54,34 @@ from .core import (
     greedy_rank_vector,
 )
 
+
+def _load_flapack():
+    """scipy's LAPACK extension, loaded without the scipy.linalg package.
+
+    `import scipy` above set up scipy's bundled library paths.  Once
+    scipy.linalg is loaded, its registered extension is the one to use:
+    loading the file again would return that module, and the clean-up
+    below would unregister it.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK extension not found: looked for {', '.join(paths)}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # Single-phase init registers the module under its name.  Left there, a
+    # later `import scipy.linalg` would find it and never bind
+    # scipy.linalg._flapack.
+    sys.modules.pop(name, None)
+    return module
+
+
+_flapack = _load_flapack()
 _EPS = float(np.finfo(np.float64).eps)
 # Condition-number bound of the basis changes random_conjugation draws.
 _MAX_CONDITION = 1000.0
@@ -115,10 +154,11 @@ def _check_info(routine: str, info: int) -> None:
 def _geqp3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column-pivoted QR of the non-empty Fortran-ordered float64 array a,
     overwriting a: LAPACK's (qr, tau), with R on and above qr's diagonal."""
-    # The workspace query leaves a untouched; the factorization needs its
-    # answer to give the same bits as scipy.linalg.qr.
-    lwork = int(lapack.dgeqp3(a, lwork=-1, overwrite_a=1)[3][0])
-    qr, _, tau, _, info = lapack.dgeqp3(a, lwork=lwork, overwrite_a=1)
+    # _flapack.dgeqp3 is the routine scipy.linalg.qr calls.  The workspace
+    # query leaves a untouched; the factorization needs its answer to give
+    # the same bits as scipy.linalg.qr.
+    lwork = int(_flapack.dgeqp3(a, lwork=-1, overwrite_a=1)[3][0])
+    qr, _, tau, _, info = _flapack.dgeqp3(a, lwork=lwork, overwrite_a=1)
     _check_info("dgeqp3", info)
     return qr, tau
 
@@ -168,8 +208,8 @@ def _kernel_basis(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> np.nd
     else:
         q = np.zeros((cols, cols), order="F")
         q[:, :rows] = qr
-    lwork = int(lapack.dorgqr(q, tau, lwork=-1, overwrite_a=1)[1][0])
-    q, _, info = lapack.dorgqr(q, tau, lwork=lwork, overwrite_a=1)
+    lwork = int(_flapack.dorgqr(q, tau, lwork=-1, overwrite_a=1)[1][0])
+    q, _, info = _flapack.dorgqr(q, tau, lwork=lwork, overwrite_a=1)
     _check_info("dorgqr", info)
     return q[:, rank:]
 

@@ -353,7 +353,7 @@ if argv:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-print(json.dumps([code, [m for m in ("numpy", "scipy") if m in sys.modules]]))
+print(json.dumps([code, [m for m in ("numpy", "scipy", "scipy.linalg") if m in sys.modules]]))
 """
 
 
@@ -367,14 +367,42 @@ def probe_imports(module, argv=(), env_extra=None):
     return code, loaded
 
 
+# Imports the module in sys.argv[1] first, then chaincx.numerics and
+# scipy.linalg, and prints whether scipy.linalg's LAPACK extension is both
+# bound on the package and registered in sys.modules, and whether
+# scipy.linalg.lapack's dgeqp3 gives the bits of numerics' own handle.
+_LAPACK_PROBE = """
+import importlib, json, sys
+import numpy as np
+importlib.import_module(sys.argv[1])
+from chaincx import numerics
+import scipy.linalg
+bound = getattr(scipy.linalg, "_flapack", None)
+registered = bound is not None and bound is sys.modules.get("scipy.linalg._flapack")
+a = np.random.default_rng(40).standard_normal((40, 60))
+ours, theirs = numerics._flapack.dgeqp3(a)[0], scipy.linalg.lapack.dgeqp3(a)[0]
+print(json.dumps([registered, ours.tobytes() == theirs.tobytes()]))
+"""
+
+
 class TestImportGraph:
     """Integer-only commands and the error paths before any float work leave
     numpy and scipy unloaded; only verify-dim and sample past their checks
-    load them."""
+    load them, and never the scipy.linalg package."""
 
     @pytest.mark.parametrize("module", ["chaincx", "chaincx.cli"])
     def test_import_is_numpy_free(self, module):
         assert probe_imports(module) == (None, [])
+
+    def test_numerics_skips_scipy_linalg(self):
+        assert probe_imports("chaincx.numerics") == (None, ["numpy", "scipy"])
+
+    @pytest.mark.parametrize("first", ["chaincx.numerics", "scipy.linalg"])
+    def test_scipy_linalg_shares_the_lapack_extension(self, first):
+        proc = subprocess.run([sys.executable, "-c", _LAPACK_PROBE, first],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [True, True]
 
     @pytest.mark.parametrize("argv,env,code", [
         (["dimension", "--dims", "2,1,1,2", "--ranks", "1,0,1"], None, 0),

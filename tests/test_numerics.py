@@ -1,7 +1,10 @@
 """Numerical ranks, model complexes, orbit dimension, sampler."""
 
 import random
+import re
+import sys
 import tracemalloc
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from chaincx import (
     is_feasible,
     maximize_dp,
     numerical_rank,
+    numerics,
     orbit_dimension,
     random_conjugation,
     sequential_sample,
@@ -335,15 +339,22 @@ class TestDirectLapack:
     @pytest.mark.parametrize("routine", ["dgeqp3", "dorgqr"])
     def test_illegal_argument_raises(self, monkeypatch, routine):
         # A negative info from LAPACK is an error, as in scipy.linalg.
-        real = getattr(scipy.linalg.lapack, routine)
+        real = getattr(numerics._flapack, routine)
 
         def bad_info(*args, **kwargs):
             *out, _ = real(*args, **kwargs)
             return (*out, -2)
 
-        monkeypatch.setattr(scipy.linalg.lapack, routine, bad_info)
+        monkeypatch.setattr(numerics._flapack, routine, bad_info)
         with pytest.raises(ValueError, match=f"argument 2 of LAPACK {routine}"):
             _kernel_basis(np.ones((2, 3)))
+
+    def test_missing_extension_names_the_path(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        stem = str(tmp_path / "linalg" / "_flapack")
+        with pytest.raises(ImportError, match=re.escape(stem + EXTENSION_SUFFIXES[0])):
+            numerics._load_flapack()
 
     def test_numerical_rank_leaves_input_intact(self):
         a = np.asfortranarray(low_rank(np.random.default_rng(4), 7, 5, 3))
