@@ -15,7 +15,11 @@ kernel dimension used by the sampler, so a single tolerance knob governs
 all rank decisions.  The factorization is one direct call of LAPACK's
 dgeqp3 on a Fortran-ordered array, overwritten in place: numerical_rank
 factors one copy of its input, and orbit_dimension ranks the orbit matrix
-L in place, so a rank check holds a single copy of L.
+L in place, so a rank check holds a single copy of L.  An L too large for
+glibc's heap gets fresh pages from mmap; orbit_dimension first hands the
+heap's free pages back to the OS, so the pages of L do not stack on memory
+that earlier work freed but the heap kept, and the peak resident size of a
+large rank check does not depend on what ran before it.
 
 The two LAPACK routines, dgeqp3 and dorgqr, come from scipy's f2py
 extension scipy/linalg/_flapack, loaded straight from its file.  Importing
@@ -34,6 +38,7 @@ complex attains with positive probability.
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
@@ -82,6 +87,11 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
+# glibc's malloc_trim, None where the C library has none.
+_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
+# glibc serves no allocation above 32 MiB from its heap, whatever its
+# dynamic mmap threshold: an orbit matrix this large always gets fresh pages.
+_HEAP_MAX_BYTES = 32 << 20
 _EPS = float(np.finfo(np.float64).eps)
 # Condition-number bound of the basis changes random_conjugation draws.
 _MAX_CONDITION = 1000.0
@@ -251,6 +261,8 @@ def orbit_dimension(
     closed-form d(a, r).
     """
     ambient, domain = _orbit_matrix_sides(complex_.shape, size_cap)
+    if _malloc_trim is not None and 8 * ambient * domain > _HEAP_MAX_BYTES:
+        _malloc_trim(0)
     # The maps were checked finite, so L is too.
     return _rank_in_place(_orbit_matrix(complex_, ambient, domain), config)
 

@@ -336,6 +336,18 @@ class TestDirectLapack:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * ambient * domain
 
+    def test_orbit_dimension_trims_heap_before_large_matrix_only(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(numerics, "_malloc_trim", calls.append)
+        cx = canonical_complex(shape(20, 20), ranks(10))
+        ambient, domain = _orbit_matrix_sides(cx.shape, DEFAULT_SIZE_CAP)
+        monkeypatch.setattr(numerics, "_HEAP_MAX_BYTES", 8 * ambient * domain)
+        assert orbit_dimension(cx) == 300
+        assert calls == []
+        monkeypatch.setattr(numerics, "_HEAP_MAX_BYTES", 8 * ambient * domain - 1)
+        assert orbit_dimension(cx) == 300
+        assert calls == [0]
+
     @pytest.mark.parametrize("routine", ["dgeqp3", "dorgqr"])
     def test_illegal_argument_raises(self, monkeypatch, routine):
         # A negative info from LAPACK is an error, as in scipy.linalg.
