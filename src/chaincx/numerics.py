@@ -21,12 +21,14 @@ heap's free pages back to the OS, so the pages of L do not stack on memory
 that earlier work freed but the heap kept, and the peak resident size of a
 large rank check does not depend on what ran before it.
 
-The two LAPACK routines, dgeqp3 and dorgqr, come from scipy's f2py
+The LAPACK routines, dgeqp3, dgeqrf and dorgqr, come from scipy's f2py
 extension scipy/linalg/_flapack, loaded straight from its file.  Importing
 the scipy.linalg package instead would run its __init__, which pulls in
 numpy.f2py, numpy.testing and numpy.ma and more than doubles the start-up
 time of the float commands.  The routines are the same function objects
-that scipy.linalg.lapack re-exports.
+that scipy.linalg.lapack re-exports.  random_conjugation's Q factors come
+from dgeqrf and dorgqr, without the R that np.linalg.qr builds; its solves
+stay with numpy (see its docstring).
 
 The sequential sampler draws D_1 with i.i.d. standard Gaussian entries
 and each later map as K @ G, with K an orthonormal kernel basis of the
@@ -41,6 +43,7 @@ from __future__ import annotations
 import ctypes
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -95,6 +98,7 @@ _HEAP_MAX_BYTES = 32 << 20
 _EPS = float(np.finfo(np.float64).eps)
 # Condition-number bound of the basis changes random_conjugation draws.
 _MAX_CONDITION = 1000.0
+_HALF_LOG_CONDITION = 0.5 * np.log(_MAX_CONDITION)
 
 
 def _max_norm(a: np.ndarray) -> float:
@@ -131,11 +135,13 @@ class NumericalComplex:
                 raise ValueError(
                     f"map {j + 1} has shape {m.shape}, expected {(dims[j], dims[j + 1])}"
                 )
-            if not np.isfinite(m).all():
+            # The largest |entry| is non-finite exactly when some entry is.
+            norm = _max_norm(m)
+            if not math.isfinite(norm):
                 raise ValueError(f"map {j + 1} has non-finite entries")
             m.setflags(write=False)
             frozen.append(m)
-            norms.append(_max_norm(m))
+            norms.append(norm)
         object.__setattr__(self, "maps", tuple(frozen))
         for j in range(len(frozen) - 1):
             residual = _max_norm(frozen[j] @ frozen[j + 1])
@@ -218,10 +224,27 @@ def _kernel_basis(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> np.nd
     else:
         q = np.zeros((cols, cols), order="F")
         q[:, :rows] = qr
-    lwork = int(_flapack.dorgqr(q, tau, lwork=-1, overwrite_a=1)[1][0])
-    q, _, info = _flapack.dorgqr(q, tau, lwork=lwork, overwrite_a=1)
+    return _orgqr(q, tau)[:, rank:]
+
+
+def _orgqr(qr: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The Q that the reflectors (qr, tau) of a QR factorization define,
+    expanded in place over the Fortran-ordered array qr."""
+    lwork = int(_flapack.dorgqr(qr, tau, lwork=-1, overwrite_a=1)[1][0])
+    q, _, info = _flapack.dorgqr(qr, tau, lwork=lwork, overwrite_a=1)
     _check_info("dorgqr", info)
-    return q[:, rank:]
+    return q
+
+
+def _q_factor(g: np.ndarray) -> np.ndarray:
+    """Q of the QR factorization of the square matrix g, in C order; g is
+    left intact.  The workspace queries are np.linalg.qr's, which its bits
+    depend on past LAPACK's crossover size."""
+    a = np.array(g, order="F")
+    lwork = int(_flapack.dgeqrf(a, lwork=-1, overwrite_a=1)[2][0])
+    qr, tau, _, info = _flapack.dgeqrf(a, lwork=lwork, overwrite_a=1)
+    _check_info("dgeqrf", info)
+    return np.ascontiguousarray(_orgqr(qr, tau))
 
 
 def canonical_complex(
@@ -237,13 +260,8 @@ def canonical_complex(
     """
     _require_feasible(shape, ranks)
     dims = shape.dims
-    maps = []
-    for j, r in enumerate(ranks.ranks):
-        m = np.zeros((dims[j], dims[j + 1]))
-        for k in range(r):
-            m[k, dims[j + 1] - r + k] = 1.0
-        maps.append(m)
-    return NumericalComplex(shape, tuple(maps), config.composition_tolerance)
+    maps = tuple(np.eye(dims[j], dims[j + 1], dims[j + 1] - r) for j, r in enumerate(ranks.ranks))
+    return NumericalComplex(shape, maps, config.composition_tolerance)
 
 
 def orbit_dimension(
@@ -271,31 +289,39 @@ def _orbit_matrix(complex_: NumericalComplex, ambient: int, domain: int) -> np.n
     """The ambient x domain matrix of L in row-major vec coordinates, in
     Fortran order so that it can be factored in place."""
     dims = complex_.shape.dims
-    # Written through the transpose; the reshapes below only split axes, so
-    # they stay views of it.
-    lin = np.zeros((domain, ambient)).T
+    # Written through its C-ordered transpose buf: L[r, c] is element
+    # c * ambient + r of buf.
+    buf = np.zeros((domain, ambient))
     row = col = 0
     for i, d in enumerate(complex_.maps, 1):
         m, k = dims[i - 1], dims[i]
-        # Row-major vec; row (p, q) of block i:
-        #   vec(X_{i-1} D_i):  L[(p, q), X_{i-1}[p, s]] =  D_i[s, q]
-        #   vec(D_i X_i):      L[(p, q), X_i[t, q]]     = -D_i[p, t]
-        # written by index scatter into reshaped views of the row block.
-        # "+ 0.0" and "0.0 -" turn -0.0 into +0.0, so L holds no negative
-        # zero (the QR's Householder signs read the sign of zero).
-        ar_m, ar_k = np.arange(m), np.arange(k)
-        rows = lin[row : row + m * k]
-        rows[:, col : col + m * m].reshape(m, k, m, m)[ar_m, :, ar_m, :] = d.T + 0.0
+        if d.size:
+            # Row-major vec; row (p, q) of block i:
+            #   vec(X_{i-1} D_i):  L[(p, q), X_{i-1}[p, s]] =  D_i[s, q]
+            #   vec(D_i X_i):      L[(p, q), X_i[t, q]]     = -D_i[p, t]
+            # written through strided views of buf indexed [p, s, q] and
+            # [p, t, q] (strides in bytes).  "+ 0.0" and "0.0 -" turn -0.0
+            # into +0.0, so L holds no negative zero (the QR's Householder
+            # signs read the sign of zero).
+            at = 8 * (col * ambient + row)
+            strides = (8 * (m * ambient + k), 8 * ambient, 8)
+            np.add(d, 0.0, out=np.ndarray((m, m, k), np.float64, buf, at, strides))
+            at += 8 * m * m * ambient
+            strides = (8 * k, 8 * k * ambient, 8 * (ambient + 1))
+            np.subtract(0.0, d[:, :, None], out=np.ndarray((m, k, k), np.float64, buf, at, strides))
         col += m * m
-        rows[:, col : col + k * k].reshape(m, k, k, k)[:, ar_k, :, ar_k] = 0.0 - d
         row += m * k
-    return lin
+    return buf.T
 
 
-def _matrix_rng(seed: int, index: int) -> np.random.Generator:
-    # Stream-splitting rule: map index i draws from PCG64 seeded with
-    # SeedSequence(entropy=seed, spawn_key=(i,)).
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+def _spawned_rng(seed: int, key: int) -> np.random.Generator:
+    # Stream-splitting rule: stream `key` draws from PCG64 seeded with
+    # SeedSequence(entropy=seed, spawn_key=(key,)); the sampler's map i uses
+    # key i, random_conjugation key 0xC0.  This is the generator
+    # np.random.default_rng builds, without its dispatch.
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+    )
 
 
 def sequential_sample(
@@ -312,7 +338,7 @@ def sequential_sample(
     dims = shape.dims
     maps: list[np.ndarray] = []
     for j in range(shape.n_maps):
-        rng = _matrix_rng(seed, j)
+        rng = _spawned_rng(seed, j)
         if j == 0:
             m = rng.standard_normal((dims[0], dims[1]))
         else:
@@ -325,20 +351,27 @@ def sequential_sample(
 
 def random_conjugation(complex_: NumericalComplex, seed: int) -> NumericalComplex:
     """Another point of the same stratum: D_i -> g_{i-1} D_i g_i^{-1} with
-    random invertible g_i of condition number at most _MAX_CONDITION."""
+    random invertible g_i of condition number at most _MAX_CONDITION.
+
+    g_i is q1 diag(s) q2^T, with q1, q2 the Q factors of Gaussian matrices
+    from dgeqrf and dorgqr.  They are copied to C order, as np.linalg.qr
+    returns them, so that the product takes the same BLAS path as with
+    np.linalg.qr's factors; the maps then match that version bit for bit up
+    to a_i = 200.  At a_i = 300 and 500, numpy's and scipy's bundled OpenBLAS
+    builds gave Q entries up to about 1e-14 apart.  The solves stay with
+    np.linalg.solve: scipy's dgesv differs from it in the last bits.
+    """
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xC0,)))
-    dims = complex_.shape.dims
-    half_log = 0.5 * np.log(_MAX_CONDITION)
+    rng = _spawned_rng(seed, 0xC0)
     basis_changes = []
-    for a in dims:
+    for a in complex_.shape.dims:
         if a == 0:
             basis_changes.append(np.zeros((0, 0)))
             continue
-        # One stacked QR factors the pair q1, q2, drawn in that order.
-        q1, q2 = np.linalg.qr(rng.standard_normal((2, a, a)))[0]
-        singular = np.exp(rng.uniform(-half_log, half_log, size=a))
+        # q1 and q2 factor one stacked draw, in that order.
+        q1, q2 = map(_q_factor, rng.standard_normal((2, a, a)))
+        singular = np.exp(rng.uniform(-_HALF_LOG_CONDITION, _HALF_LOG_CONDITION, size=a))
         basis_changes.append((q1 * singular) @ q2.T)
     maps = []
     for i, d in enumerate(complex_.maps):

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import tracemalloc
+import warnings
 from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
@@ -35,9 +36,9 @@ from chaincx.core import DEFAULT_SIZE_CAP, _feasible, _orbit_matrix_sides
 from chaincx.numerics import (
     _geqp3,
     _kernel_basis,
-    _matrix_rng,
     _orbit_matrix,
     _pivot_rank,
+    _q_factor,
 )
 from test_core import _exactly, iter_feasible_ranks, iter_shapes, ranks, shape
 
@@ -142,6 +143,18 @@ class TestNumericalComplexValidation:
         with pytest.raises(ValueError):
             NumericalComplex(shape(1, 1), (np.array([[np.nan]]),))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_non_finite_named_before_composition(self, value, j):
+        # The identity maps fail the composition check too; the non-finite
+        # entry of map j is reported first, without a RuntimeWarning.
+        maps = [np.eye(2) for _ in range(3)]
+        maps[j - 1] = np.array([[1.0, 0.0], [value, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=_exactly(f"map {j} has non-finite entries")):
+                NumericalComplex(shape(2, 2, 2, 2), tuple(maps))
+
     def test_nan_tolerance_rejected(self):
         # A NaN bound would make every composition check pass.
         with pytest.raises(ValueError, match="composition tolerance must be positive"):
@@ -222,6 +235,35 @@ def kron_orbit_matrix(complex_: NumericalComplex) -> np.ndarray:
     return lin
 
 
+def loop_canonical_maps(s: ComplexShape, rv: RankVector) -> list[np.ndarray]:
+    """Reference canonical_complex maps, identity blocks written entry by entry."""
+    dims = s.dims
+    maps = []
+    for j, r in enumerate(rv.ranks):
+        m = np.zeros((dims[j], dims[j + 1]))
+        for k in range(r):
+            m[k, dims[j + 1] - r + k] = 1.0
+        maps.append(m)
+    return maps
+
+
+def scatter_orbit_matrix(complex_: NumericalComplex, ambient: int, domain: int) -> np.ndarray:
+    """Reference _orbit_matrix by index scatter into reshaped views of each
+    row block of L."""
+    dims = complex_.shape.dims
+    lin = np.zeros((domain, ambient)).T
+    row = col = 0
+    for i, d in enumerate(complex_.maps, 1):
+        m, k = dims[i - 1], dims[i]
+        ar_m, ar_k = np.arange(m), np.arange(k)
+        rows = lin[row : row + m * k]
+        rows[:, col : col + m * m].reshape(m, k, m, m)[ar_m, :, ar_m, :] = d.T + 0.0
+        col += m * m
+        rows[:, col : col + k * k].reshape(m, k, k, k)[:, ar_k, :, ar_k] = 0.0 - d
+        row += m * k
+    return lin
+
+
 def two_qr_conjugation(
     complex_: NumericalComplex, seed: int, max_condition: float = 1000.0
 ) -> NumericalComplex:
@@ -259,8 +301,9 @@ def orbit_instances(max_spaces, max_entry):
 
 
 class TestOrbitOracles:
-    # The index-scatter L and the stacked-QR conjugation against the
-    # Kronecker and two-QR references, bit for bit.
+    # The strided-view L, the eye-built canonical maps and the direct-QR
+    # conjugation against the Kronecker, scatter, loop and two-QR
+    # references, bit for bit.
 
     def test_orbit_matrix_matches_kron(self):
         for cx in orbit_instances(3, 4):
@@ -274,6 +317,19 @@ class TestOrbitOracles:
         ref = kron_orbit_matrix(cx)
         assert bit_equal(_orbit_matrix(cx, *ref.shape), ref)
         assert not np.signbit(ref[ref == 0]).any()
+
+    def test_builders_match_loop_and_scatter(self):
+        # Zero entries and blocks with m != k, both in order.
+        shapes = [*iter_shapes(4, 5), shape(5, 7, 3, 6)]
+        for s in shapes:
+            sides = _orbit_matrix_sides(s, DEFAULT_SIZE_CAP)
+            for rv in iter_feasible_ranks(s):
+                cx = canonical_complex(s, rv)
+                assert all(bit_equal(a, b) for a, b in zip(cx.maps, loop_canonical_maps(s, rv)))
+                for moved in (cx, random_conjugation(cx, sum(s.dims))):
+                    lin = _orbit_matrix(moved, *sides)
+                    assert lin.flags.f_contiguous, s
+                    assert bit_equal(lin, scatter_orbit_matrix(moved, *sides)), (s, rv)
 
     def test_conjugation_matches_two_qr(self):
         for cx in orbit_instances(3, 4):
@@ -302,8 +358,8 @@ def low_rank(rng, m, n, r):
 
 
 class TestDirectLapack:
-    # The direct dgeqp3 and dorgqr calls against scipy.linalg.qr, bit for
-    # bit, and the copies they are allowed to make.
+    # The direct dgeqp3, dgeqrf and dorgqr calls against scipy.linalg.qr,
+    # bit for bit, and the copies they are allowed to make.
 
     def test_pivot_diagonal_matches_wrapper(self):
         for cx in orbit_instances(3, 4):
@@ -323,6 +379,17 @@ class TestDirectLapack:
         for m, n, r in small + [(150, 200, 90), (200, 150, 90), (180, 180, 120)]:
             a = low_rank(rng, m, n, r)
             assert bit_equal(_kernel_basis(a), wrapper_kernel_basis(a)), (m, n, r)
+
+    def test_q_factor_matches_wrapper(self):
+        rng = np.random.default_rng(20261019)
+        # Past LAPACK's crossover size the blocked path runs.
+        for a in [*range(1, 9), 64, 129, 150, 200]:
+            g = rng.standard_normal((a, a))
+            before = g.copy()
+            q = _q_factor(g)
+            assert q.flags.c_contiguous, a
+            assert bit_equal(q, scipy.linalg.qr(g)[0]), a
+            assert bit_equal(g, before), a
 
     def test_orbit_dimension_holds_one_copy_of_orbit_matrix(self):
         cx = random_conjugation(canonical_complex(shape(20, 20), ranks(10)), 3)
@@ -348,7 +415,7 @@ class TestDirectLapack:
         assert orbit_dimension(cx) == 300
         assert calls == [0]
 
-    @pytest.mark.parametrize("routine", ["dgeqp3", "dorgqr"])
+    @pytest.mark.parametrize("routine", ["dgeqp3", "dorgqr", "dgeqrf"])
     def test_illegal_argument_raises(self, monkeypatch, routine):
         # A negative info from LAPACK is an error, as in scipy.linalg.
         real = getattr(numerics._flapack, routine)
@@ -359,7 +426,10 @@ class TestDirectLapack:
 
         monkeypatch.setattr(numerics._flapack, routine, bad_info)
         with pytest.raises(ValueError, match=f"argument 2 of LAPACK {routine}"):
-            _kernel_basis(np.ones((2, 3)))
+            if routine == "dgeqrf":
+                _q_factor(np.ones((2, 2)))
+            else:
+                _kernel_basis(np.ones((2, 3)))
 
     def test_missing_extension_names_the_path(self, monkeypatch, tmp_path):
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
@@ -381,7 +451,9 @@ class TestDirectLapack:
             for seed in range(5):
                 cx = sequential_sample(ComplexShape(dims), seed)
                 for j, m in enumerate(cx.maps):
-                    rng = _matrix_rng(seed, j)
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence(entropy=seed, spawn_key=(j,))
+                    )
                     if j == 0:
                         ref = rng.standard_normal(m.shape)
                     else:
