@@ -122,6 +122,15 @@ class BettiVector:
             raise ValueError(f"Betti numbers must be non-negative, got {first}")
 
 
+def _unvalidated(cls, field, value):
+    """cls(value) for one of the one-field frozen dataclasses above, without
+    __post_init__: only for a tuple of ints that the caller derived from
+    validated input, such as a DP path, its Betti numbers or a walk's shape."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, field, value)
+    return obj
+
+
 # Tuple-level kernels, shared with the optimizer's hot loops.
 
 def _feasible(dims, ranks) -> bool:

@@ -16,22 +16,33 @@ O(n A) space for A = max a_i.
 One DP walk (_prefix_leaves) runs left to right over a depth-first walk
 of shapes, so shapes that share a prefix share its stages; the scan and
 the sweep walk many shapes, and _solve walks the reversal of one (d is
-symmetric under reversal).  Per state it finds the ascending tuple of
-tied optimal moves and carries the best value, the exact number of
-maximizing paths (Python integers, no overflow) and the least and
-greatest rank sums.  The scan of a stage is a divide and conquer over
-its rows: a move's value is g(q) - p q and the moves q <= a - p shrink
-with p, so the least and the greatest optimal move never increase with
-p, and each row needs only the window its neighbours leave open.
-Shapes whose DP would exceed MAX_DP_STATES states are refused before
-anything is allocated.
+symmetric under reversal).  Per state it finds the least optimal move
+and any ties, and carries the best value, the exact number of maximizing
+paths (Python integers, no overflow) and the least and greatest rank
+sums.  A stage stores its moves compactly: an array of each row's least
+optimal move, 8 bytes a row, plus a dict of the rows with ties.
+
+A move's value is c q + base[q] for the stage's table base, and base has
+been concave on every stage checked, with second differences -1 or -2.
+So a row's optimum is one bisection over base's ascending negated slopes,
+and its ties are a run of equal slopes.  The expected reason is not yet
+proven: with s_i = (-1)^i r_i, -d is an L-natural-convex function on an
+L-natural-convex set (Murota, Discrete Convex Analysis, SIAM 2003);
+partial minimization keeps L-natural-convexity, which in one variable is
+convexity.  Until a proof lands, each stage checks the ascent of its
+slopes with one C-level pass, and a stage that fails it is solved by a
+divide and conquer over its rows (_scan_stage), which is exact for any
+table.  Shapes whose DP would exceed MAX_DP_STATES states are refused
+before anything is allocated.
 
 The public entry points only read _solve's result:
 maximizer_rank_sum_range returns the root's rank-sum extrema, and
 maximize_dp and enumerate_maximizers list the maximizers in ascending
-lexicographic order, the first one or up to a cap, by an iterative
-depth-first walk, so no shape within MAX_LENGTH exhausts the recursion
-limit.
+lexicographic order, the first one or up to a cap.  The listing is an
+iterative walk, so no shape within MAX_LENGTH exhausts the recursion
+limit, and it reuses within a call the least-move suffix below each
+state it has descended from, so a listed row costs a few tuple
+concatenations however long it is.
 
 brute_force_maximize enumerates the whole feasible region instead and is
 kept deliberately naive: it is the independent oracle the dynamic program
@@ -40,9 +51,11 @@ is tested against.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import product
-from operator import add
+from itertools import islice, product
+from operator import add, le, sub
 
 from .core import (
     BettiVector,
@@ -52,14 +65,16 @@ from .core import (
     _betti,
     _dimension,
     _feasible,
+    _unvalidated,
 )
 
 DEFAULT_ENUMERATION_CAP = 10_000
 DEFAULT_WORK_CAP = 100_000_000
 # Largest DP state count sum_i (min(a_{i-1}, a_i) + 1) that _solve accepts.
-# At MAX_ENTRY a state costs about 150 bytes at the DP's peak (its tie
-# tuple plus the stage tables), so the cap keeps a DP under about
-# 0.5 GB; it serves three spaces of MAX_ENTRY (2,097,155 states).
+# At MAX_ENTRY a state costs about 120 bytes at the DP's peak (the stage's
+# tables, its negated slopes and its 8-byte least move), so the cap keeps a
+# DP under about 0.4 GB; it serves three spaces of MAX_ENTRY (2,097,155
+# states).
 MAX_DP_STATES = 3 << 20
 
 
@@ -87,18 +102,63 @@ def _state_caps(dims):
 def _stage(base, count, lo, hi, c0, a, rows, qmax):
     """One DP stage: rows p in [0, rows), moves q in [0, min(qmax, a - p)].
 
-    A move's value is c q + base[q] with c = c0 - p; the one caller passes
-    c0 = w + a with w, a >= 1 and rows <= a + 1, so c >= 1.  The rows are
-    solved in divide-and-conquer order: the middle row m of a range scans
-    the moves in its window once; rows p < m then keep only the moves from
-    m's least optimal move up, rows p > m only those up to m's greatest.
-    Every tied optimal move lies inside a row's window, so one scan per row
-    yields the best value less p^2, the ascending tie tuple, the count summed
-    over the ties and the least and greatest of q + lo[q] and q + hi[q]:
+    A move's value is c q + base[q] with c = c0 - p.  When base is concave
+    on [0, qmax], its negated slopes neg[q] = base[q] - base[q + 1] ascend,
+    the value rises while neg[q] < c and falls once neg[q] > c.  So with
+    last the window's end, row p's least optimal move is q =
+    bisect_left(neg, c, 0, last), and its ties are the moves from q to
+    bisect_right(neg, c, q, last), the run of slopes equal to c.  One
+    C-level pass checks the ascent; a stage that fails it goes to
+    _scan_stage.  Returns
 
-        (new base, ties, new count, new lo, new hi)
+        (new base, moves, new count, new lo, new hi)
+
+    with the best value less p^2, the count summed over the ties and the
+    least and greatest of q + lo[q] and q + hi[q]; moves is the pair
+    (array of each row's least optimal move, {row: ascending tie tuple}
+    for the rows with more than one).
     """
-    ties_of = [None] * rows
+    neg = list(map(sub, base, islice(base, 1, qmax + 1)))
+    if not all(map(le, neg, islice(neg, 1, None))):
+        return _scan_stage(base, count, lo, hi, c0, a, rows, qmax)
+    least = array("q", bytes(8 * rows))
+    ties_of = {}
+    new_base = [0] * rows
+    new_count = [0] * rows
+    new_lo = [0] * rows
+    new_hi = [0] * rows
+    for p in range(rows):
+        c = c0 - p
+        last = a - p
+        if last > qmax:
+            last = qmax
+        q = bisect_left(neg, c, 0, last)
+        least[p] = q
+        new_base[p] = c * q + base[q] - p * p
+        if q < last and neg[q] == c:
+            end = bisect_right(neg, c, q, last) + 1
+            ties = ties_of[p] = tuple(range(q, end))
+            new_count[p] = sum(count[q:end])
+            new_lo[p] = min(map(add, ties, lo[q:end]))
+            new_hi[p] = max(map(add, ties, hi[q:end]))
+        else:
+            new_count[p] = count[q]
+            new_lo[p] = q + lo[q]
+            new_hi[p] = q + hi[q]
+    return new_base, (least, ties_of), new_count, new_lo, new_hi
+
+
+def _scan_stage(base, count, lo, hi, c0, a, rows, qmax):
+    """_stage for any base, concave or not, by divide and conquer over the rows.
+
+    The moves q <= a - p shrink with p and a move's value c0 q + base[q]
+    - p q loses q per unit of p, so the least and the greatest optimal
+    move never increase with p.  The middle row m of a range scans the
+    moves in its window; rows p < m then keep only the moves from m's
+    least optimal move up, rows p > m only those up to m's greatest.
+    """
+    least = [0] * rows
+    ties_of = {}
     new_base = [0] * rows
     new_count = [0] * rows
     new_lo = [0] * rows
@@ -109,40 +169,21 @@ def _stage(base, count, lo, hi, c0, a, rows, qmax):
         p0, p1, qlo, qhi = todo.pop()
         p = (p0 + p1) >> 1
         c = c0 - p
-        last = a - p
-        if last > qhi:
-            last = qhi
-        if qlo == last:
-            # A one-move window, read without building a list (faster at MAX_ENTRY).
-            q = qlo
-            top = c * q + base[q]
-            ties = (q,)
-        else:
-            values = list(map(add, range(c * qlo, c * last + 1, c),
-                              base[qlo:last + 1]))
-            top = max(values)
-            # A lone top is the common case; testing for it first beats a tie scan.
-            if values.count(top) == 1:
-                q = values.index(top) + qlo
-                ties = (q,)
-            else:
-                ties = tuple([q for q, v in enumerate(values, qlo) if v == top])
-        # One tie, the common case, builds no lists, which speeds up the scan.
-        if len(ties) == 1:
-            new_count[p] = count[q]
-            new_lo[p] = q + lo[q]
-            new_hi[p] = q + hi[q]
-        else:
-            new_count[p] = sum([count[q] for q in ties])
-            new_lo[p] = min([q + lo[q] for q in ties])
-            new_hi[p] = max([q + hi[q] for q in ties])
-        ties_of[p] = ties
+        values = [c * q + base[q] for q in range(qlo, min(a - p, qhi) + 1)]
+        top = max(values)
+        ties = tuple([q for q, v in enumerate(values, qlo) if v == top])
+        least[p] = ties[0]
+        if len(ties) > 1:
+            ties_of[p] = ties
         new_base[p] = top - p * p
+        new_count[p] = sum([count[q] for q in ties])
+        new_lo[p] = min([q + lo[q] for q in ties])
+        new_hi[p] = max([q + hi[q] for q in ties])
         if p0 < p:
             todo.append((p0, p - 1, ties[0], qhi))
         if p < p1:
             todo.append((p + 1, p1, qlo, ties[-1]))
-    return new_base, ties_of, new_count, new_lo, new_hi
+    return new_base, (array("q", least), ties_of), new_count, new_lo, new_hi
 
 
 def _solve(dims):
@@ -150,10 +191,11 @@ def _solve(dims):
 
         (max d, moves, maximizer count, min sum r_i, max sum r_i)
 
-    The node at depth n - i holds moves[i][p], the ascending tuple of
-    optimal r_{i+1} given r_i = p (r_0 = 0).  Every state is reachable and
-    admits q = 0, so every tie tuple is non-empty and every state lies on
-    some maximizer's path.  Raises WorkCapExceeded when the states
+    The node at depth n - i holds moves[i] = (least, ties_of): given r_i = p
+    (r_0 = 0), least[p] is the least optimal r_{i+1} and ties_of[p], for
+    the rows that have ties, the ascending tuple of all of them.  Every
+    state is reachable and admits q = 0, so every state lies on some
+    maximizer's path.  Raises WorkCapExceeded when the states
     outnumber MAX_DP_STATES.
     """
     caps = _state_caps(dims)
@@ -177,7 +219,7 @@ def _prefix_leaves(length, window):
     (..., w, a) at depth k maps the tables of r_k <= min(w, a) to those of
     r_{k+1} through one _stage with c0 = w + a and the window
     r_k + r_{k+1} <= a, over as many rows as its largest child needs, and
-    every child reads them; moves[k] holds its tie tuples, except at the
+    every child reads them; moves[k] holds its moves, except at the
     root, whose one move r_0 = 0 is not stored.  A shape that ends at the
     node reads row 0, the closing rank r = 0.  The last sibling at a depth
     drops the tables it read, so a one-shape walk holds one stage's tables
@@ -208,10 +250,11 @@ def _prefix_leaves(length, window):
                 base, moves[k], count, lo, hi = _stage(
                     base, count, lo, hi, w + a, a, rows, min(w, a))
             else:
-                # r_k = 0 is forced: every row has the one move r_k = 0.  Sharing one
-                # tie tuple, not running _stage, saves time and memory at MAX_ENTRY.
+                # r_k = 0 is forced: every row's one move is r_k = 0, which
+                # bytes(rows) reads at every row.  Skipping _stage saves time and
+                # memory at MAX_ENTRY.
                 if k:
-                    moves[k] = [(0,)] * rows
+                    moves[k] = bytes(rows), {}
                 if a:
                     base, count, lo, hi = ([base[0] - p * p for p in range(rows)],
                                            [count[0]] * rows, [lo[0]] * rows, [hi[0]] * rows)
@@ -233,40 +276,67 @@ def _prefix_leaves(length, window):
 def _lexicographic_paths(moves, limit):
     """The first `limit` maximizers in ascending lexicographic order.
 
-    Iterative depth-first walk along the tie tuples: fill the path with
-    first ties, emit it, then advance the deepest step that has a further
-    tie and refill below it.
+    A descent from depth i after r_i = p follows each stage's least move to
+    the end; it gives the suffix of ranks and its branch points, the
+    depths whose tie tuple has further ties, each with the ties not yet
+    taken.  The next row after a listed one advances its deepest branch
+    point j to its next tie t and descends from there: prefix + (t,) +
+    suffix.  Descents are memoized per (depth, state) for the call, and a
+    descent that meets a memoized one reuses its suffix, so a row costs a
+    few tuple concatenations however deep it is.  Each listed row adds at
+    most one memo entry, no longer than the row, so the memo costs no more
+    than the listing.
     """
     n = len(moves)
-    out = []
-    path, pos, ties = [], [], []
-    p = 0
-    while True:
-        for i in range(len(path), n):
-            t = moves[i][p]
-            p = t[0]
-            path.append(p)
-            pos.append(0)
-            ties.append(t)
-        out.append(tuple(path))
-        if len(out) >= limit:
-            return out
-        while path and pos[-1] + 1 == len(ties[-1]):
-            path.pop()
-            pos.pop()
-            ties.pop()
-        if not path:
-            return out
-        pos[-1] += 1
-        p = path[-1] = ties[-1][pos[-1]]
+    memo = {}
+
+    def descend(i, p):
+        start = i, p
+        steps, branches = [], []
+        while i < n:
+            found = memo.get((i, p))
+            if found is not None:
+                if not steps:
+                    return found
+                suffix, below = found
+                break
+            least, ties_of = moves[i]
+            ties = ties_of.get(p)
+            if ties is not None:
+                branches.append((i, ties[1:]))
+            p = least[p]
+            steps.append(p)
+            i += 1
+        else:
+            suffix, below = (), []
+        found = memo[start] = tuple(steps) + suffix, branches + below
+        return found
+
+    row, below = descend(0, 0)
+    out = [row]
+    stack = list(below)
+    while stack and len(out) < limit:
+        j, rest = stack.pop()
+        t = rest[0]
+        if len(rest) > 1:
+            stack.append((j, rest[1:]))
+        suffix, below = descend(j + 1, t)
+        row = row[:j] + (t,) + suffix
+        out.append(row)
+        stack += below
+    return out
 
 
 def _report(dims, best, count, listed, cap) -> MaximizerReport:
+    """The report of listed maximizers, which the DP or the oracle built as
+    feasible tuples of ints, so neither they nor their Betti numbers are
+    validated again."""
     return MaximizerReport(
         max_dimension=best,
         maximizer_count=count,
-        maximizers=tuple(RankVector(r) for r in listed),
-        betti_spectrum=tuple(BettiVector(_betti(dims, r)) for r in listed),
+        maximizers=tuple([_unvalidated(RankVector, "ranks", r) for r in listed]),
+        betti_spectrum=tuple([_unvalidated(BettiVector, "bettis", _betti(dims, r))
+                              for r in listed]),
         truncated=count > cap,
         enumeration_cap=cap,
     )
@@ -275,7 +345,7 @@ def _report(dims, best, count, listed, cap) -> MaximizerReport:
 def maximize_dp(shape: ComplexShape) -> tuple[int, RankVector]:
     """Maximum of d(a, r) and its lexicographically smallest maximizer."""
     best, moves, _, _, _ = _solve(shape.dims)
-    return best, RankVector(_lexicographic_paths(moves, 1)[0])
+    return best, _unvalidated(RankVector, "ranks", _lexicographic_paths(moves, 1)[0])
 
 
 def enumerate_maximizers(

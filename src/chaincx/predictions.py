@@ -36,6 +36,7 @@ from .core import (
     WorkCapExceeded,
     _chi,
     _dimension,
+    _unvalidated,
 )
 from .optimizer import MaximizerReport, _lexicographic_paths, _prefix_leaves, _report, _solve
 
@@ -428,7 +429,8 @@ def sweep_theorems(
     for length in range(1, max_length + 2):
         for path, _, best, count, lo, hi in _prefix_leaves(length, lambda path, k: (0, max_entry)):
             checked += 1
-            shape = ComplexShape(tuple(path))
+            # _check_bounds has admitted every length and entry the walk visits.
+            shape = _unvalidated(ComplexShape, "dims", tuple(path))
             verdict = _judge(shape, reading, best, count, lo, hi)[0]
             if verdict is Verdict.MATCH:
                 matches += 1

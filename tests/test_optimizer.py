@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import tracemalloc
+from array import array
 from operator import add
 
 import pytest
@@ -22,7 +24,15 @@ from chaincx import (
     maximizer_rank_sum_range,
     stratum_dimension,
 )
-from chaincx.optimizer import _prefix_leaves, _solve, _state_caps
+from chaincx import optimizer
+from chaincx.optimizer import (
+    _lexicographic_paths,
+    _prefix_leaves,
+    _scan_stage,
+    _solve,
+    _stage,
+    _state_caps,
+)
 from test_core import iter_feasible_ranks, iter_shapes, shape
 
 
@@ -230,29 +240,195 @@ def _quadratic_solve(dims):
     return best[0], moves, count[0], lo[0], hi[0]
 
 
+def _spelled(moves):
+    """Each stage's moves as one ascending tie tuple per row."""
+    return [[ties_of.get(p, (least[p],)) for p in range(len(least))]
+            for least, ties_of in moves]
+
+
+def _tie_tuples(solved):
+    """_solve's result with its moves spelled, as _quadratic_solve gives them."""
+    best, moves, *rest = solved
+    return best, _spelled(moves), *rest
+
+
 class TestQuadraticOracle:
     """The windowed pass returns exactly what the full scan returns:
     the best value, every tie tuple, the count and the rank-sum range."""
 
     def test_every_small_shape(self):
         for s in iter_shapes(5, 5):
-            assert _solve(s.dims) == _quadratic_solve(s.dims), s
+            assert _tie_tuples(_solve(s.dims)) == _quadratic_solve(s.dims), s
 
     def test_random_shapes(self):
         rng = random.Random(20261018)
         for _ in range(300):
             dims = tuple(rng.randint(0, 30) for _ in range(rng.randint(1, 9)))
-            assert _solve(dims) == _quadratic_solve(dims), dims
+            assert _tie_tuples(_solve(dims)) == _quadratic_solve(dims), dims
 
     @pytest.mark.parametrize("dims", [(50,) * 1000, (700,) * 11])
     def test_long_and_wide_shapes(self, dims):
-        assert _solve(dims) == _quadratic_solve(dims)
+        assert _tie_tuples(_solve(dims)) == _quadratic_solve(dims)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=9))
     def test_property(self, dims):
         dims = tuple(dims)
-        assert _solve(dims) == _quadratic_solve(dims)
+        assert _tie_tuples(_solve(dims)) == _quadratic_solve(dims)
+
+
+def _row_maxima(base, count, lo, hi, c0, a, rows, qmax):
+    """_stage's result by brute force: every move of every row."""
+    least, ties_of, new_base, new_count, new_lo, new_hi = [], {}, [], [], [], []
+    for p in range(rows):
+        values = {q: (c0 - p) * q + base[q] for q in range(min(qmax, a - p) + 1)}
+        top = max(values.values())
+        ties = tuple(q for q, v in values.items() if v == top)
+        least.append(ties[0])
+        if len(ties) > 1:
+            ties_of[p] = ties
+        new_base.append(top - p * p)
+        new_count.append(sum(count[q] for q in ties))
+        new_lo.append(min(q + lo[q] for q in ties))
+        new_hi.append(max(q + hi[q] for q in ties))
+    return new_base, (least, ties_of), new_count, new_lo, new_hi
+
+
+def _as_lists(out):
+    new_base, (least, ties_of), *rest = out
+    return new_base, (list(least), ties_of), *rest
+
+
+class TestStage:
+    """The bisection stage against the divide and conquer it falls back to,
+    stage by stage, and the concavity its guard checks."""
+
+    @staticmethod
+    def _compare_every_stage(monkeypatch, walk):
+        stages = []
+
+        def compared(*args):
+            base = args[0]
+            assert {x - 2 * y + z for x, y, z in zip(base, base[1:], base[2:])} <= {-1, -2}
+            out = _stage(*args)
+            assert out == _scan_stage(*args), args
+            stages.append(args[6])
+            return out
+
+        def no_fallback(*args):
+            raise AssertionError(f"a concave stage fell back: {args}")
+
+        monkeypatch.setattr(optimizer, "_stage", compared)
+        monkeypatch.setattr(optimizer, "_scan_stage", no_fallback)
+        walk()
+        return stages
+
+    def test_rectangles(self, monkeypatch):
+        # Every shape of at most 4 maps with entries up to 8, then of at most
+        # 6 maps with entries up to 4, walked with their prefixes shared.
+        def walk():
+            for max_length, max_entry in [(4, 8), (6, 4)]:
+                for length in range(1, max_length + 2):
+                    for _ in _prefix_leaves(length, lambda path, k: (0, max_entry)):
+                        pass
+
+        assert len(self._compare_every_stage(monkeypatch, walk)) > 100_000
+
+    def test_random_shapes(self, monkeypatch):
+        rng = random.Random(20261020)
+        shapes = [tuple(rng.randint(0, 40) for _ in range(rng.randint(1, 12)))
+                  for _ in range(500)]
+        stages = self._compare_every_stage(monkeypatch, lambda: [_solve(d) for d in shapes])
+        assert max(stages) > 30
+
+    def test_non_concave_base_falls_back(self, monkeypatch):
+        fallbacks = []
+
+        def counted(*args):
+            fallbacks.append(args)
+            return _scan_stage(*args)
+
+        monkeypatch.setattr(optimizer, "_scan_stage", counted)
+        # Row 0 ties at q = 1 and q = 3 with a gap between them.
+        base = [0, 40, -30, 22, -50, -20, -60, -70]
+        args = (base, list(range(1, 9)), [0, 3, 1, 4, 1, 5, 9, 2], [6, 5, 3, 5, 8, 9, 7, 9],
+                9, 7, 8, 7)
+        out = _stage(*args)
+        assert fallbacks == [args]
+        assert out[1][1][0] == (1, 3)
+        assert _as_lists(out) == _row_maxima(*args)
+        rng = random.Random(20261021)
+        for _ in range(300):
+            a = rng.randint(1, 12)
+            qmax = rng.randint(1, a)
+            base = [rng.randint(-60, 60) for _ in range(qmax + 1 + rng.randint(0, 3))]
+            tables = [[rng.randint(0, 9) for _ in base] for _ in range(3)]
+            args = (base, *tables, rng.randint(a, 2 * a), a, rng.randint(1, a + 1), qmax)
+            fallbacks.clear()
+            out = _stage(*args)
+            neg = [x - y for x, y in zip(base, base[1:qmax + 1])]
+            assert (fallbacks == [args]) == (neg != sorted(neg)), args
+            assert _as_lists(out) == _row_maxima(*args), args
+
+
+def _reference_paths(moves, limit):
+    """Reference listing: a depth-first walk that refills the path below
+    each advanced tie one step at a time."""
+    spelled = _spelled(moves)
+    n = len(spelled)
+    out = []
+    path, pos, ties = [], [], []
+    p = 0
+    while True:
+        for i in range(len(path), n):
+            t = spelled[i][p]
+            p = t[0]
+            path.append(p)
+            pos.append(0)
+            ties.append(t)
+        out.append(tuple(path))
+        if len(out) >= limit:
+            return out
+        while path and pos[-1] + 1 == len(ties[-1]):
+            path.pop()
+            pos.pop()
+            ties.pop()
+        if not path:
+            return out
+        pos[-1] += 1
+        p = path[-1] = ties[-1][pos[-1]]
+
+
+class TestListing:
+    @pytest.mark.parametrize("dims, limit", [
+        ((160,) * 101, 3000), ((60,) * 41, 10**6), ((5, 5, 5, 5, 5), 10), ((18,) * 9, 7),
+        ((4, 9, 4, 9, 4, 9, 4), 10**6), ((3, 1, 3), 1)])
+    def test_matches_step_by_step_walk(self, dims, limit):
+        moves = _solve(dims)[1]
+        assert _lexicographic_paths(moves, limit) == _reference_paths(moves, limit)
+
+    def test_random_shapes(self):
+        rng = random.Random(20261022)
+        for _ in range(300):
+            dims = tuple(rng.randint(0, 12) for _ in range(rng.randint(1, 14)))
+            moves = _solve(dims)[1]
+            limit = rng.choice([1, 2, 5, 50, 10**6])
+            assert _lexicographic_paths(moves, limit) == _reference_paths(moves, limit), dims
+
+    def test_random_move_tables(self):
+        # Tie tuples of up to four moves with gaps, as a fallback stage may
+        # store them; the DP's concave stages have given at most two.
+        rng = random.Random(20261023)
+        for _ in range(300):
+            sizes = [1] + [rng.randint(1, 5) for _ in range(rng.randint(0, 8))]
+            moves = []
+            for rows, states in zip(sizes, sizes[1:]):
+                spelled = [tuple(sorted(rng.sample(range(states), rng.randint(1, min(4, states)))))
+                           for _ in range(rows)]
+                moves.append((array("q", [t[0] for t in spelled]),
+                              {p: t for p, t in enumerate(spelled) if len(t) > 1}))
+            limit = rng.choice([1, 3, 40, 10**6])
+            assert _lexicographic_paths(moves, limit) == _reference_paths(moves, limit), moves
 
 
 class TestPrefixLeaves:
@@ -321,3 +497,16 @@ class TestStateCap:
                 call(s)
         # The documented bound still serves three spaces of MAX_ENTRY.
         assert sum(c + 1 for c in _state_caps((MAX_ENTRY,) * 3)) <= MAX_DP_STATES
+
+    def test_bytes_per_state(self):
+        # The per-state cost behind MAX_DP_STATES, scaled down.  Moves of 8
+        # bytes a row keep it near 119; a tie tuple per row costs about 139.
+        dims = (1 << 16,) * 3
+        states = sum(c + 1 for c in _state_caps(dims))
+        tracemalloc.start()
+        try:
+            _solve(dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / states < 125
