@@ -157,6 +157,17 @@ def _betti(dims, ranks):
     return tuple(map(operator.sub, map(operator.sub, dims, padded), padded[1:]))
 
 
+def _greedy(dims):
+    """The greedy ranks of greedy_rank_vector as a tuple.  Their sum is the
+    rank sum of every maximizer of d (the theorem in the optimizer module)."""
+    ranks = []
+    prev = 0
+    for i in range(len(dims) - 1):
+        prev = min(dims[i + 1], dims[i] - prev)
+        ranks.append(prev)
+    return tuple(ranks)
+
+
 def _chi(dims) -> int:
     return sum(dims[::2]) - sum(dims[1::2])
 
@@ -222,10 +233,4 @@ def betti_from_ranks(shape: ComplexShape, ranks: RankVector) -> BettiVector:
 def greedy_rank_vector(shape: ComplexShape) -> RankVector:
     """Ranks the sequential sampler attains almost surely:
     r_1 = min(a_0, a_1), then r_{i+1} = min(a_{i+1}, a_i - r_i)."""
-    dims = shape.dims
-    ranks = []
-    prev = 0
-    for i in range(shape.n_maps):
-        prev = min(dims[i + 1], dims[i] - prev)
-        ranks.append(prev)
-    return RankVector(tuple(ranks))
+    return _unvalidated(RankVector, "ranks", _greedy(shape.dims))

@@ -13,14 +13,58 @@ with r_i <= min(a_{i-1}, a_i).  That makes an exact dynamic program over
 states r_i in [0, min(a_{i-1}, a_i)] possible: O(n A log A) time and
 O(n A) space for A = max a_i.
 
+Theorem (forced homology).  Every maximizer r of d has the largest rank
+sum of any feasible rank vector, and that sum is sum_i g_i for the greedy
+ranks g_1 = min(a_0, a_1), g_{i+1} = min(a_{i+1}, a_i - g_i)
+(core.greedy_rank_vector).  So every maximizer has total homology
+sum_i beta_i = sum_i a_i - 2 sum_i g_i.  Proof, with beta_i = a_i - r_i
+- r_{i+1} the slack of space i and map i joining spaces i - 1 and i:
+
+Step 1, an identity.  The partial derivative of d in r_i is beta_{i-1} +
+beta_i, and the quadratic part of d is -sum_i r_i^2 - sum_i r_{i-1} r_i.
+Take maps j..k with k - j even and move r by +1, -1, +1, ..., +1 along
+them, which raises sum r_i by 1.  The linear terms telescope to
+beta_{j-1} + beta_k, and the quadratic ones give -(k - j + 1) + (k - j),
+so d changes by exactly beta_{j-1} + beta_k - 1, with beta taken before
+the move.  Interior spaces keep their sums r_i + r_{i+1}, so the move is
+feasible iff the end spaces j - 1 and k have slack (beta >= 1) and r >= 1
+on each decremented map; such an augmenting interval raises d by at
+least 1.
+
+Step 2, an augmenting interval exists below the largest sum.  Let r be
+feasible and r' feasible with a larger sum, delta = r' - r, and delta = 0
+past the ends; then beta_i(r) = beta_i(r') + delta_i + delta_{i+1} >=
+delta_i + delta_{i+1}.  Cut the maps into maximal runs along which delta
+is non-zero and alternates in sign; some run has a positive sum.  Call a
+positive map u of that run left-open if delta_{u-1} + delta_u >= 1 and
+right-open if delta_u + delta_{u+1} >= 1; a positive end of the run is
+open on its outer side, since its outer neighbour has delta >= 0.  If a
+left-open u is at or before a right-open v, maps u..v are a feasible
+augmenting interval: spaces u - 1 and v have slack, and each decremented
+map has delta <= -1, so r >= 1 there.  Otherwise every positive map at or
+before the last right-open one has a negative predecessor with |delta|
+>= its delta, and every later one a negative successor with |delta| >=
+its delta; these negatives are distinct, so the run's sum is at most 0,
+a contradiction.  This is the augmenting-path theorem for b-matchings
+(Schrijver, Combinatorial Optimization, 2003), on a path, whose simple
+residual paths are intervals of maps.
+
+The greedy ranks admit no augmenting interval: they are feasible, and if
+space u - 1 has slack then g_u = a_u, so beta_u = -g_{u+1} forces
+beta_u = 0 and g_{u+1} = 0; an interval starting at map u can neither end
+there nor decrement map u + 1.  By Step 2 their sum is the largest, and by
+Steps 1 and 2 a rank vector with a smaller sum is not a maximizer.  So
+every sum decision reads sum_i g_i (core._greedy) and no DP keeps rank
+sums; tests/test_optimizer.py pins both steps exhaustively on small shapes.
+
 One DP walk (_prefix_leaves) runs left to right over a depth-first walk
-of shapes, so shapes that share a prefix share its stages; the scan and
-the sweep walk many shapes, and _solve walks the reversal of one (d is
-symmetric under reversal).  Per state it finds the least optimal move
-and any ties, and carries the best value, the exact number of maximizing
-paths (Python integers, no overflow) and the least and greatest rank
-sums.  A stage stores its moves compactly: an array of each row's least
-optimal move, 8 bytes a row, plus a dict of the rows with ties.
+of shapes, so shapes that share a prefix share its stages; the sweep
+walks many shapes, and _solve walks the reversal of one (d is symmetric
+under reversal).  Per state it finds the least optimal move and any
+ties, and carries the best value and the exact number of maximizing
+paths (Python integers, no overflow).  A stage stores its moves
+compactly: an array of each row's least optimal move, 8 bytes a row,
+plus a dict of the rows with ties.
 
 A move's value is c q + base[q] for the stage's table base, and base has
 been concave on every stage checked, with second differences -1 or -2.
@@ -36,12 +80,12 @@ table.  Shapes whose DP would exceed MAX_DP_STATES states are refused
 before anything is allocated.
 
 The public entry points only read _solve's result:
-maximizer_rank_sum_range returns the root's rank-sum extrema, and
-maximize_dp and enumerate_maximizers list the maximizers in ascending
-lexicographic order, the first one or up to a cap.  The listing is an
-iterative walk, so no shape within MAX_LENGTH exhausts the recursion
-limit, and it reuses within a call the least-move suffix below each
-state it has descended from, so a listed row costs a few tuple
+maximizer_rank_sum_range returns the root's best value with the greedy
+rank sum, and maximize_dp and enumerate_maximizers list the maximizers
+in ascending lexicographic order, the first one or up to a cap.  The
+listing is an iterative walk, so no shape within MAX_LENGTH exhausts the
+recursion limit, and it reuses within a call the least-move suffix below
+each state it has descended from, so a listed row costs a few tuple
 concatenations however long it is.
 
 brute_force_maximize enumerates the whole feasible region instead and is
@@ -55,7 +99,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice, product
-from operator import add, le, sub
+from operator import le, sub
 
 from .core import (
     BettiVector,
@@ -65,16 +109,17 @@ from .core import (
     _betti,
     _dimension,
     _feasible,
+    _greedy,
     _unvalidated,
 )
 
 DEFAULT_ENUMERATION_CAP = 10_000
 DEFAULT_WORK_CAP = 100_000_000
 # Largest DP state count sum_i (min(a_{i-1}, a_i) + 1) that _solve accepts.
-# At MAX_ENTRY a state costs about 120 bytes at the DP's peak (the stage's
-# tables, its negated slopes and its 8-byte least move), so the cap keeps a
-# DP under about 0.4 GB; it serves three spaces of MAX_ENTRY (2,097,155
-# states).
+# At MAX_ENTRY a state costs about 71 bytes at the DP's peak (the stage's
+# value and count tables, its negated slopes and its 8-byte least move), so
+# the cap keeps a DP under about 0.23 GB; it serves three spaces of
+# MAX_ENTRY (2,097,155 states).
 MAX_DP_STATES = 3 << 20
 
 
@@ -99,7 +144,7 @@ def _state_caps(dims):
     return [0] + [min(dims[i - 1], dims[i]) for i in range(1, len(dims))]
 
 
-def _stage(base, count, lo, hi, c0, a, rows, qmax):
+def _stage(base, count, c0, a, rows, qmax):
     """One DP stage: rows p in [0, rows), moves q in [0, min(qmax, a - p)].
 
     A move's value is c q + base[q] with c = c0 - p.  When base is concave
@@ -111,22 +156,19 @@ def _stage(base, count, lo, hi, c0, a, rows, qmax):
     C-level pass checks the ascent; a stage that fails it goes to
     _scan_stage.  Returns
 
-        (new base, moves, new count, new lo, new hi)
+        (new base, moves, new count)
 
-    with the best value less p^2, the count summed over the ties and the
-    least and greatest of q + lo[q] and q + hi[q]; moves is the pair
-    (array of each row's least optimal move, {row: ascending tie tuple}
-    for the rows with more than one).
+    with the best value less p^2 and the count summed over the ties; moves
+    is the pair (array of each row's least optimal move, {row: ascending
+    tie tuple} for the rows with more than one).
     """
     neg = list(map(sub, base, islice(base, 1, qmax + 1)))
     if not all(map(le, neg, islice(neg, 1, None))):
-        return _scan_stage(base, count, lo, hi, c0, a, rows, qmax)
+        return _scan_stage(base, count, c0, a, rows, qmax)
     least = array("q", bytes(8 * rows))
     ties_of = {}
     new_base = [0] * rows
     new_count = [0] * rows
-    new_lo = [0] * rows
-    new_hi = [0] * rows
     for p in range(rows):
         c = c0 - p
         last = a - p
@@ -137,18 +179,14 @@ def _stage(base, count, lo, hi, c0, a, rows, qmax):
         new_base[p] = c * q + base[q] - p * p
         if q < last and neg[q] == c:
             end = bisect_right(neg, c, q, last) + 1
-            ties = ties_of[p] = tuple(range(q, end))
+            ties_of[p] = tuple(range(q, end))
             new_count[p] = sum(count[q:end])
-            new_lo[p] = min(map(add, ties, lo[q:end]))
-            new_hi[p] = max(map(add, ties, hi[q:end]))
         else:
             new_count[p] = count[q]
-            new_lo[p] = q + lo[q]
-            new_hi[p] = q + hi[q]
-    return new_base, (least, ties_of), new_count, new_lo, new_hi
+    return new_base, (least, ties_of), new_count
 
 
-def _scan_stage(base, count, lo, hi, c0, a, rows, qmax):
+def _scan_stage(base, count, c0, a, rows, qmax):
     """_stage for any base, concave or not, by divide and conquer over the rows.
 
     The moves q <= a - p shrink with p and a move's value c0 q + base[q]
@@ -161,8 +199,6 @@ def _scan_stage(base, count, lo, hi, c0, a, rows, qmax):
     ties_of = {}
     new_base = [0] * rows
     new_count = [0] * rows
-    new_lo = [0] * rows
-    new_hi = [0] * rows
     # Ranges still to solve: (first row, last row, least move, greatest move).
     todo = [(0, rows - 1, 0, qmax)]
     while todo:
@@ -177,19 +213,17 @@ def _scan_stage(base, count, lo, hi, c0, a, rows, qmax):
             ties_of[p] = ties
         new_base[p] = top - p * p
         new_count[p] = sum([count[q] for q in ties])
-        new_lo[p] = min([q + lo[q] for q in ties])
-        new_hi[p] = max([q + hi[q] for q in ties])
         if p0 < p:
             todo.append((p0, p - 1, ties[0], qhi))
         if p < p1:
             todo.append((p + 1, p1, qlo, ties[-1]))
-    return new_base, (array("q", least), ties_of), new_count, new_lo, new_hi
+    return new_base, (array("q", least), ties_of), new_count
 
 
 def _solve(dims):
     """The DP over one shape, as the one leaf of the walk over its reversal:
 
-        (max d, moves, maximizer count, min sum r_i, max sum r_i)
+        (max d, moves, maximizer count)
 
     The node at depth n - i holds moves[i] = (least, ties_of): given r_i = p
     (r_0 = 0), least[p] is the least optimal r_{i+1} and ties_of[p], for
@@ -206,13 +240,13 @@ def _solve(dims):
             f"exceeding the cap of {MAX_DP_STATES}"
         )
     rev = dims[::-1]
-    (_, moves, best, count, lo, hi), = _prefix_leaves(len(rev), lambda path, k: (rev[k], rev[k]))
-    return best, moves[:0:-1], count, lo, hi
+    (_, moves, best, count), = _prefix_leaves(len(rev), lambda path, k: (rev[k], rev[k]))
+    return best, moves[:0:-1], count
 
 
 def _prefix_leaves(length, window):
     """Every shape of `length` entries that `window` admits, in lexicographic
-    order, with its (moves, max d, maximizer count, min sum r_i, max sum r_i).
+    order, with its (moves, max d, maximizer count).
 
     window(path, k) gives the inclusive range of the entry at depth k after
     path[:k]; an empty range prunes the prefix.  The node of a prefix
@@ -231,7 +265,7 @@ def _prefix_leaves(length, window):
     stop = [0] * length
     moves = [None] * length
     # The tables each depth's node reads; the root's hold the state r_0 = 0.
-    tables = [([0], [1], [0], [0])] + [None] * last
+    tables = [([0], [1])] + [None] * last
     k = 0
     path[0], stop[0] = window(path, 0)
     while True:
@@ -241,14 +275,13 @@ def _prefix_leaves(length, window):
         else:
             first, end = window(path, k + 1)
         if a <= stop[k] and first <= end:
-            base, count, lo, hi = tables[k]
+            base, count = tables[k]
             if a == stop[k]:
                 tables[k] = None
             w = path[k - 1] if k else 0
             rows = min(a, end) + 1
             if w and a:
-                base, moves[k], count, lo, hi = _stage(
-                    base, count, lo, hi, w + a, a, rows, min(w, a))
+                base, moves[k], count = _stage(base, count, w + a, a, rows, min(w, a))
             else:
                 # r_k = 0 is forced: every row's one move is r_k = 0, which
                 # bytes(rows) reads at every row.  Skipping _stage saves time and
@@ -256,13 +289,12 @@ def _prefix_leaves(length, window):
                 if k:
                     moves[k] = bytes(rows), {}
                 if a:
-                    base, count, lo, hi = ([base[0] - p * p for p in range(rows)],
-                                           [count[0]] * rows, [lo[0]] * rows, [hi[0]] * rows)
+                    base, count = [base[0] - p * p for p in range(rows)], [count[0]] * rows
                 # With a = 0 the next rank is 0 too: only row 0, unchanged, is read.
             if k == last:
-                yield path, moves, base[0], count[0], lo[0], hi[0]
+                yield path, moves, base[0], count[0]
             else:
-                tables[k + 1] = base, count, lo, hi
+                tables[k + 1] = base, count
                 k += 1
                 path[k], stop[k] = first, end
                 continue
@@ -344,7 +376,7 @@ def _report(dims, best, count, listed, cap) -> MaximizerReport:
 
 def maximize_dp(shape: ComplexShape) -> tuple[int, RankVector]:
     """Maximum of d(a, r) and its lexicographically smallest maximizer."""
-    best, moves, _, _, _ = _solve(shape.dims)
+    best, moves, _ = _solve(shape.dims)
     return best, _unvalidated(RankVector, "ranks", _lexicographic_paths(moves, 1)[0])
 
 
@@ -357,19 +389,20 @@ def enumerate_maximizers(
     """
     if cap < 1:
         raise ValueError("enumeration cap must be positive")
-    best, moves, count, _, _ = _solve(shape.dims)
+    best, moves, count = _solve(shape.dims)
     return _report(shape.dims, best, count, _lexicographic_paths(moves, cap), cap)
 
 
 def maximizer_rank_sum_range(shape: ComplexShape) -> tuple[int, int, int]:
     """(max d, min sum r_i, max sum r_i) with the extrema over all maximizers.
 
-    Since sum beta_i = sum a_i - 2 sum r_i, the range certifies whether
-    every maximizer attains the same total homology without listing the
-    maximizers, which may be exponentially many.
+    By the forced-homology theorem of this module the two extrema are equal,
+    to the greedy rank sum, so every maximizer has total homology
+    sum beta_i = sum a_i - 2 sum r_i; the DP gives only max d.
     """
-    best, _, _, lo, hi = _solve(shape.dims)
-    return best, lo, hi
+    best = _solve(shape.dims)[0]
+    total = sum(_greedy(shape.dims))
+    return best, total, total
 
 
 def brute_force_maximize(

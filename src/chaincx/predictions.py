@@ -4,10 +4,15 @@ For several families of shapes the positive-probability Betti vectors
 have closed forms: complexes with one or two maps, three maps under a
 no-forced-homology hypothesis on the dimensions, and arbitrary length
 with all dimensions equal.  This module implements those closed forms,
-decides them from the DP's exact maximizer count and rank-sum range, and
-scans shape space for counterexamples to the general conjecture that
-total homology is almost surely |chi| whenever no Betti number is
-forced positive by the dimensions alone.
+decides them from the DP's max d and exact maximizer count, and scans
+shape space for counterexamples to the general conjecture that total
+homology is almost surely |chi| whenever no Betti number is forced
+positive by the dimensions alone.
+
+A total-homology claim needs no DP.  By the forced-homology theorem
+(proved in the optimizer module) every maximizer has the rank sum of the
+greedy ranks g, so almost surely sum beta_i = sum a_i - 2 sum g_i, which
+costs O(n) per shape; the scan carries it along shared prefixes.
 
 The no-forced-homology hypothesis reads a_i + a_{i+2} >= a_{i+1} over a
 window of indices with out-of-range dimensions treated as zero.  Two
@@ -36,6 +41,7 @@ from .core import (
     WorkCapExceeded,
     _chi,
     _dimension,
+    _greedy,
     _unvalidated,
 )
 from .optimizer import MaximizerReport, _lexicographic_paths, _prefix_leaves, _report, _solve
@@ -242,22 +248,17 @@ def all_predictions(
     )
 
 
-def _homology_is(dims, lo, hi, total_homology) -> bool:
-    """Whether every maximizer has sum beta_i = total_homology, read from
-    the range [lo, hi] of their rank sums: sum beta_i = sum a_i - 2 sum r_i."""
-    total = sum(dims)
-    return total - 2 * lo == total_homology == total - 2 * hi
-
-
-def _fulfils(prediction, dims, best, count, lo, hi) -> bool:
+def _fulfils(prediction, dims, best, count) -> bool:
     """Whether the maximizers fulfil an applicable prediction, without listing them.
 
-    A Betti vector fixes its ranks, r_{i+1} = a_i - beta_i - r_i closing at
+    Every maximizer has the greedy ranks' sum (the theorem in the optimizer
+    module), so a predicted sum holds iff sum a_i - 2 sum g_i equals it.  A
+    Betti vector fixes its ranks, r_{i+1} = a_i - beta_i - r_i closing at
     r_{n+1} = 0, so a predicted set is the spectrum iff it has `count` members
     whose ranks are non-negative (hence feasible) and reach max d `best`.
     """
     if not prediction.predicted_betti_set:
-        return _homology_is(dims, lo, hi, prediction.predicted_sum)
+        return sum(dims) - 2 * sum(_greedy(dims)) == prediction.predicted_sum
     if len(prediction.predicted_betti_set) != count:
         return False
     for betti in prediction.predicted_betti_set:
@@ -269,13 +270,13 @@ def _fulfils(prediction, dims, best, count, lo, hi) -> bool:
     return True
 
 
-def _judge(shape, reading, best, count, lo, hi):
+def _judge(shape, reading, best, count):
     """check_shape's (verdict, deciding prediction, predictions, outcomes)
-    from the DP's max d, maximizer count and rank-sum range."""
+    from the DP's max d and maximizer count."""
     predictions = all_predictions(shape, reading)
-    outcomes = []  # a loop, since a comprehension would close over five names
+    outcomes = []  # a loop, since a comprehension would close over three names
     for p in predictions:
-        outcomes.append(_fulfils(p, shape.dims, best, count, lo, hi) if p.applicable else None)
+        outcomes.append(_fulfils(p, shape.dims, best, count) if p.applicable else None)
     if False in outcomes:
         return Verdict.MISMATCH, predictions[outcomes.index(False)], predictions, outcomes
     if True in outcomes:
@@ -288,21 +289,21 @@ def check_shape(
 ) -> ComparisonResult:
     """Compare every applicable prediction with the observed spectrum.
 
-    Every prediction is decided from one DP's max d, maximizer count and
-    rank-sum range, as in sweep_theorems; a shape with more than
-    CHECK_ENUMERATION_GUARD maximizers is refused before any is listed.
+    Every prediction is decided from one DP's max d and maximizer count,
+    a sum from the greedy ranks, as in sweep_theorems; a shape with more
+    than CHECK_ENUMERATION_GUARD maximizers is refused before any is listed.
     Any mismatch dominates the verdict; with no applicable prediction it
     is NOT_APPLICABLE.  The returned prediction is the deciding one (first
     mismatch, else first applicable match); `comparisons` holds all six
     predictions with their outcomes.
     """
-    best, moves, count, lo, hi = _solve(shape.dims)
+    best, moves, count = _solve(shape.dims)
     if count > CHECK_ENUMERATION_GUARD:
         raise WorkCapExceeded(
             f"shape {shape.dims} has {count} maximizers, "
             f"more than the comparison guard of {CHECK_ENUMERATION_GUARD}"
         )
-    verdict, prediction, predictions, outcomes = _judge(shape, reading, best, count, lo, hi)
+    verdict, prediction, predictions, outcomes = _judge(shape, reading, best, count)
     observed = _report(shape.dims, best, count, _lexicographic_paths(moves, count),
                        CHECK_ENUMERATION_GUARD)
     return ComparisonResult(shape, prediction, observed, verdict,
@@ -325,7 +326,7 @@ def _check_bounds(max_length: int, max_entry: int, what: str) -> None:
 
 
 def _scan_window(reading, max_entry, length):
-    """The _prefix_leaves window of the scan: the hypothesis shapes whose
+    """The _greedy_leaves window of the scan: the hypothesis shapes whose
     last entry is at least their first.
 
     Every append of x after w, a obeys x >= a - w.  The sentinel reading
@@ -355,6 +356,50 @@ def _scan_window(reading, max_entry, length):
     return window
 
 
+def _greedy_leaves(length, window):
+    """Every shape of `length` entries that `window` admits, in lexicographic
+    order, with its total homology sum a_i - 2 sum g_i for the greedy ranks
+    g, which every maximizer has (the theorem in the optimizer module).
+
+    The walk of optimizer._prefix_leaves with no DP: a node at depth k
+    holds only g_k = min(a_k, a_{k-1} - g_{k-1}), g_0 = 0, and the running
+    total.  The same path list is yielded at every leaf: copy it to keep it.
+    """
+    last = length - 1
+    path = [0] * length
+    stop = [0] * length
+    rank = [0] * length
+    total = [0] * length
+    k = 0
+    path[0], stop[0] = window(path, 0)
+    while True:
+        a = path[k]
+        if k == last:
+            first = end = 0
+        else:
+            first, end = window(path, k + 1)
+        if a <= stop[k] and first <= end:
+            if k:
+                g = path[k - 1] - rank[k - 1]
+                if a < g:
+                    g = a
+                t = total[k - 1] + a - 2 * g
+            else:
+                g, t = 0, a
+            if k == last:
+                yield path, t
+            else:
+                rank[k], total[k] = g, t
+                k += 1
+                path[k], stop[k] = first, end
+                continue
+        while path[k] >= stop[k]:
+            k -= 1
+            if k < 0:
+                return
+        path[k] += 1
+
+
 def conjecture_scan(
     max_length: int,
     max_entry: int,
@@ -368,28 +413,29 @@ def conjecture_scan(
     Shapes are scanned up to reversal (d is symmetric under it), by length
     and then lexicographically; when a counterexample is found both
     representatives are reported.  Only shapes that satisfy the hypothesis
-    are generated, and one forward DP is shared along their common
-    prefixes.  Hitting work_cap stops the scan with partial results and
-    truncated = True.  Bounds that are negative or reach past MAX_LENGTH
+    are generated, and each is decided by its greedy ranks, which are
+    shared along common prefixes; the DP runs only to report a
+    counterexample.  Hitting work_cap stops the scan with partial results
+    and truncated = True.  Bounds that are negative or reach past MAX_LENGTH
     or MAX_ENTRY raise ValueError before anything is scanned.
     """
     _check_bounds(max_length, max_entry, "scan")
     leaves = (
         leaf
         for length in range(1, max_length + 2)
-        for leaf in _prefix_leaves(length, _scan_window(reading, max_entry, length))
+        for leaf in _greedy_leaves(length, _scan_window(reading, max_entry, length))
     )
     counterexamples = []
     scanned = 0
     truncated = False
-    for path, _, _, _, lo, hi in leaves:
+    for path, total in leaves:
         if path[::-1] < path:
             continue
         if scanned >= work_cap:
             truncated = True
             break
         scanned += 1
-        if _homology_is(path, lo, hi, abs(_chi(path))):
+        if total == abs(_chi(path)):
             continue
         dims = tuple(path)
         representatives = [dims] if dims == dims[::-1] else [dims, dims[::-1]]
@@ -412,9 +458,9 @@ def sweep_theorems(
     """Tally check_shape's verdicts over every shape in the rectangle.
 
     One forward DP is shared along common prefixes, and each shape is
-    decided from its max d, exact count and rank-sum range as check_shape
-    decides it, without listing maximizers; only a mismatch goes through
-    check_shape itself, for its details.  Bounds are refused as in
+    decided from its max d and exact count as check_shape decides it,
+    without listing maximizers; only a mismatch goes through check_shape
+    itself, for its details.  Bounds are refused as in
     conjecture_scan, before the work cap is read.
     """
     _check_bounds(max_length, max_entry, "sweep")
@@ -427,11 +473,11 @@ def sweep_theorems(
     checked = matches = 0
     details = []
     for length in range(1, max_length + 2):
-        for path, _, best, count, lo, hi in _prefix_leaves(length, lambda path, k: (0, max_entry)):
+        for path, _, best, count in _prefix_leaves(length, lambda path, k: (0, max_entry)):
             checked += 1
             # _check_bounds has admitted every length and entry the walk visits.
             shape = _unvalidated(ComplexShape, "dims", tuple(path))
-            verdict = _judge(shape, reading, best, count, lo, hi)[0]
+            verdict = _judge(shape, reading, best, count)[0]
             if verdict is Verdict.MATCH:
                 matches += 1
             elif verdict is Verdict.MISMATCH:

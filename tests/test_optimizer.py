@@ -1,5 +1,6 @@
 """Dynamic program against the exhaustive oracle, counting, enumeration order."""
 
+import functools
 import itertools
 import random
 import tracemalloc
@@ -25,6 +26,7 @@ from chaincx import (
     stratum_dimension,
 )
 from chaincx import optimizer
+from chaincx.core import _betti, _dimension, _feasible
 from chaincx.optimizer import (
     _lexicographic_paths,
     _prefix_leaves,
@@ -190,6 +192,7 @@ class TestMonotonicity:
 
 class TestRankSumRange:
     def test_matches_enumeration(self):
+        # Listed maximizers are an oracle independent of the greedy sum.
         for s in iter_shapes(4, 4):
             best, lo, hi = maximizer_rank_sum_range(s)
             report = enumerate_maximizers(s, cap=100_000)
@@ -202,7 +205,9 @@ class TestRankSumRange:
 def _quadratic_solve(dims):
     """Reference backward pass: scans every move of every state, O(n A^2).
 
-    The oracle the windowed _solve must reproduce exactly.
+    The oracle the windowed _solve must reproduce exactly.  It keeps the
+    least and greatest rank sum over all maximizers, which _solve no longer
+    tracks: (max d, moves, count, min sum r_i, max sum r_i).
     """
     n = len(dims) - 1
     caps = _state_caps(dims)
@@ -246,40 +251,43 @@ def _spelled(moves):
             for least, ties_of in moves]
 
 
-def _tie_tuples(solved):
-    """_solve's result with its moves spelled, as _quadratic_solve gives them."""
-    best, moves, *rest = solved
-    return best, _spelled(moves), *rest
+def _assert_matches_oracle(dims):
+    """_solve gives the oracle's best value, tie tuples and count, and
+    maximizer_rank_sum_range the oracle's rank-sum range, whose ends agree."""
+    best, moves, count, lo, hi = _quadratic_solve(dims)
+    solved_best, solved_moves, solved_count = _solve(dims)
+    assert (solved_best, _spelled(solved_moves), solved_count) == (best, moves, count), dims
+    assert lo == hi, dims
+    assert maximizer_rank_sum_range(ComplexShape(dims)) == (best, lo, hi), dims
 
 
 class TestQuadraticOracle:
-    """The windowed pass returns exactly what the full scan returns:
-    the best value, every tie tuple, the count and the rank-sum range."""
+    """The windowed pass returns exactly what the full scan returns: the
+    best value, every tie tuple and the count; the greedy rank sum is the
+    full scan's rank-sum range."""
 
     def test_every_small_shape(self):
         for s in iter_shapes(5, 5):
-            assert _tie_tuples(_solve(s.dims)) == _quadratic_solve(s.dims), s
+            _assert_matches_oracle(s.dims)
 
     def test_random_shapes(self):
         rng = random.Random(20261018)
         for _ in range(300):
-            dims = tuple(rng.randint(0, 30) for _ in range(rng.randint(1, 9)))
-            assert _tie_tuples(_solve(dims)) == _quadratic_solve(dims), dims
+            _assert_matches_oracle(tuple(rng.randint(0, 30) for _ in range(rng.randint(1, 9))))
 
     @pytest.mark.parametrize("dims", [(50,) * 1000, (700,) * 11])
     def test_long_and_wide_shapes(self, dims):
-        assert _tie_tuples(_solve(dims)) == _quadratic_solve(dims)
+        _assert_matches_oracle(dims)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=9))
     def test_property(self, dims):
-        dims = tuple(dims)
-        assert _tie_tuples(_solve(dims)) == _quadratic_solve(dims)
+        _assert_matches_oracle(tuple(dims))
 
 
-def _row_maxima(base, count, lo, hi, c0, a, rows, qmax):
+def _row_maxima(base, count, c0, a, rows, qmax):
     """_stage's result by brute force: every move of every row."""
-    least, ties_of, new_base, new_count, new_lo, new_hi = [], {}, [], [], [], []
+    least, ties_of, new_base, new_count = [], {}, [], []
     for p in range(rows):
         values = {q: (c0 - p) * q + base[q] for q in range(min(qmax, a - p) + 1)}
         top = max(values.values())
@@ -289,9 +297,7 @@ def _row_maxima(base, count, lo, hi, c0, a, rows, qmax):
             ties_of[p] = ties
         new_base.append(top - p * p)
         new_count.append(sum(count[q] for q in ties))
-        new_lo.append(min(q + lo[q] for q in ties))
-        new_hi.append(max(q + hi[q] for q in ties))
-    return new_base, (least, ties_of), new_count, new_lo, new_hi
+    return new_base, (least, ties_of), new_count
 
 
 def _as_lists(out):
@@ -312,7 +318,7 @@ class TestStage:
             assert {x - 2 * y + z for x, y, z in zip(base, base[1:], base[2:])} <= {-1, -2}
             out = _stage(*args)
             assert out == _scan_stage(*args), args
-            stages.append(args[6])
+            stages.append(args[4])
             return out
 
         def no_fallback(*args):
@@ -351,8 +357,7 @@ class TestStage:
         monkeypatch.setattr(optimizer, "_scan_stage", counted)
         # Row 0 ties at q = 1 and q = 3 with a gap between them.
         base = [0, 40, -30, 22, -50, -20, -60, -70]
-        args = (base, list(range(1, 9)), [0, 3, 1, 4, 1, 5, 9, 2], [6, 5, 3, 5, 8, 9, 7, 9],
-                9, 7, 8, 7)
+        args = (base, list(range(1, 9)), 9, 7, 8, 7)
         out = _stage(*args)
         assert fallbacks == [args]
         assert out[1][1][0] == (1, 3)
@@ -362,8 +367,8 @@ class TestStage:
             a = rng.randint(1, 12)
             qmax = rng.randint(1, a)
             base = [rng.randint(-60, 60) for _ in range(qmax + 1 + rng.randint(0, 3))]
-            tables = [[rng.randint(0, 9) for _ in base] for _ in range(3)]
-            args = (base, *tables, rng.randint(a, 2 * a), a, rng.randint(1, a + 1), qmax)
+            count = [rng.randint(0, 9) for _ in base]
+            args = (base, count, rng.randint(a, 2 * a), a, rng.randint(1, a + 1), qmax)
             fallbacks.clear()
             out = _stage(*args)
             neg = [x - y for x, y in zip(base, base[1:qmax + 1])]
@@ -433,8 +438,8 @@ class TestListing:
 
 class TestPrefixLeaves:
     """The walk over many shapes, shared along prefixes, gives each shape
-    the best value, count and rank-sum range that _solve's walk over the
-    shape's reversal gives it."""
+    the best value and count that _solve's walk over the shape's reversal
+    gives it."""
 
     def test_every_small_shape_in_lexicographic_order(self):
         for length in range(1, 6):
@@ -443,8 +448,8 @@ class TestPrefixLeaves:
             assert [leaf[0] for leaf in leaves] == list(itertools.product(range(6),
                                                                           repeat=length))
             for dims, *root in leaves:
-                best, _, count, lo, hi = _solve(dims)
-                assert root == [best, count, lo, hi], dims
+                best, _, count = _solve(dims)
+                assert root == [best, count], dims
 
     def test_random_wide_shapes(self):
         # A window of one entry per depth walks a single shape.
@@ -452,8 +457,8 @@ class TestPrefixLeaves:
         for _ in range(300):
             dims = tuple(rng.randint(0, 30) for _ in range(rng.randint(1, 9)))
             (path, _, *root), = _prefix_leaves(len(dims), lambda path, k: (dims[k], dims[k]))
-            best, _, count, lo, hi = _solve(dims)
-            assert (tuple(path), root) == (dims, [best, count, lo, hi])
+            best, _, count = _solve(dims)
+            assert (tuple(path), root) == (dims, [best, count])
 
     def test_empty_windows_prune(self):
         # Nothing may follow a 3: the leaves are exactly the admitted shapes.
@@ -463,21 +468,83 @@ class TestPrefixLeaves:
         assert list(_prefix_leaves(2, lambda path, k: (1, 0))) == []
 
 
+def _intervals(n):
+    """The augmenting moves of n maps: each interval j..k of maps 1..n with
+    k - j even, and the move +1, -1, ..., +1 along it as a vector of n."""
+    return [(j, k, tuple(0 if i < j or i > k else (-1) ** (i - j) for i in range(1, n + 1)))
+            for j in range(1, n + 1) for k in range(j, n + 1, 2)]
+
+
+def _augments(ranks, betti, j, k):
+    """Whether the move along maps j..k is feasible at ranks with Betti
+    numbers betti: slack at the end spaces j - 1 and k, and a rank of at
+    least 1 on each decremented map (map i is ranks[i - 1])."""
+    return betti[j - 1] >= 1 and betti[k] >= 1 and min(ranks[j:k - 1:2], default=1) >= 1
+
+
+@functools.cache
+def _proof_shapes():
+    """Every shape of at most 4 maps with entries up to 4, then of 5 maps
+    with entries up to 2, with its feasible rank vectors."""
+    return [(s.dims, [rv.ranks for rv in iter_feasible_ranks(s)])
+            for s in itertools.chain(iter_shapes(5, 4), (
+                ComplexShape(dims) for dims in itertools.product(range(3), repeat=6)))]
+
+
 class TestForcedHomology:
-    """Every maximizer has the rank sum of the greedy ranks g (r_1 = min(a_0,
-    a_1), then r_{i+1} = min(a_{i+1}, a_i - r_i)), so sum beta_i =
-    sum a_i - 2 sum g_i almost surely.  Observed on every shape tried, not
-    proven; a violation would be a finding."""
+    """The theorem of the optimizer module: every maximizer has the rank sum
+    of the greedy ranks g (r_1 = min(a_0, a_1), then r_{i+1} = min(a_{i+1},
+    a_i - r_i)), the largest of any feasible rank vector, so sum beta_i =
+    sum a_i - 2 sum g_i almost surely.  Both steps of its proof are pinned
+    exhaustively on small shapes, and the conclusion against oracles that
+    do not read g: the quadratic DP and brute force."""
+
+    def test_step1_every_interval_move_changes_d_by_the_end_slacks(self):
+        moves = feasible_moves = 0
+        for dims, feasible in _proof_shapes():
+            intervals = _intervals(len(dims) - 1)
+            for ranks in feasible:
+                d = _dimension(dims, ranks)
+                betti = _betti(dims, ranks)
+                for j, k, step in intervals:
+                    moved = tuple(map(add, ranks, step))
+                    change = _dimension(dims, moved) - d
+                    assert change == betti[j - 1] + betti[k] - 1, (dims, ranks, j, k)
+                    ok = min(moved) >= 0 and _feasible(dims, moved)
+                    assert ok == _augments(ranks, betti, j, k), (dims, ranks, j, k)
+                    moves += 1
+                    feasible_moves += ok
+        assert (moves, feasible_moves) == (404_298, 153_232)
+
+    def test_step2_an_augmenting_interval_exists_below_the_largest_sum(self):
+        below = 0
+        for dims, feasible in _proof_shapes():
+            intervals = _intervals(len(dims) - 1)
+            top = max(map(sum, feasible))
+            for ranks in feasible:
+                betti = _betti(dims, ranks)
+                found = any(_augments(ranks, betti, j, k) for j, k, _ in intervals)
+                assert found == (sum(ranks) < top), (dims, ranks)
+                below += found
+        assert below == 57_070
+
+    def test_greedy_ranks_admit_no_augmenting_interval(self):
+        for dims, feasible in _proof_shapes():
+            greedy = greedy_rank_vector(ComplexShape(dims)).ranks
+            assert greedy in feasible, dims
+            betti = _betti(dims, greedy)
+            assert not any(_augments(greedy, betti, j, k)
+                           for j, k, _ in _intervals(len(greedy))), dims
+            assert sum(greedy) == max(map(sum, feasible)), dims
 
     def test_every_shape_of_the_rectangle(self):
         # Every shape of at most 4 maps with entries up to 6.
-        leaves = 0
-        for length in range(1, 6):
-            for path, _, _, _, lo, hi in _prefix_leaves(length, lambda path, k: (0, 6)):
-                greedy = sum(greedy_rank_vector(ComplexShape(tuple(path))).ranks)
-                assert lo == hi == greedy, path
-                leaves += 1
-        assert leaves == 19_607
+        shapes = 0
+        for s in iter_shapes(5, 6):
+            _, _, _, lo, hi = _quadratic_solve(s.dims)
+            assert lo == hi == sum(greedy_rank_vector(s).ranks), s
+            shapes += 1
+        assert shapes == 19_607
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=5))
@@ -500,7 +567,7 @@ class TestStateCap:
 
     def test_bytes_per_state(self):
         # The per-state cost behind MAX_DP_STATES, scaled down.  Moves of 8
-        # bytes a row keep it near 119; a tie tuple per row costs about 139.
+        # bytes a row and no rank-sum tables keep it near 71.
         dims = (1 << 16,) * 3
         states = sum(c + 1 for c in _state_caps(dims))
         tracemalloc.start()
@@ -509,4 +576,4 @@ class TestStateCap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / states < 125
+        assert peak / states < 80

@@ -21,20 +21,20 @@ from chaincx import (
     check_shape,
     conjecture_scan,
     enumerate_maximizers,
+    greedy_rank_vector,
     hypothesis_holds,
     predict_equal_dim,
     predict_length1,
     predict_length2,
     predict_length3_sum,
     is_feasible,
-    maximizer_rank_sum_range,
     predict_conjecture,
     stratum_dimension,
     sweep_theorems,
 )
 from chaincx.core import MAX_ENTRY, MAX_LENGTH, _feasible
 from chaincx import predictions
-from chaincx.optimizer import _prefix_leaves, _solve
+from chaincx.optimizer import _solve
 from chaincx.predictions import (
     CHECK_ENUMERATION_GUARD,
     DEFAULT_SCAN_CAP,
@@ -43,9 +43,11 @@ from chaincx.predictions import (
     SweepSummary,
     _check_bounds,
     _fulfils,
+    _greedy_leaves,
     _scan_window,
 )
 from test_core import iter_shapes, ranks_from_betti, shape
+from test_optimizer import _quadratic_solve
 
 INTERIOR = HypothesisReading.INTERIOR
 
@@ -296,8 +298,8 @@ class TestCheckShape:
             else:
                 pred = Prediction(True, tuple(map(BettiVector, predicted)), None,
                                   SourceTheorem.EQUAL_ODD)
-            best, _, count, lo, hi = _solve(dims)
-            assert _fulfils(pred, dims, best, count, lo, hi) is expected, (dims, predicted)
+            best, _, count = _solve(dims)
+            assert _fulfils(pred, dims, best, count) is expected, (dims, predicted)
             observed = enumerate_maximizers(ComplexShape(dims))
             assert _prediction_matches(pred, observed) is expected, (dims, predicted)
 
@@ -416,7 +418,9 @@ def _reference_check_shape(shape, reading=HypothesisReading.SENTINEL):
 
 
 # The scan and the sweep as they were before the prefix-sharing engine: a
-# fresh DP per shape over the whole rectangle, kept as the reference.
+# fresh DP per shape over the whole rectangle, kept as the reference.  The
+# scan reads each shape's rank-sum range from the quadratic reference DP,
+# not from the greedy ranks the scan itself relies on.
 def _reference_conjecture_scan(
     max_length: int,
     max_entry: int,
@@ -448,7 +452,7 @@ def _reference_conjecture_scan(
             break
         scanned += 1
         total = sum(dims)
-        _, lo, hi = maximizer_rank_sum_range(shape)
+        _, _, _, lo, hi = _quadratic_solve(dims)
         target = betti_lower_bound(shape)
         if total - 2 * hi == target and total - 2 * lo == target:
             continue
@@ -543,14 +547,29 @@ class TestAgainstReference:
     @pytest.mark.parametrize("reading", list(HypothesisReading))
     def test_scan_window_admits_the_hypothesis_shapes(self, reading):
         # Exactly the hypothesis shapes whose last entry is at least their
-        # first, in product order.
+        # first, in product order, each with the total homology of its
+        # greedy ranks.
         for length in range(1, 7):
-            leaves = [tuple(path) for path, *_ in
-                      _prefix_leaves(length, _scan_window(reading, 4, length))]
-            assert leaves == [
+            leaves = [(tuple(path), total) for path, total in
+                      _greedy_leaves(length, _scan_window(reading, 4, length))]
+            assert [dims for dims, _ in leaves] == [
                 dims for dims in itertools.product(range(5), repeat=length)
                 if hypothesis_holds(ComplexShape(dims), reading) and dims[-1] >= dims[0]
             ], length
+            for dims, total in leaves:
+                greedy = greedy_rank_vector(ComplexShape(dims)).ranks
+                assert total == sum(dims) - 2 * sum(greedy), dims
+
+    def test_scan_runs_no_dp_and_the_work_cap_bounds_its_time(self, monkeypatch):
+        # Near MAX_ENTRY a DP stage per node would make the cap bound shapes,
+        # not time; the scan reaches a DP only to report a counterexample.
+        def no_dp(*args):
+            raise AssertionError("the scan ran a DP")
+
+        monkeypatch.setattr(predictions, "_prefix_leaves", no_dp)
+        monkeypatch.setattr(predictions, "_solve", no_dp)
+        report = conjecture_scan(2, MAX_ENTRY, work_cap=20_000)
+        assert report == ScanReport((), 20_000, True)
 
 
 class TestConjectureFrontier:
