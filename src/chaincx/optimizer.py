@@ -57,27 +57,46 @@ Steps 1 and 2 a rank vector with a smaller sum is not a maximizer.  So
 every sum decision reads sum_i g_i (core._greedy) and no DP keeps rank
 sums; tests/test_optimizer.py pins both steps exhaustively on small shapes.
 
-One DP walk (_prefix_leaves) runs left to right over a depth-first walk
-of shapes, so shapes that share a prefix share its stages; the sweep
-walks many shapes, and _solve walks the reversal of one (d is symmetric
-under reversal).  Per state it finds the least optimal move and any
-ties, and carries the best value and the exact number of maximizing
-paths (Python integers, no overflow).  A stage stores its moves
-compactly: an array of each row's least optimal move, 8 bytes a row,
-plus a dict of the rows with ties.
+_solve runs the DP left to right over the reversal of the shape (d is
+symmetric under reversal).  Per state it finds the least optimal move and
+any ties, and carries the best value and the exact number of maximizing
+paths (Python integers, no overflow).  A stage stores each row's least
+optimal move in an 8-byte array, plus a dict of the rows with ties.
+Shapes over MAX_DP_STATES states are refused before anything is allocated.
 
-A move's value is c q + base[q] for the stage's table base, and base has
-been concave on every stage checked, with second differences -1 or -2.
-So a row's optimum is one bisection over base's ascending negated slopes,
-and its ties are a run of equal slopes.  The expected reason is not yet
-proven: with s_i = (-1)^i r_i, -d is an L-natural-convex function on an
-L-natural-convex set (Murota, Discrete Convex Analysis, SIAM 2003);
-partial minimization keeps L-natural-convexity, which in one variable is
-convexity.  Until a proof lands, each stage checks the ascent of its
-slopes with one C-level pass, and a stage that fails it is solved by a
-divide and conquer over its rows (_scan_stage), which is exact for any
-table.  Shapes whose DP would exceed MAX_DP_STATES states are refused
-before anything is allocated.
+In the shape the DP walks, a stage's table base holds for each q = r_k
+the largest sum P(q) of d's terms r_i (a_{i-1} + a_i - r_{i-1} - r_i),
+i <= k, over the feasible ranks before r_k, less q (a_{k-1} + a_k); row
+p = r_{k+1} reads c q + base[q] = P(q) - p q.  So one bisection over the
+negated slopes of base finds a row's optimum, and its ties are a run of
+equal slopes, by this theorem.
+
+Theorem (concave stages).  Every base is concave on [0, qmax].  Proof
+(after Murota, Discrete Convex Analysis, SIAM 2003), with s_i = (-1)^i r_i:
+
+Step 1.  As r_{i-1} r_i = -s_{i-1} s_i, the quadratic part of -P is
+sum s_i^2 - sum s_{i-1} s_i = (s_1^2 + s_k^2 + sum (s_{i-1} - s_i)^2) / 2.
+A feasibility constraint bounds one r_i (r_i >= 0, r_1 <= a_0, r_k <= its
+cap) or one sum r_{i-1} + r_i = (-1)^(i-1) (s_{i-1} - s_i) <= a_{i-1}.
+So -P, +infinity off the feasible set, is f(s) = L(s) + sum phi_i(s_i) +
+sum psi_i(s_{i-1} - s_i), L linear and each phi_i, psi_i convex on an
+integer interval and +infinity outside it.
+
+Step 2.  f is L-natural-convex: f(x) + f(y) >= f(ceil((x + y) / 2)) +
+f(floor((x + y) / 2)) for integer x, y, rounding each coordinate.  This
+is linear in f, so it suffices per term; L takes equal sums.  At s_i,
+and at s_{i-1} - s_i, with values u at x and v at y, the two midpoints
+take values that sum to u + v and lie within 1/2 of (u + v) / 2, hence
+floor and ceil of (u + v) / 2, between u and v; so a convex phi_i or
+psi_i gives the inequality, finite when f(x) and f(y) are.
+
+Step 3.  h(t) = min {f(s) : s_k = t} is midpoint convex too: with x, y
+minimizers for t and t', f(x) + f(y) >= f at the midpoints of x and y,
+whose k-th coordinates are the midpoints of t and t'.  In one variable
+this is h(t) + h(t + 2) >= 2 h(t + 1), convexity.  So P(q) = -h((-1)^k q)
+is concave, and finite on [0, qmax] as every state is reachable; so is
+base.  tests/test_optimizer.py checks Step 2 on every pair of feasible
+rank vectors of small shapes, and each stage of a broad walk by brute force.
 
 The public entry points only read _solve's result:
 maximizer_rank_sum_range returns the root's best value with the greedy
@@ -99,7 +118,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice, product
-from operator import le, sub
+from operator import sub
 
 from .core import (
     BettiVector,
@@ -147,14 +166,13 @@ def _state_caps(dims):
 def _stage(base, count, c0, a, rows, qmax):
     """One DP stage: rows p in [0, rows), moves q in [0, min(qmax, a - p)].
 
-    A move's value is c q + base[q] with c = c0 - p.  When base is concave
-    on [0, qmax], its negated slopes neg[q] = base[q] - base[q + 1] ascend,
-    the value rises while neg[q] < c and falls once neg[q] > c.  So with
-    last the window's end, row p's least optimal move is q =
-    bisect_left(neg, c, 0, last), and its ties are the moves from q to
-    bisect_right(neg, c, q, last), the run of slopes equal to c.  One
-    C-level pass checks the ascent; a stage that fails it goes to
-    _scan_stage.  Returns
+    A move's value is c q + base[q] with c = c0 - p.  base is concave on
+    [0, qmax] (the theorem in this module's docstring), so its negated
+    slopes neg[q] = base[q] - base[q + 1] ascend, and the value rises while
+    neg[q] < c and falls once neg[q] > c.  So with last the window's end,
+    row p's least optimal move is q = bisect_left(neg, c, 0, last), and its
+    ties are the moves from q to bisect_right(neg, c, q, last), the run of
+    slopes equal to c.  Returns
 
         (new base, moves, new count)
 
@@ -163,8 +181,6 @@ def _stage(base, count, c0, a, rows, qmax):
     tie tuple} for the rows with more than one).
     """
     neg = list(map(sub, base, islice(base, 1, qmax + 1)))
-    if not all(map(le, neg, islice(neg, 1, None))):
-        return _scan_stage(base, count, c0, a, rows, qmax)
     least = array("q", bytes(8 * rows))
     ties_of = {}
     new_base = [0] * rows
@@ -186,51 +202,19 @@ def _stage(base, count, c0, a, rows, qmax):
     return new_base, (least, ties_of), new_count
 
 
-def _scan_stage(base, count, c0, a, rows, qmax):
-    """_stage for any base, concave or not, by divide and conquer over the rows.
-
-    The moves q <= a - p shrink with p and a move's value c0 q + base[q]
-    - p q loses q per unit of p, so the least and the greatest optimal
-    move never increase with p.  The middle row m of a range scans the
-    moves in its window; rows p < m then keep only the moves from m's
-    least optimal move up, rows p > m only those up to m's greatest.
-    """
-    least = [0] * rows
-    ties_of = {}
-    new_base = [0] * rows
-    new_count = [0] * rows
-    # Ranges still to solve: (first row, last row, least move, greatest move).
-    todo = [(0, rows - 1, 0, qmax)]
-    while todo:
-        p0, p1, qlo, qhi = todo.pop()
-        p = (p0 + p1) >> 1
-        c = c0 - p
-        values = [c * q + base[q] for q in range(qlo, min(a - p, qhi) + 1)]
-        top = max(values)
-        ties = tuple([q for q, v in enumerate(values, qlo) if v == top])
-        least[p] = ties[0]
-        if len(ties) > 1:
-            ties_of[p] = ties
-        new_base[p] = top - p * p
-        new_count[p] = sum([count[q] for q in ties])
-        if p0 < p:
-            todo.append((p0, p - 1, ties[0], qhi))
-        if p < p1:
-            todo.append((p + 1, p1, qlo, ties[-1]))
-    return new_base, (array("q", least), ties_of), new_count
-
-
 def _solve(dims):
-    """The DP over one shape, as the one leaf of the walk over its reversal:
+    """The DP over one shape, as one left-to-right pass over its reversal:
 
         (max d, moves, maximizer count)
 
-    The node at depth n - i holds moves[i] = (least, ties_of): given r_i = p
-    (r_0 = 0), least[p] is the least optimal r_{i+1} and ties_of[p], for
-    the rows that have ties, the ascending tuple of all of them.  Every
-    state is reachable and admits q = 0, so every state lies on some
-    maximizer's path.  Raises WorkCapExceeded when the states
-    outnumber MAX_DP_STATES.
+    Entry a after w of the reversal maps the tables of one rank to those of
+    the next by one _stage with c0 = w + a and the window on their sum, a;
+    the last entry reads row 0, the closing rank.  In the shape's own ranks,
+    moves[i] = (least, ties_of): given r_i = p (r_0 = 0), least[p] is the
+    least optimal r_{i+1} and ties_of[p], for the rows that have ties, the
+    ascending tuple of all of them.  Every state is reachable and admits
+    q = 0, so every state lies on some maximizer's path.  Raises
+    WorkCapExceeded when the states outnumber MAX_DP_STATES.
     """
     caps = _state_caps(dims)
     states = sum(caps) + len(caps)
@@ -240,69 +224,27 @@ def _solve(dims):
             f"exceeding the cap of {MAX_DP_STATES}"
         )
     rev = dims[::-1]
-    (_, moves, best, count), = _prefix_leaves(len(rev), lambda path, k: (rev[k], rev[k]))
-    return best, moves[:0:-1], count
-
-
-def _prefix_leaves(length, window):
-    """Every shape of `length` entries that `window` admits, in lexicographic
-    order, with its (moves, max d, maximizer count).
-
-    window(path, k) gives the inclusive range of the entry at depth k after
-    path[:k]; an empty range prunes the prefix.  The node of a prefix
-    (..., w, a) at depth k maps the tables of r_k <= min(w, a) to those of
-    r_{k+1} through one _stage with c0 = w + a and the window
-    r_k + r_{k+1} <= a, over as many rows as its largest child needs, and
-    every child reads them; moves[k] holds its moves, except at the
-    root, whose one move r_0 = 0 is not stored.  A shape that ends at the
-    node reads row 0, the closing rank r = 0.  The last sibling at a depth
-    drops the tables it read, so a one-shape walk holds one stage's tables
-    at a time.  The walk is iterative, and the same path and
-    moves lists are yielded at every leaf: copy them to keep them.
-    """
-    last = length - 1
-    path = [0] * length
-    stop = [0] * length
-    moves = [None] * length
-    # The tables each depth's node reads; the root's hold the state r_0 = 0.
-    tables = [([0], [1])] + [None] * last
-    k = 0
-    path[0], stop[0] = window(path, 0)
-    while True:
-        a = path[k]
-        if k == last:
-            first = end = 0
+    moves = []
+    # The tables of the state r_0 = 0, whose one move is not stored.
+    base, count = [0], [1]
+    w = 0
+    for k, (a, b) in enumerate(zip(rev, (*rev[1:], 0))):
+        rows = min(a, b) + 1
+        if w and a:
+            base, move, count = _stage(base, count, w + a, a, rows, min(w, a))
+            moves.append(move)
         else:
-            first, end = window(path, k + 1)
-        if a <= stop[k] and first <= end:
-            base, count = tables[k]
-            if a == stop[k]:
-                tables[k] = None
-            w = path[k - 1] if k else 0
-            rows = min(a, end) + 1
-            if w and a:
-                base, moves[k], count = _stage(base, count, w + a, a, rows, min(w, a))
-            else:
-                # r_k = 0 is forced: every row's one move is r_k = 0, which
-                # bytes(rows) reads at every row.  Skipping _stage saves time and
-                # memory at MAX_ENTRY.
-                if k:
-                    moves[k] = bytes(rows), {}
-                if a:
-                    base, count = [base[0] - p * p for p in range(rows)], [count[0]] * rows
-                # With a = 0 the next rank is 0 too: only row 0, unchanged, is read.
-            if k == last:
-                yield path, moves, base[0], count[0]
-            else:
-                tables[k + 1] = base, count
-                k += 1
-                path[k], stop[k] = first, end
-                continue
-        while path[k] >= stop[k]:
-            k -= 1
-            if k < 0:
-                return
-        path[k] += 1
+            # r_k = 0 is forced: every row's one move is r_k = 0, which
+            # bytes(rows) reads at every row.  Skipping _stage saves time and
+            # memory at MAX_ENTRY.
+            if k:
+                moves.append((bytes(rows), {}))
+            if a:
+                base, count = [base[0] - p * p for p in range(rows)], [count[0]] * rows
+            # With a = 0 the next rank is 0 too: only row 0, unchanged, is read.
+        w = a
+    moves.reverse()
+    return base[0], moves, count[0]
 
 
 def _lexicographic_paths(moves, limit):

@@ -4,15 +4,15 @@ For several families of shapes the positive-probability Betti vectors
 have closed forms: complexes with one or two maps, three maps under a
 no-forced-homology hypothesis on the dimensions, and arbitrary length
 with all dimensions equal.  This module implements those closed forms,
-decides them from the DP's max d and exact maximizer count, and scans
-shape space for counterexamples to the general conjecture that total
-homology is almost surely |chi| whenever no Betti number is forced
-positive by the dimensions alone.
+decides them without listing maximizers, and scans shape space for
+counterexamples to the general conjecture that total homology is almost
+surely |chi| whenever no Betti number is forced positive by the
+dimensions alone.
 
 A total-homology claim needs no DP.  By the forced-homology theorem
 (proved in the optimizer module) every maximizer has the rank sum of the
 greedy ranks g, so almost surely sum beta_i = sum a_i - 2 sum g_i, which
-costs O(n) per shape; the scan carries it along shared prefixes.
+costs O(n) per shape; the scan and the sweep carry it along shared prefixes.
 
 The no-forced-homology hypothesis reads a_i + a_{i+2} >= a_{i+1} over a
 window of indices with out-of-range dimensions treated as zero.  Two
@@ -44,7 +44,7 @@ from .core import (
     _greedy,
     _unvalidated,
 )
-from .optimizer import MaximizerReport, _lexicographic_paths, _prefix_leaves, _report, _solve
+from .optimizer import MaximizerReport, _lexicographic_paths, _report, _solve
 
 DEFAULT_SCAN_CAP = 2_000_000
 CHECK_ENUMERATION_GUARD = 100_000
@@ -248,17 +248,19 @@ def all_predictions(
     )
 
 
-def _fulfils(prediction, dims, best, count) -> bool:
+def _fulfils(prediction, dims, solved) -> bool:
     """Whether the maximizers fulfil an applicable prediction, without listing them.
 
     Every maximizer has the greedy ranks' sum (the theorem in the optimizer
     module), so a predicted sum holds iff sum a_i - 2 sum g_i equals it.  A
     Betti vector fixes its ranks, r_{i+1} = a_i - beta_i - r_i closing at
     r_{n+1} = 0, so a predicted set is the spectrum iff it has `count` members
-    whose ranks are non-negative (hence feasible) and reach max d `best`.
+    whose ranks are non-negative (hence feasible) and reach max d `best`, for
+    _solve's result solved = (best, moves, count), which a sum does not read.
     """
     if not prediction.predicted_betti_set:
         return sum(dims) - 2 * sum(_greedy(dims)) == prediction.predicted_sum
+    best, _, count = solved
     if len(prediction.predicted_betti_set) != count:
         return False
     for betti in prediction.predicted_betti_set:
@@ -270,13 +272,15 @@ def _fulfils(prediction, dims, best, count) -> bool:
     return True
 
 
-def _judge(shape, reading, best, count):
+def _judge(shape, reading, solved=None):
     """check_shape's (verdict, deciding prediction, predictions, outcomes)
-    from the DP's max d and maximizer count."""
+    from _solve's result, which runs here only if a Betti set needs it."""
     predictions = all_predictions(shape, reading)
-    outcomes = []  # a loop, since a comprehension would close over three names
+    outcomes = []
     for p in predictions:
-        outcomes.append(_fulfils(p, shape.dims, best, count) if p.applicable else None)
+        if p.applicable and p.predicted_betti_set and solved is None:
+            solved = _solve(shape.dims)
+        outcomes.append(_fulfils(p, shape.dims, solved) if p.applicable else None)
     if False in outcomes:
         return Verdict.MISMATCH, predictions[outcomes.index(False)], predictions, outcomes
     if True in outcomes:
@@ -297,13 +301,13 @@ def check_shape(
     mismatch, else first applicable match); `comparisons` holds all six
     predictions with their outcomes.
     """
-    best, moves, count = _solve(shape.dims)
+    solved = best, moves, count = _solve(shape.dims)
     if count > CHECK_ENUMERATION_GUARD:
         raise WorkCapExceeded(
             f"shape {shape.dims} has {count} maximizers, "
             f"more than the comparison guard of {CHECK_ENUMERATION_GUARD}"
         )
-    verdict, prediction, predictions, outcomes = _judge(shape, reading, best, count)
+    verdict, prediction, predictions, outcomes = _judge(shape, reading, solved)
     observed = _report(shape.dims, best, count, _lexicographic_paths(moves, count),
                        CHECK_ENUMERATION_GUARD)
     return ComparisonResult(shape, prediction, observed, verdict,
@@ -361,9 +365,10 @@ def _greedy_leaves(length, window):
     order, with its total homology sum a_i - 2 sum g_i for the greedy ranks
     g, which every maximizer has (the theorem in the optimizer module).
 
-    The walk of optimizer._prefix_leaves with no DP: a node at depth k
-    holds only g_k = min(a_k, a_{k-1} - g_{k-1}), g_0 = 0, and the running
-    total.  The same path list is yielded at every leaf: copy it to keep it.
+    window(path, k) gives the inclusive range of entry k after path[:k]; an
+    empty range prunes.  A node at depth k holds only g_k = min(a_k, a_{k-1}
+    - g_{k-1}), g_0 = 0, and the running total, shared by the shapes below
+    it.  The same path list is yielded at every leaf: copy it to keep it.
     """
     last = length - 1
     path = [0] * length
@@ -457,10 +462,10 @@ def sweep_theorems(
 ) -> SweepSummary:
     """Tally check_shape's verdicts over every shape in the rectangle.
 
-    One forward DP is shared along common prefixes, and each shape is
-    decided from its max d and exact count as check_shape decides it,
-    without listing maximizers; only a mismatch goes through check_shape
-    itself, for its details.  Bounds are refused as in
+    Each shape of a _greedy_leaves walk is decided as check_shape decides
+    it, without listing maximizers; the DP runs only on shapes with an
+    applicable Betti-set prediction.  Only a mismatch goes through
+    check_shape itself, for its details.  Bounds are refused as in
     conjecture_scan, before the work cap is read.
     """
     _check_bounds(max_length, max_entry, "sweep")
@@ -473,11 +478,11 @@ def sweep_theorems(
     checked = matches = 0
     details = []
     for length in range(1, max_length + 2):
-        for path, _, best, count in _prefix_leaves(length, lambda path, k: (0, max_entry)):
+        for path, _ in _greedy_leaves(length, lambda path, k: (0, max_entry)):
             checked += 1
             # _check_bounds has admitted every length and entry the walk visits.
             shape = _unvalidated(ComplexShape, "dims", tuple(path))
-            verdict = _judge(shape, reading, best, count)[0]
+            verdict = _judge(shape, reading)[0]
             if verdict is Verdict.MATCH:
                 matches += 1
             elif verdict is Verdict.MISMATCH:

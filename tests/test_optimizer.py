@@ -5,7 +5,7 @@ import itertools
 import random
 import tracemalloc
 from array import array
-from operator import add
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -29,10 +29,7 @@ from chaincx import optimizer
 from chaincx.core import _betti, _dimension, _feasible
 from chaincx.optimizer import (
     _lexicographic_paths,
-    _prefix_leaves,
-    _scan_stage,
     _solve,
-    _stage,
     _state_caps,
 )
 from test_core import iter_feasible_ranks, iter_shapes, shape
@@ -306,74 +303,60 @@ def _as_lists(out):
 
 
 class TestStage:
-    """The bisection stage against the divide and conquer it falls back to,
-    stage by stage, and the concavity its guard checks."""
+    """The concave-stages theorem of the optimizer module: Step 2 on every
+    pair of feasible rank vectors of small shapes, and every distinct stage
+    of a broad walk of _solve against brute force, with its concavity."""
+
+    def test_minus_d_is_midpoint_convex(self):
+        # With s_i = (-1)^i r_i, both midpoints of any two feasible s are
+        # feasible, and -d(x) - d(y) >= -d(ceil) - d(floor).
+        pairs = 0
+        for n, max_entry in [(1, 5), (2, 4), (3, 3), (4, 2)]:
+            signs = [(-1) ** i for i in range(1, n + 1)]
+            for dims in itertools.product(range(max_entry + 1), repeat=n + 1):
+                d_of = {tuple(map(mul, signs, rv.ranks)): _dimension(dims, rv.ranks)
+                        for rv in iter_feasible_ranks(ComplexShape(dims))}
+                for x, y in itertools.product(d_of, repeat=2):
+                    up = tuple((u + v + 1) // 2 for u, v in zip(x, y))
+                    down = tuple((u + v) // 2 for u, v in zip(x, y))
+                    assert up in d_of and down in d_of, (dims, x, y)
+                    assert d_of[x] + d_of[y] <= d_of[up] + d_of[down], (dims, x, y)
+                    pairs += 1
+        assert pairs == 30_216
 
     @staticmethod
-    def _compare_every_stage(monkeypatch, walk):
-        stages = []
+    def _check_every_stage(monkeypatch, shapes):
+        stage = optimizer._stage
+        seen = set()
 
-        def compared(*args):
-            base = args[0]
-            assert {x - 2 * y + z for x, y, z in zip(base, base[1:], base[2:])} <= {-1, -2}
-            out = _stage(*args)
-            assert out == _scan_stage(*args), args
-            stages.append(args[4])
+        def checked(*args):
+            out = stage(*args)
+            base, count, *rest = args
+            key = (tuple(base), tuple(count), *rest)
+            if key not in seen:
+                seen.add(key)
+                assert {x - 2 * y + z for x, y, z in zip(base, base[1:], base[2:])} <= {-1, -2}
+                assert _as_lists(out) == _row_maxima(*args), args
             return out
 
-        def no_fallback(*args):
-            raise AssertionError(f"a concave stage fell back: {args}")
-
-        monkeypatch.setattr(optimizer, "_stage", compared)
-        monkeypatch.setattr(optimizer, "_scan_stage", no_fallback)
-        walk()
-        return stages
+        monkeypatch.setattr(optimizer, "_stage", checked)
+        for dims in shapes:
+            _solve(dims)
+        return seen
 
     def test_rectangles(self, monkeypatch):
         # Every shape of at most 4 maps with entries up to 8, then of at most
-        # 6 maps with entries up to 4, walked with their prefixes shared.
-        def walk():
-            for max_length, max_entry in [(4, 8), (6, 4)]:
-                for length in range(1, max_length + 2):
-                    for _ in _prefix_leaves(length, lambda path, k: (0, max_entry)):
-                        pass
-
-        assert len(self._compare_every_stage(monkeypatch, walk)) > 100_000
+        # 6 maps with entries up to 4.
+        shapes = [s.dims for spaces, max_entry in [(5, 8), (7, 4)]
+                  for s in iter_shapes(spaces, max_entry)]
+        assert len(self._check_every_stage(monkeypatch, shapes)) > 70_000
 
     def test_random_shapes(self, monkeypatch):
         rng = random.Random(20261020)
         shapes = [tuple(rng.randint(0, 40) for _ in range(rng.randint(1, 12)))
                   for _ in range(500)]
-        stages = self._compare_every_stage(monkeypatch, lambda: [_solve(d) for d in shapes])
-        assert max(stages) > 30
-
-    def test_non_concave_base_falls_back(self, monkeypatch):
-        fallbacks = []
-
-        def counted(*args):
-            fallbacks.append(args)
-            return _scan_stage(*args)
-
-        monkeypatch.setattr(optimizer, "_scan_stage", counted)
-        # Row 0 ties at q = 1 and q = 3 with a gap between them.
-        base = [0, 40, -30, 22, -50, -20, -60, -70]
-        args = (base, list(range(1, 9)), 9, 7, 8, 7)
-        out = _stage(*args)
-        assert fallbacks == [args]
-        assert out[1][1][0] == (1, 3)
-        assert _as_lists(out) == _row_maxima(*args)
-        rng = random.Random(20261021)
-        for _ in range(300):
-            a = rng.randint(1, 12)
-            qmax = rng.randint(1, a)
-            base = [rng.randint(-60, 60) for _ in range(qmax + 1 + rng.randint(0, 3))]
-            count = [rng.randint(0, 9) for _ in base]
-            args = (base, count, rng.randint(a, 2 * a), a, rng.randint(1, a + 1), qmax)
-            fallbacks.clear()
-            out = _stage(*args)
-            neg = [x - y for x, y in zip(base, base[1:qmax + 1])]
-            assert (fallbacks == [args]) == (neg != sorted(neg)), args
-            assert _as_lists(out) == _row_maxima(*args), args
+        stages = self._check_every_stage(monkeypatch, shapes)
+        assert max(rows for *_, rows, _ in stages) > 30
 
 
 def _reference_paths(moves, limit):
@@ -421,8 +404,8 @@ class TestListing:
             assert _lexicographic_paths(moves, limit) == _reference_paths(moves, limit), dims
 
     def test_random_move_tables(self):
-        # Tie tuples of up to four moves with gaps, as a fallback stage may
-        # store them; the DP's concave stages have given at most two.
+        # Tie tuples of up to four moves with gaps, more general than the
+        # DP's concave stages, whose ties are runs of equal slopes.
         rng = random.Random(20261023)
         for _ in range(300):
             sizes = [1] + [rng.randint(1, 5) for _ in range(rng.randint(0, 8))]
@@ -434,38 +417,6 @@ class TestListing:
                               {p: t for p, t in enumerate(spelled) if len(t) > 1}))
             limit = rng.choice([1, 3, 40, 10**6])
             assert _lexicographic_paths(moves, limit) == _reference_paths(moves, limit), moves
-
-
-class TestPrefixLeaves:
-    """The walk over many shapes, shared along prefixes, gives each shape
-    the best value and count that _solve's walk over the shape's reversal
-    gives it."""
-
-    def test_every_small_shape_in_lexicographic_order(self):
-        for length in range(1, 6):
-            leaves = [(tuple(path), *root)
-                      for path, _, *root in _prefix_leaves(length, lambda path, k: (0, 5))]
-            assert [leaf[0] for leaf in leaves] == list(itertools.product(range(6),
-                                                                          repeat=length))
-            for dims, *root in leaves:
-                best, _, count = _solve(dims)
-                assert root == [best, count], dims
-
-    def test_random_wide_shapes(self):
-        # A window of one entry per depth walks a single shape.
-        rng = random.Random(20261019)
-        for _ in range(300):
-            dims = tuple(rng.randint(0, 30) for _ in range(rng.randint(1, 9)))
-            (path, _, *root), = _prefix_leaves(len(dims), lambda path, k: (dims[k], dims[k]))
-            best, _, count = _solve(dims)
-            assert (tuple(path), root) == (dims, [best, count])
-
-    def test_empty_windows_prune(self):
-        # Nothing may follow a 3: the leaves are exactly the admitted shapes.
-        leaves = [tuple(path) for path, *_ in _prefix_leaves(
-            3, lambda path, k: (1, 0) if k and path[k - 1] == 3 else (0, 3))]
-        assert leaves == [d for d in itertools.product(range(4), repeat=3) if 3 not in d[:2]]
-        assert list(_prefix_leaves(2, lambda path, k: (1, 0))) == []
 
 
 def _intervals(n):

@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -298,8 +299,7 @@ class TestCheckShape:
             else:
                 pred = Prediction(True, tuple(map(BettiVector, predicted)), None,
                                   SourceTheorem.EQUAL_ODD)
-            best, _, count = _solve(dims)
-            assert _fulfils(pred, dims, best, count) is expected, (dims, predicted)
+            assert _fulfils(pred, dims, _solve(dims)) is expected, (dims, predicted)
             observed = enumerate_maximizers(ComplexShape(dims))
             assert _prediction_matches(pred, observed) is expected, (dims, predicted)
 
@@ -373,6 +373,57 @@ class TestSweeps:
         report = conjecture_scan(3, 3, work_cap=5)
         assert report.truncated
         assert report.shapes_scanned == 5
+
+    def test_sweep_runs_the_dp_only_for_betti_sets(self, monkeypatch):
+        # A predicted sum is decided by the greedy ranks, so the DP runs only
+        # on the shapes with an applicable Betti-set prediction.
+        solved = []
+
+        def counted(dims):
+            solved.append(dims)
+            return _solve(dims)
+
+        monkeypatch.setattr(predictions, "_solve", counted)
+        summary = sweep_theorems(4, 6)
+        assert solved == [s.dims for s in iter_shapes(5, 6) if any(
+            p.applicable and p.predicted_betti_set for p in all_predictions(s))]
+        assert (len(solved), summary.shapes_checked) == (410, 19_607)
+
+
+class TestGreedyLeaves:
+    """The walk of the scan and the sweep: the shapes its window admits, in
+    lexicographic order, each with the total homology of its greedy ranks."""
+
+    @staticmethod
+    def _assert_greedy_totals(leaves):
+        for path, total in leaves:
+            greedy = greedy_rank_vector(ComplexShape(tuple(path))).ranks
+            assert total == sum(path) - 2 * sum(greedy), path
+
+    def test_every_small_shape_in_lexicographic_order(self):
+        for length in range(1, 6):
+            leaves = [(tuple(path), total)
+                      for path, total in _greedy_leaves(length, lambda path, k: (0, 5))]
+            assert [dims for dims, _ in leaves] == list(itertools.product(range(6),
+                                                                          repeat=length))
+            self._assert_greedy_totals(leaves)
+
+    def test_random_wide_shapes(self):
+        # A window of one entry per depth walks a single shape.
+        rng = random.Random(20261019)
+        for _ in range(300):
+            dims = tuple(rng.randint(0, 30) for _ in range(rng.randint(1, 9)))
+            leaves = [(tuple(path), total) for path, total in
+                      _greedy_leaves(len(dims), lambda path, k: (dims[k], dims[k]))]
+            assert [path for path, _ in leaves] == [dims]
+            self._assert_greedy_totals(leaves)
+
+    def test_empty_windows_prune(self):
+        # Nothing may follow a 3: the leaves are exactly the admitted shapes.
+        leaves = [tuple(path) for path, _ in _greedy_leaves(
+            3, lambda path, k: (1, 0) if k and path[k - 1] == 3 else (0, 3))]
+        assert leaves == [d for d in itertools.product(range(4), repeat=3) if 3 not in d[:2]]
+        assert list(_greedy_leaves(2, lambda path, k: (1, 0))) == []
 
 
 # check_shape as it was before the listing-free decision: list every
@@ -566,7 +617,6 @@ class TestAgainstReference:
         def no_dp(*args):
             raise AssertionError("the scan ran a DP")
 
-        monkeypatch.setattr(predictions, "_prefix_leaves", no_dp)
         monkeypatch.setattr(predictions, "_solve", no_dp)
         report = conjecture_scan(2, MAX_ENTRY, work_cap=20_000)
         assert report == ScanReport((), 20_000, True)
