@@ -12,7 +12,10 @@ dimensions alone.
 A total-homology claim needs no DP.  By the forced-homology theorem
 (proved in the optimizer module) every maximizer has the rank sum of the
 greedy ranks g, so almost surely sum beta_i = sum a_i - 2 sum g_i, which
-costs O(n) per shape; the scan and the sweep carry it along shared prefixes.
+costs O(n) per shape.  The scan and the sweep carry it and chi along
+shared prefixes, so each shape they visit is decided in O(1).  Past two
+maps both visit only the hypothesis shapes, one of each reversal pair:
+no other shape has an applicable prediction (see sweep_theorems).
 
 The no-forced-homology hypothesis reads a_i + a_{i+2} >= a_{i+1} over a
 window of indices with out-of-range dimensions treated as zero.  Two
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from operator import add, ge
 
@@ -248,18 +251,19 @@ def all_predictions(
     )
 
 
-def _fulfils(prediction, dims, solved) -> bool:
+def _fulfils(prediction, dims, total, solved) -> bool:
     """Whether the maximizers fulfil an applicable prediction, without listing them.
 
     Every maximizer has the greedy ranks' sum (the theorem in the optimizer
-    module), so a predicted sum holds iff sum a_i - 2 sum g_i equals it.  A
-    Betti vector fixes its ranks, r_{i+1} = a_i - beta_i - r_i closing at
-    r_{n+1} = 0, so a predicted set is the spectrum iff it has `count` members
-    whose ranks are non-negative (hence feasible) and reach max d `best`, for
-    _solve's result solved = (best, moves, count), which a sum does not read.
+    module), so a predicted sum holds iff their total homology `total`,
+    sum a_i - 2 sum g_i, equals it.  A Betti vector fixes its ranks,
+    r_{i+1} = a_i - beta_i - r_i closing at r_{n+1} = 0, so a predicted set
+    is the spectrum iff it has `count` members whose ranks are non-negative
+    (hence feasible) and reach max d `best`, for _solve's result
+    solved = (best, moves, count), which a sum does not read.
     """
     if not prediction.predicted_betti_set:
-        return sum(dims) - 2 * sum(_greedy(dims)) == prediction.predicted_sum
+        return total == prediction.predicted_sum
     best, _, count = solved
     if len(prediction.predicted_betti_set) != count:
         return False
@@ -272,15 +276,16 @@ def _fulfils(prediction, dims, solved) -> bool:
     return True
 
 
-def _judge(shape, reading, solved=None):
+def _judge(shape, reading, total, solved=None):
     """check_shape's (verdict, deciding prediction, predictions, outcomes)
-    from _solve's result, which runs here only if a Betti set needs it."""
+    from the greedy total homology and _solve's result, which runs here only
+    if a Betti set needs it."""
     predictions = all_predictions(shape, reading)
     outcomes = []
     for p in predictions:
         if p.applicable and p.predicted_betti_set and solved is None:
             solved = _solve(shape.dims)
-        outcomes.append(_fulfils(p, shape.dims, solved) if p.applicable else None)
+        outcomes.append(_fulfils(p, shape.dims, total, solved) if p.applicable else None)
     if False in outcomes:
         return Verdict.MISMATCH, predictions[outcomes.index(False)], predictions, outcomes
     if True in outcomes:
@@ -307,7 +312,8 @@ def check_shape(
             f"shape {shape.dims} has {count} maximizers, "
             f"more than the comparison guard of {CHECK_ENUMERATION_GUARD}"
         )
-    verdict, prediction, predictions, outcomes = _judge(shape, reading, solved)
+    total = sum(shape.dims) - 2 * sum(_greedy(shape.dims))
+    verdict, prediction, predictions, outcomes = _judge(shape, reading, total, solved)
     observed = _report(shape.dims, best, count, _lexicographic_paths(moves, count),
                        CHECK_ENUMERATION_GUARD)
     return ComparisonResult(shape, prediction, observed, verdict,
@@ -330,15 +336,15 @@ def _check_bounds(max_length: int, max_entry: int, what: str) -> None:
 
 
 def _scan_window(reading, max_entry, length):
-    """The _greedy_leaves window of the scan: the hypothesis shapes whose
-    last entry is at least their first.
+    """The _greedy_leaves window of _canonical_leaves: the hypothesis shapes
+    whose last entry is at least their first.
 
     Every append of x after w, a obeys x >= a - w.  The sentinel reading
     reads a 0 before the shape, so a_1 >= a_0, and one after it, so the
     last entry is at most its predecessor and a lone entry is 0.  A
     surviving prefix extends to a hypothesis shape by repeating its last
     entry.  A shape whose last entry is below its first is greater than
-    its reversal, which the scan covers instead.
+    its reversal, which the walk visits instead.
     """
     sentinel = reading is HypothesisReading.SENTINEL
     last = length - 1
@@ -363,18 +369,21 @@ def _scan_window(reading, max_entry, length):
 def _greedy_leaves(length, window):
     """Every shape of `length` entries that `window` admits, in lexicographic
     order, with its total homology sum a_i - 2 sum g_i for the greedy ranks
-    g, which every maximizer has (the theorem in the optimizer module).
+    g, which every maximizer has (the theorem in the optimizer module), and
+    its Euler characteristic chi: (path, total, chi).
 
     window(path, k) gives the inclusive range of entry k after path[:k]; an
     empty range prunes.  A node at depth k holds only g_k = min(a_k, a_{k-1}
-    - g_{k-1}), g_0 = 0, and the running total, shared by the shapes below
-    it.  The same path list is yielded at every leaf: copy it to keep it.
+    - g_{k-1}), g_0 = 0, and the running total and chi, shared by the shapes
+    below it, so a leaf costs O(1).  The same path list is yielded at every
+    leaf: copy it to keep it.
     """
     last = length - 1
     path = [0] * length
     stop = [0] * length
     rank = [0] * length
     total = [0] * length
+    chi = [0] * length
     k = 0
     path[0], stop[0] = window(path, 0)
     while True:
@@ -389,12 +398,14 @@ def _greedy_leaves(length, window):
                 if a < g:
                     g = a
                 t = total[k - 1] + a - 2 * g
+                c = chi[k - 1] - a if k & 1 else chi[k - 1] + a
             else:
-                g, t = 0, a
+                g = 0
+                t = c = a
             if k == last:
-                yield path, t
+                yield path, t, c
             else:
-                rank[k], total[k] = g, t
+                rank[k], total[k], chi[k] = g, t, c
                 k += 1
                 path[k], stop[k] = first, end
                 continue
@@ -403,6 +414,33 @@ def _greedy_leaves(length, window):
             if k < 0:
                 return
         path[k] += 1
+
+
+def _canonical_leaves(lengths, max_entry, reading):
+    """The hypothesis shapes of the given lengths with entries up to
+    max_entry, one of each reversal pair, by length and then
+    lexicographically: (path, total, chi, mirrored) as _greedy_leaves
+    yields them, where mirrored says whether the reversal is another shape.
+
+    _scan_window admits only shapes whose last entry is at least their
+    first, so a shape is greater than its reversal only if those two are
+    equal; only then is the reversal compared.
+    """
+    for length in lengths:
+        for path, total, chi in _greedy_leaves(length, _scan_window(reading, max_entry, length)):
+            mirrored = True
+            if path[0] == path[-1]:
+                reverse = path[::-1]
+                if reverse < path:
+                    continue
+                mirrored = reverse != path
+            yield path, total, chi, mirrored
+
+
+def _representatives(path, mirrored):
+    """The shape of a canonical leaf and, if it is another shape, its reversal."""
+    dims = tuple(path)
+    return (dims, dims[::-1]) if mirrored else (dims,)
 
 
 def conjecture_scan(
@@ -418,33 +456,26 @@ def conjecture_scan(
     Shapes are scanned up to reversal (d is symmetric under it), by length
     and then lexicographically; when a counterexample is found both
     representatives are reported.  Only shapes that satisfy the hypothesis
-    are generated, and each is decided by its greedy ranks, which are
-    shared along common prefixes; the DP runs only to report a
-    counterexample.  Hitting work_cap stops the scan with partial results
-    and truncated = True.  Bounds that are negative or reach past MAX_LENGTH
-    or MAX_ENTRY raise ValueError before anything is scanned.
+    are generated (_canonical_leaves), and each is decided in O(1) by its
+    greedy total homology and chi, which are shared along common prefixes;
+    the DP runs only to report a counterexample.  Hitting work_cap stops the
+    scan with partial results and truncated = True.  Bounds that are
+    negative or reach past MAX_LENGTH or MAX_ENTRY raise ValueError before
+    anything is scanned.
     """
     _check_bounds(max_length, max_entry, "scan")
-    leaves = (
-        leaf
-        for length in range(1, max_length + 2)
-        for leaf in _greedy_leaves(length, _scan_window(reading, max_entry, length))
-    )
     counterexamples = []
     scanned = 0
     truncated = False
-    for path, total in leaves:
-        if path[::-1] < path:
-            continue
+    for path, total, chi, mirrored in _canonical_leaves(
+            range(1, max_length + 2), max_entry, reading):
         if scanned >= work_cap:
             truncated = True
             break
         scanned += 1
-        if total == abs(_chi(path)):
+        if total == abs(chi):
             continue
-        dims = tuple(path)
-        representatives = [dims] if dims == dims[::-1] else [dims, dims[::-1]]
-        for rep in representatives:
+        for rep in _representatives(path, mirrored):
             # A mismatch, reported against the conjecture alone.
             result = check_shape(ComplexShape(rep), reading)
             prediction = predict_conjecture(result.shape, reading)
@@ -462,31 +493,59 @@ def sweep_theorems(
 ) -> SweepSummary:
     """Tally check_shape's verdicts over every shape in the rectangle.
 
-    Each shape of a _greedy_leaves walk is decided as check_shape decides
-    it, without listing maximizers; the DP runs only on shapes with an
-    applicable Betti-set prediction.  Only a mismatch goes through
-    check_shape itself, for its details.  Bounds are refused as in
-    conjecture_scan, before the work cap is read.
+    Shapes of up to two maps are all walked and judged as check_shape
+    judges them, from the walk's greedy total homology; the DP runs only
+    for an applicable Betti set.  From three maps on, only the shapes of
+    _canonical_leaves can get a verdict other than NOT_APPLICABLE:
+
+    * Such a shape's applicable predictions are LENGTH3_SUM and CONJECTURE,
+      which need the hypothesis, and the equal-dims ones, which need every
+      dimension equal to some m >= 1.  Equal dimensions satisfy both
+      readings, as 0 + m >= m and m + m >= m, so a shape that fails the
+      hypothesis has no applicable prediction.
+    * Every applicable sum prediction predicts |chi|, and every maximizer
+      has the greedy total homology.  So a shape without an applicable
+      Betti set is a MATCH iff that total is |chi|, else a MISMATCH.  An
+      equal-dims shape with m >= 1 has a Betti set and goes to _judge.
+    * Every input to the verdict is invariant under reversal: both windows
+      of the hypothesis are symmetric, reversal keeps equal dimensions
+      equal, chi changes at most its sign, and the total is that of every
+      maximizer of d, which is symmetric under reversal.  So a mirror pair
+      shares its verdict and counts twice; a palindrome counts once.
+
+    Only a mismatch goes through check_shape itself, each representative
+    for its details, which are then put in rectangle order; the rest of the
+    rectangle is NOT_APPLICABLE.  Bounds are refused as in conjecture_scan,
+    before the work cap is read.
     """
     _check_bounds(max_length, max_entry, "sweep")
-    total = sum((max_entry + 1) ** (n + 1) for n in range(max_length + 1))
-    if total > work_cap:  # total can pass the 4300 digits str() allows, so it is not shown
+    size = sum((max_entry + 1) ** (n + 1) for n in range(max_length + 1))
+    if size > work_cap:  # size can pass the 4300 digits str() allows, so it is not shown
         raise WorkCapExceeded(
             f"sweep up to {max_length} maps with entries up to {max_entry} "
             f"exceeds the work cap of {work_cap} shapes"
         )
-    checked = matches = 0
+    # Every shape of up to two maps, then the canonical ones of three maps on.
+    leaves = chain(
+        ((*leaf, False) for length in range(1, min(max_length, 2) + 2)
+         for leaf in _greedy_leaves(length, lambda path, k: (0, max_entry))),
+        _canonical_leaves(range(4, max_length + 2), max_entry, reading),
+    )
+    matches = 0
     details = []
-    for length in range(1, max_length + 2):
-        for path, _ in _greedy_leaves(length, lambda path, k: (0, max_entry)):
-            checked += 1
-            # _check_bounds has admitted every length and entry the walk visits.
+    for path, total, chi, mirrored in leaves:
+        if len(path) <= 3 or (not mirrored and path[0] and path.count(path[0]) == len(path)):
+            # _check_bounds has admitted every length and entry the walks visit.
             shape = _unvalidated(ComplexShape, "dims", tuple(path))
-            verdict = _judge(shape, reading)[0]
-            if verdict is Verdict.MATCH:
-                matches += 1
-            elif verdict is Verdict.MISMATCH:
-                details.append(check_shape(shape, reading))
+            verdict = _judge(shape, reading, total)[0]
+        else:
+            verdict = Verdict.MATCH if total == abs(chi) else Verdict.MISMATCH
+        if verdict is Verdict.MATCH:
+            matches += 1 + mirrored
+        elif verdict is Verdict.MISMATCH:
+            details += [check_shape(ComplexShape(rep), reading)
+                        for rep in _representatives(path, mirrored)]
+    details.sort(key=lambda c: (len(c.shape.dims), c.shape.dims))
     mismatches = len(details)
-    return SweepSummary(checked, matches, mismatches, checked - matches - mismatches,
+    return SweepSummary(size, matches, mismatches, size - matches - mismatches,
                         tuple(details))

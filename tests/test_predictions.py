@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -33,7 +34,7 @@ from chaincx import (
     stratum_dimension,
     sweep_theorems,
 )
-from chaincx.core import MAX_ENTRY, MAX_LENGTH, _feasible
+from chaincx.core import MAX_ENTRY, MAX_LENGTH, _chi, _feasible
 from chaincx import predictions
 from chaincx.optimizer import _solve
 from chaincx.predictions import (
@@ -45,6 +46,7 @@ from chaincx.predictions import (
     _check_bounds,
     _fulfils,
     _greedy_leaves,
+    _judge,
     _scan_window,
 )
 from test_core import iter_shapes, ranks_from_betti, shape
@@ -299,7 +301,8 @@ class TestCheckShape:
             else:
                 pred = Prediction(True, tuple(map(BettiVector, predicted)), None,
                                   SourceTheorem.EQUAL_ODD)
-            assert _fulfils(pred, dims, _solve(dims)) is expected, (dims, predicted)
+            total = sum(dims) - 2 * sum(greedy_rank_vector(ComplexShape(dims)).ranks)
+            assert _fulfils(pred, dims, total, _solve(dims)) is expected, (dims, predicted)
             observed = enumerate_maximizers(ComplexShape(dims))
             assert _prediction_matches(pred, observed) is expected, (dims, predicted)
 
@@ -389,6 +392,24 @@ class TestSweeps:
             p.applicable and p.predicted_betti_set for p in all_predictions(s))]
         assert (len(solved), summary.shapes_checked) == (410, 19_607)
 
+    @pytest.mark.parametrize("reading", list(HypothesisReading))
+    @pytest.mark.parametrize("bounds", [(4, 6), (5, 4)])
+    def test_sweep_judges_only_short_and_equal_dims_shapes(self, monkeypatch, bounds, reading):
+        # From three maps on, a shape without a Betti set is decided by its
+        # greedy total and chi alone; check_shape judges each mismatch again.
+        judged = []
+
+        def counted(shape, *args):
+            judged.append(shape.dims)
+            return _judge(shape, *args)
+
+        monkeypatch.setattr(predictions, "_judge", counted)
+        summary = sweep_theorems(*bounds, reading)
+        expected = [s.dims for s in iter_shapes(bounds[0] + 1, bounds[1])
+                    if s.n_maps <= 2 or (s.dims[0] and len(set(s.dims)) == 1)]
+        assert Counter(judged) == Counter(
+            expected + [c.shape.dims for c in summary.mismatch_details])
+
 
 class TestGreedyLeaves:
     """The walk of the scan and the sweep: the shapes its window admits, in
@@ -396,16 +417,17 @@ class TestGreedyLeaves:
 
     @staticmethod
     def _assert_greedy_totals(leaves):
-        for path, total in leaves:
+        for path, total, chi in leaves:
             greedy = greedy_rank_vector(ComplexShape(tuple(path))).ranks
             assert total == sum(path) - 2 * sum(greedy), path
+            assert chi == _chi(path), path
 
     def test_every_small_shape_in_lexicographic_order(self):
         for length in range(1, 6):
-            leaves = [(tuple(path), total)
-                      for path, total in _greedy_leaves(length, lambda path, k: (0, 5))]
-            assert [dims for dims, _ in leaves] == list(itertools.product(range(6),
-                                                                          repeat=length))
+            leaves = [(tuple(path), total, chi)
+                      for path, total, chi in _greedy_leaves(length, lambda path, k: (0, 5))]
+            assert [dims for dims, _, _ in leaves] == list(itertools.product(range(6),
+                                                                             repeat=length))
             self._assert_greedy_totals(leaves)
 
     def test_random_wide_shapes(self):
@@ -413,14 +435,14 @@ class TestGreedyLeaves:
         rng = random.Random(20261019)
         for _ in range(300):
             dims = tuple(rng.randint(0, 30) for _ in range(rng.randint(1, 9)))
-            leaves = [(tuple(path), total) for path, total in
+            leaves = [(tuple(path), total, chi) for path, total, chi in
                       _greedy_leaves(len(dims), lambda path, k: (dims[k], dims[k]))]
-            assert [path for path, _ in leaves] == [dims]
+            assert [path for path, _, _ in leaves] == [dims]
             self._assert_greedy_totals(leaves)
 
     def test_empty_windows_prune(self):
         # Nothing may follow a 3: the leaves are exactly the admitted shapes.
-        leaves = [tuple(path) for path, _ in _greedy_leaves(
+        leaves = [tuple(path) for path, _, _ in _greedy_leaves(
             3, lambda path, k: (1, 0) if k and path[k - 1] == 3 else (0, 3))]
         assert leaves == [d for d in itertools.product(range(4), repeat=3) if 3 not in d[:2]]
         assert list(_greedy_leaves(2, lambda path, k: (1, 0))) == []
@@ -566,7 +588,7 @@ def _outcome(run, *args, **kwargs):
 
 _REFERENCE_BOUNDS = [(4, 4), (5, 5), (3, 8), (2, 12), (6, 4), (7, 2)]
 # The reference sweep of (5, 5) and (6, 4) takes about 10 s per reading.
-_REFERENCE_SWEEP_BOUNDS = [(4, 4), (3, 8), (2, 12), (7, 2)]
+_REFERENCE_SWEEP_BOUNDS = [(4, 4), (3, 8), (2, 12), (7, 2), (5, 3)]
 _REFERENCE_CAPS = [{"work_cap": cap} for cap in (0, 1, 5, 7, 100, 1000)] + [{}]
 
 
@@ -599,17 +621,18 @@ class TestAgainstReference:
     def test_scan_window_admits_the_hypothesis_shapes(self, reading):
         # Exactly the hypothesis shapes whose last entry is at least their
         # first, in product order, each with the total homology of its
-        # greedy ranks.
+        # greedy ranks and its Euler characteristic.
         for length in range(1, 7):
-            leaves = [(tuple(path), total) for path, total in
+            leaves = [(tuple(path), total, chi) for path, total, chi in
                       _greedy_leaves(length, _scan_window(reading, 4, length))]
-            assert [dims for dims, _ in leaves] == [
+            assert [dims for dims, _, _ in leaves] == [
                 dims for dims in itertools.product(range(5), repeat=length)
                 if hypothesis_holds(ComplexShape(dims), reading) and dims[-1] >= dims[0]
             ], length
-            for dims, total in leaves:
+            for dims, total, chi in leaves:
                 greedy = greedy_rank_vector(ComplexShape(dims)).ranks
                 assert total == sum(dims) - 2 * sum(greedy), dims
+                assert chi == _chi(dims), dims
 
     def test_scan_runs_no_dp_and_the_work_cap_bounds_its_time(self, monkeypatch):
         # Near MAX_ENTRY a DP stage per node would make the cap bound shapes,
