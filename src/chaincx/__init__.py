@@ -56,7 +56,6 @@ from .predictions import (
     predict_equal_dim,
     predict_length1,
     predict_length2,
-    predict_length3_sum,
     sweep_theorems,
 )
 

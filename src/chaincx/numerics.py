@@ -15,10 +15,14 @@ kernel dimension used by the sampler, so a single tolerance knob governs
 all rank decisions.  The factorization is one direct call of LAPACK's
 dgeqp3 on a Fortran-ordered array, overwritten in place: numerical_rank
 factors one copy of its input, and orbit_dimension ranks the orbit matrix
-L in place, so a rank check holds a single copy of L.  An L too large for
-glibc's heap gets fresh pages from mmap; orbit_dimension first hands the
-heap's free pages back to the OS, so the pages of L do not stack on memory
-that earlier work freed but the heap kept, and the peak resident size of a
+L in place, through its transpose, so a rank check holds a single copy of
+L.  L.T has at least as many rows as columns; when it is tall and wide
+enough, one blocked dgeqrf first compresses it in place to its square R
+factor, which has the same pivots (Chan's QR before the pivoted
+factorization), and dgeqp3 runs on R.  An L too large for glibc's heap
+gets fresh pages from mmap; orbit_dimension first hands the heap's free
+pages back to the OS, so the pages of L do not stack on memory that
+earlier work freed but the heap kept, and the peak resident size of a
 large rank check does not depend on what ran before it.
 
 The LAPACK routines, dgeqp3, dgeqrf and dorgqr, come from scipy's f2py
@@ -96,6 +100,11 @@ _malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "po
 # dynamic mmap threshold: an orbit matrix this large always gets fresh pages.
 _HEAP_MAX_BYTES = 32 << 20
 _EPS = float(np.finfo(np.float64).eps)
+# _rank_in_place compresses a matrix with at least this many columns and
+# this many times as many rows; below either, the compression costs more
+# than it saves (measured on orbit matrices).
+_COMPRESS_MIN_COLS = 1024
+_COMPRESS_MIN_ASPECT = 1.5
 # Condition-number bound of the basis changes random_conjugation draws.
 _MAX_CONDITION = 1000.0
 _HALF_LOG_CONDITION = 0.5 * np.log(_MAX_CONDITION)
@@ -190,10 +199,34 @@ def _pivot_rank(qr: np.ndarray, longest_side: int, config: ToleranceConfig) -> i
 
 
 def _rank_in_place(a: np.ndarray, config: ToleranceConfig) -> int:
-    """numerical_rank of the Fortran-ordered float64 array a, overwriting a."""
+    """numerical_rank of the Fortran-ordered float64 array a, overwriting a.
+
+    A tall a is pivoted through the R of its unpivoted QR: with a = QR and
+    Q orthonormal, a and R have the same column inner products, so the
+    pivoted QR of R picks a's pivots with a's |pivots| up to rounding, while
+    the blocked dgeqrf does most of the work at BLAS-3 speed.
+    """
     if a.size == 0:
         return 0
-    return _pivot_rank(_geqp3(a)[0], max(a.shape), config)
+    rows, cols = a.shape
+    longest = max(rows, cols)
+    if cols >= _COMPRESS_MIN_COLS and rows >= _COMPRESS_MIN_ASPECT * cols:
+        a = _r_factor_in_place(a)
+    return _pivot_rank(_geqp3(a)[0], longest, config)
+
+
+def _r_factor_in_place(a: np.ndarray) -> np.ndarray:
+    """The R of the QR factorization of the tall Fortran-ordered array a,
+    as a Fortran-ordered square view of a's leading cols^2 doubles."""
+    rows, cols = a.shape
+    flat = _geqrf(a)[0].ravel(order="F")
+    # Column j moves from j * rows to j * cols, left of every column not
+    # yet moved; the reflectors below R's diagonal are zeroed.
+    for j in range(cols):
+        at = j * cols
+        flat[at : at + j + 1] = flat[j * rows : j * rows + j + 1]
+        flat[at + j + 1 : at + cols] = 0.0
+    return flat[: cols * cols].reshape((cols, cols), order="F")
 
 
 def numerical_rank(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
@@ -236,15 +269,21 @@ def _orgqr(qr: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return q
 
 
-def _q_factor(g: np.ndarray) -> np.ndarray:
-    """Q of the QR factorization of the square matrix g, in C order; g is
-    left intact.  The workspace queries are np.linalg.qr's, which its bits
-    depend on past LAPACK's crossover size."""
-    a = np.array(g, order="F")
+def _geqrf(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QR of the Fortran-ordered float64 array a, overwriting a: LAPACK's
+    (qr, tau).  The workspace query is np.linalg.qr's, which its bits depend
+    on past LAPACK's crossover size; without overwrite_a=1 the query would
+    copy a."""
     lwork = int(_flapack.dgeqrf(a, lwork=-1, overwrite_a=1)[2][0])
     qr, tau, _, info = _flapack.dgeqrf(a, lwork=lwork, overwrite_a=1)
     _check_info("dgeqrf", info)
-    return np.ascontiguousarray(_orgqr(qr, tau))
+    return qr, tau
+
+
+def _q_factor(g: np.ndarray) -> np.ndarray:
+    """Q of the QR factorization of the square matrix g, in C order; g is
+    left intact."""
+    return np.ascontiguousarray(_orgqr(*_geqrf(np.array(g, order="F"))))
 
 
 def canonical_complex(
@@ -281,17 +320,17 @@ def orbit_dimension(
     ambient, domain = _orbit_matrix_sides(complex_.shape, size_cap)
     if _malloc_trim is not None and 8 * ambient * domain > _HEAP_MAX_BYTES:
         _malloc_trim(0)
-    # The maps were checked finite, so L is too.
-    return _rank_in_place(_orbit_matrix(complex_, ambient, domain), config)
+    # The maps were checked finite, so L is too.  L.T, domain x ambient and
+    # never wide, is the Fortran-ordered matrix that is factored in place.
+    return _rank_in_place(_orbit_matrix(complex_, ambient, domain).T, config)
 
 
 def _orbit_matrix(complex_: NumericalComplex, ambient: int, domain: int) -> np.ndarray:
-    """The ambient x domain matrix of L in row-major vec coordinates, in
-    Fortran order so that it can be factored in place."""
+    """The ambient x domain matrix of L in row-major vec coordinates, in C
+    order so that its transpose can be factored in place."""
     dims = complex_.shape.dims
-    # Written through its C-ordered transpose buf: L[r, c] is element
-    # c * ambient + r of buf.
-    buf = np.zeros((domain, ambient))
+    # L[r, c] is element r * domain + c of the flat buffer.
+    lin = np.zeros((ambient, domain))
     row = col = 0
     for i, d in enumerate(complex_.maps, 1):
         m, k = dims[i - 1], dims[i]
@@ -299,19 +338,19 @@ def _orbit_matrix(complex_: NumericalComplex, ambient: int, domain: int) -> np.n
             # Row-major vec; row (p, q) of block i:
             #   vec(X_{i-1} D_i):  L[(p, q), X_{i-1}[p, s]] =  D_i[s, q]
             #   vec(D_i X_i):      L[(p, q), X_i[t, q]]     = -D_i[p, t]
-            # written through strided views of buf indexed [p, s, q] and
+            # written through strided views of lin indexed [p, s, q] and
             # [p, t, q] (strides in bytes).  "+ 0.0" and "0.0 -" turn -0.0
             # into +0.0, so L holds no negative zero (the QR's Householder
             # signs read the sign of zero).
-            at = 8 * (col * ambient + row)
-            strides = (8 * (m * ambient + k), 8 * ambient, 8)
-            np.add(d, 0.0, out=np.ndarray((m, m, k), np.float64, buf, at, strides))
-            at += 8 * m * m * ambient
-            strides = (8 * k, 8 * k * ambient, 8 * (ambient + 1))
-            np.subtract(0.0, d[:, :, None], out=np.ndarray((m, k, k), np.float64, buf, at, strides))
+            at = 8 * (row * domain + col)
+            strides = (8 * (k * domain + m), 8, 8 * domain)
+            np.add(d, 0.0, out=np.ndarray((m, m, k), np.float64, lin, at, strides))
+            at += 8 * m * m
+            strides = (8 * k * domain, 8 * k, 8 * (domain + 1))
+            np.subtract(0.0, d[:, :, None], out=np.ndarray((m, k, k), np.float64, lin, at, strides))
         col += m * m
         row += m * k
-    return buf.T
+    return lin
 
 
 def _spawned_rng(seed: int, key: int) -> np.random.Generator:

@@ -247,19 +247,22 @@ def _solve(dims):
     return base[0], moves, count[0]
 
 
-def _lexicographic_paths(moves, limit):
-    """The first `limit` maximizers in ascending lexicographic order.
+def _lexicographic_paths(dims, moves, limit):
+    """The first `limit` maximizers in ascending lexicographic order, with
+    their Betti tuples: (rows, bettis).
 
     A descent from depth i after r_i = p follows each stage's least move to
-    the end; it gives the suffix of ranks and its branch points, the
-    depths whose tie tuple has further ties, each with the ties not yet
-    taken.  The next row after a listed one advances its deepest branch
-    point j to its next tie t and descends from there: prefix + (t,) +
-    suffix.  Descents are memoized per (depth, state) for the call, and a
-    descent that meets a memoized one reuses its suffix, so a row costs a
+    the end; it gives the suffix of ranks, the Betti numbers beta_i, ...,
+    beta_n they fix, and its branch points, the depths whose tie tuple has
+    further ties, each with the ties not yet taken.  The next row after a
+    listed one advances its deepest branch point j to its next tie t and
+    descends from there: prefix + (t,) + suffix, and its Betti tuple is
+    the listed one's up to beta_{j-1}, then a_j - r_j - t, then the
+    descent's.  Descents are memoized per (depth, state) for the call, and
+    a descent that meets a memoized one reuses its suffix, so a row costs a
     few tuple concatenations however deep it is.  Each listed row adds at
-    most one memo entry, no longer than the row, so the memo costs no more
-    than the listing.
+    most one memo entry, no longer than the row and its Betti tuple, so the
+    memo costs no more than the listing.
     """
     n = len(moves)
     memo = {}
@@ -267,12 +270,15 @@ def _lexicographic_paths(moves, limit):
     def descend(i, p):
         start = i, p
         steps, branches = [], []
-        while i < n:
+        while True:
             found = memo.get((i, p))
             if found is not None:
                 if not steps:
                     return found
-                suffix, below = found
+                suffix, tail, below = found
+                break
+            if i == n:
+                suffix, tail, below = (), (dims[n] - p,), []
                 break
             least, ties_of = moves[i]
             ties = ties_of.get(p)
@@ -281,36 +287,38 @@ def _lexicographic_paths(moves, limit):
             p = least[p]
             steps.append(p)
             i += 1
-        else:
-            suffix, below = (), []
-        found = memo[start] = tuple(steps) + suffix, branches + below
+        # beta_k = a_k - r_k - r_{k+1} for k from the start to i - 1.
+        chain = (start[1], *steps)
+        head = tuple(map(sub, map(sub, dims[start[0] : i], chain), steps))
+        found = memo[start] = tuple(steps) + suffix, head + tail, branches + below
         return found
 
-    row, below = descend(0, 0)
-    out = [row]
+    row, betti, below = descend(0, 0)
+    rows, bettis = [row], [betti]
     stack = list(below)
-    while stack and len(out) < limit:
+    while stack and len(rows) < limit:
         j, rest = stack.pop()
         t = rest[0]
         if len(rest) > 1:
             stack.append((j, rest[1:]))
-        suffix, below = descend(j + 1, t)
+        suffix, tail, below = descend(j + 1, t)
+        betti = betti[:j] + (dims[j] - (row[j - 1] if j else 0) - t,) + tail
         row = row[:j] + (t,) + suffix
-        out.append(row)
+        rows.append(row)
+        bettis.append(betti)
         stack += below
-    return out
+    return rows, bettis
 
 
-def _report(dims, best, count, listed, cap) -> MaximizerReport:
-    """The report of listed maximizers, which the DP or the oracle built as
-    feasible tuples of ints, so neither they nor their Betti numbers are
+def _report(best, count, listed, bettis, cap) -> MaximizerReport:
+    """The report of listed maximizers and their Betti tuples, which the DP
+    or the oracle built as feasible tuples of ints, so they are not
     validated again."""
     return MaximizerReport(
         max_dimension=best,
         maximizer_count=count,
         maximizers=tuple([_unvalidated(RankVector, "ranks", r) for r in listed]),
-        betti_spectrum=tuple([_unvalidated(BettiVector, "bettis", _betti(dims, r))
-                              for r in listed]),
+        betti_spectrum=tuple([_unvalidated(BettiVector, "bettis", b) for b in bettis]),
         truncated=count > cap,
         enumeration_cap=cap,
     )
@@ -319,7 +327,8 @@ def _report(dims, best, count, listed, cap) -> MaximizerReport:
 def maximize_dp(shape: ComplexShape) -> tuple[int, RankVector]:
     """Maximum of d(a, r) and its lexicographically smallest maximizer."""
     best, moves, _ = _solve(shape.dims)
-    return best, _unvalidated(RankVector, "ranks", _lexicographic_paths(moves, 1)[0])
+    rows, _ = _lexicographic_paths(shape.dims, moves, 1)
+    return best, _unvalidated(RankVector, "ranks", rows[0])
 
 
 def enumerate_maximizers(
@@ -332,7 +341,7 @@ def enumerate_maximizers(
     if cap < 1:
         raise ValueError("enumeration cap must be positive")
     best, moves, count = _solve(shape.dims)
-    return _report(shape.dims, best, count, _lexicographic_paths(moves, cap), cap)
+    return _report(best, count, *_lexicographic_paths(shape.dims, moves, cap), cap)
 
 
 def maximizer_rank_sum_range(shape: ComplexShape) -> tuple[int, int, int]:
@@ -376,4 +385,4 @@ def brute_force_maximize(
             argmax = [r]
         elif d == best:
             argmax.append(r)
-    return _report(dims, best, len(argmax), argmax, len(argmax))
+    return _report(best, len(argmax), argmax, [_betti(dims, r) for r in argmax], len(argmax))

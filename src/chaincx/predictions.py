@@ -182,14 +182,6 @@ def predict_length2(shape: ComplexShape) -> Prediction:
     )
 
 
-def predict_length3_sum(
-    shape: ComplexShape, reading: HypothesisReading = HypothesisReading.SENTINEL
-) -> Prediction:
-    """Three maps under the no-forced-homology hypothesis: sum beta_i = |chi|."""
-    return _sum_prediction(shape, shape.n_maps == 3 and hypothesis_holds(shape, reading),
-                           _NA_LENGTH3_SUM)
-
-
 def _spread_set(n, m):
     """Betti vectors with zero odd entries and even entries floor/ceil of
     m / (n/2 + 1), summing to m; sorted lexicographically."""
@@ -314,7 +306,7 @@ def check_shape(
         )
     total = sum(shape.dims) - 2 * sum(_greedy(shape.dims))
     verdict, prediction, predictions, outcomes = _judge(shape, reading, total, solved)
-    observed = _report(shape.dims, best, count, _lexicographic_paths(moves, count),
+    observed = _report(best, count, *_lexicographic_paths(shape.dims, moves, count),
                        CHECK_ENUMERATION_GUARD)
     return ComparisonResult(shape, prediction, observed, verdict,
                             tuple(zip(predictions, outcomes)))

@@ -193,7 +193,7 @@ class TestCheck:
         (",".join(["10"] * 40 + ["11"]), 184_756),  # no closed form applies
     ])
     def test_over_the_guard_refused_before_listing(self, dims, count, capsys, monkeypatch):
-        def no_listing(moves, limit):
+        def no_listing(dims, moves, limit):
             raise AssertionError("maximizers were listed")
 
         monkeypatch.setattr(optimizer, "_lexicographic_paths", no_listing)

@@ -34,11 +34,13 @@ from chaincx import (
 )
 from chaincx.core import DEFAULT_SIZE_CAP, _feasible, _orbit_matrix_sides
 from chaincx.numerics import (
+    _EPS,
     _geqp3,
     _kernel_basis,
     _orbit_matrix,
     _pivot_rank,
     _q_factor,
+    _rank_in_place,
 )
 from test_core import _exactly, iter_feasible_ranks, iter_shapes, ranks, shape
 
@@ -328,7 +330,7 @@ class TestOrbitOracles:
                 assert all(bit_equal(a, b) for a, b in zip(cx.maps, loop_canonical_maps(s, rv)))
                 for moved in (cx, random_conjugation(cx, sum(s.dims))):
                     lin = _orbit_matrix(moved, *sides)
-                    assert lin.flags.f_contiguous, s
+                    assert lin.flags.c_contiguous, s
                     assert bit_equal(lin, scatter_orbit_matrix(moved, *sides)), (s, rv)
 
     def test_conjugation_matches_two_qr(self):
@@ -367,8 +369,9 @@ class TestDirectLapack:
                 lin = _orbit_matrix(moved, *_orbit_matrix_sides(moved.shape, DEFAULT_SIZE_CAP))
                 if lin.size == 0:
                     continue
-                ref = np.diag(scipy.linalg.qr(lin, mode="r", pivoting=True)[0])
-                assert bit_equal(np.diag(_geqp3(lin)[0]), ref), moved.shape
+                # orbit_dimension factors L.T, which is Fortran-ordered.
+                ref = np.diag(scipy.linalg.qr(lin.T, mode="r", pivoting=True)[0])
+                assert bit_equal(np.diag(_geqp3(lin.T)[0]), ref), moved.shape
 
     def test_kernel_basis_matches_wrapper(self):
         rng = np.random.default_rng(20261018)
@@ -415,8 +418,15 @@ class TestDirectLapack:
         assert orbit_dimension(cx) == 300
         assert calls == [0]
 
-    @pytest.mark.parametrize("routine", ["dgeqp3", "dorgqr", "dgeqrf"])
-    def test_illegal_argument_raises(self, monkeypatch, routine):
+    @pytest.mark.parametrize("routine, call", [
+        pytest.param("dgeqp3", lambda: _kernel_basis(np.ones((2, 3))), id="dgeqp3"),
+        pytest.param("dorgqr", lambda: _kernel_basis(np.ones((2, 3))), id="dorgqr"),
+        pytest.param("dgeqrf", lambda: _q_factor(np.ones((2, 2))), id="dgeqrf"),
+        # The compression of a tall matrix before its pivoted QR.
+        pytest.param("dgeqrf", lambda: _rank_in_place(np.ones((3, 2), order="F"),
+                                                      DEFAULT_TOLERANCES), id="dgeqrf-rank"),
+    ])
+    def test_illegal_argument_raises(self, monkeypatch, routine, call):
         # A negative info from LAPACK is an error, as in scipy.linalg.
         real = getattr(numerics._flapack, routine)
 
@@ -425,11 +435,9 @@ class TestDirectLapack:
             return (*out, -2)
 
         monkeypatch.setattr(numerics._flapack, routine, bad_info)
+        force_compression(monkeypatch)
         with pytest.raises(ValueError, match=f"argument 2 of LAPACK {routine}"):
-            if routine == "dgeqrf":
-                _q_factor(np.ones((2, 2)))
-            else:
-                _kernel_basis(np.ones((2, 3)))
+            call()
 
     def test_missing_extension_names_the_path(self, monkeypatch, tmp_path):
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
@@ -460,6 +468,96 @@ class TestDirectLapack:
                         basis = wrapper_kernel_basis(cx.maps[j - 1])
                         ref = basis @ rng.standard_normal((basis.shape[1], m.shape[1]))
                     assert bit_equal(m, ref), (dims, seed, j)
+
+
+def force_compression(monkeypatch):
+    """Let _rank_in_place compress every matrix that is not wide."""
+    monkeypatch.setattr(numerics, "_COMPRESS_MIN_COLS", 1)
+    monkeypatch.setattr(numerics, "_COMPRESS_MIN_ASPECT", 1.0)
+
+
+def spy_pivots(monkeypatch):
+    """The |pivots| and longest side of each rank decision, in call order."""
+    seen = []
+    real = numerics._pivot_rank
+
+    def spy(qr, longest_side, config):
+        seen.append((np.abs(np.diag(qr)), longest_side))
+        return real(qr, longest_side, config)
+
+    monkeypatch.setattr(numerics, "_pivot_rank", spy)
+    return seen
+
+
+class TestTallCompression:
+    # _rank_in_place pivots a tall matrix through the R of its unpivoted QR.
+
+    def test_compressed_pivots_match_direct(self, monkeypatch):
+        seen = spy_pivots(monkeypatch)
+
+        def both_paths(tall):
+            monkeypatch.setattr(numerics, "_COMPRESS_MIN_COLS", 1 << 62)
+            direct = _rank_in_place(np.array(tall, order="F"), DEFAULT_TOLERANCES)
+            force_compression(monkeypatch)
+            compressed = _rank_in_place(np.array(tall, order="F"), DEFAULT_TOLERANCES)
+            (p_direct, longest), (p_compressed, longest_compressed) = seen[-2:]
+            assert compressed == direct
+            assert longest_compressed == longest == max(tall.shape)
+            assert p_compressed.shape == p_direct.shape
+            # Equal up to rounding: the threshold's scale without its factor.
+            assert np.all(np.abs(p_compressed - p_direct) <= 4 * _EPS * longest * p_direct[0])
+            return direct
+
+        for s in iter_shapes(3, 4):
+            sides = _orbit_matrix_sides(s, DEFAULT_SIZE_CAP)
+            for rv in iter_feasible_ranks(s):
+                cx = canonical_complex(s, rv)
+                for moved in (cx, random_conjugation(cx, sum(s.dims))):
+                    lin = _orbit_matrix(moved, *sides)
+                    if lin.size:
+                        assert both_paths(lin.T) == stratum_dimension(s, rv), (s, rv)
+        # Past LAPACK's blocking size dgeqrf and dgeqp3 run blocked.
+        rng = np.random.default_rng(20261020)
+        for m, n, r in [(300, 200, 120), (400, 150, 90), (600, 260, 260), (260, 130, 0)]:
+            assert both_paths(low_rank(rng, m, n, r)) == r, (m, n, r)
+
+    def test_compression_holds_one_copy_of_orbit_matrix(self, monkeypatch):
+        # 33,33 is past the crossover: L.T is 2178 x 1089.
+        calls = []
+        real = numerics._r_factor_in_place
+
+        def counted(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(numerics, "_r_factor_in_place", counted)
+        s, rv = shape(33, 33), ranks(16)
+        cx = random_conjugation(canonical_complex(s, rv), 3)
+        ambient, domain = _orbit_matrix_sides(s, DEFAULT_SIZE_CAP)
+        tracemalloc.start()
+        try:
+            assert orbit_dimension(cx) == stratum_dimension(s, rv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [(domain, ambient)]
+        assert peak < 1.5 * 8 * ambient * domain
+
+    def test_rank_margins_on_bench_instances(self, monkeypatch):
+        # The smallest kept pivot over the threshold and the threshold over
+        # the largest dropped one, on the two near-cap benchmark checks.
+        # Both were above 1e4 when measured; a margin below 10 would leave
+        # the rank decision too close to its tolerance to trust.
+        seen = spy_pivots(monkeypatch)
+        for dims, rv in [((30, 30, 30), (15, 15)), ((40, 40), (40,))]:
+            s, rv = ComplexShape(dims), RankVector(rv)
+            d = orbit_dimension(random_conjugation(canonical_complex(s, rv), 1))
+            assert d == stratum_dimension(s, rv)
+            pivots, longest = seen[-1]
+            threshold = DEFAULT_TOLERANCES.rank_tolerance_factor * _EPS * longest * pivots[0]
+            assert pivots[d - 1] / threshold > 10, dims
+            if d < pivots.size:
+                assert threshold / pivots[d] > 10, dims
 
 
 class TestOrbitDimension:

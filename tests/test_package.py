@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "euler_characteristic", "greedy_rank_vector", "hypothesis_holds", "is_feasible",
     "maximize_dp", "maximizer_rank_sum_range", "numerical_rank", "numerics", "optimizer",
     "orbit_dimension", "predict_conjecture", "predict_equal_dim", "predict_length1",
-    "predict_length2", "predict_length3_sum", "predictions", "random_conjugation",
+    "predict_length2", "predictions", "random_conjugation",
     "sequential_sample", "stratum_dimension", "sweep_theorems",
 ]
 

@@ -23,12 +23,12 @@ from chaincx import (
     check_shape,
     conjecture_scan,
     enumerate_maximizers,
+    euler_characteristic,
     greedy_rank_vector,
     hypothesis_holds,
     predict_equal_dim,
     predict_length1,
     predict_length2,
-    predict_length3_sum,
     is_feasible,
     predict_conjecture,
     stratum_dimension,
@@ -156,6 +156,17 @@ def _hypothesis_oracle(dims, reading):
     return all(a(i) + a(i + 2) >= a(i + 1) for i in window)
 
 
+def predict_length3_sum(
+    shape: ComplexShape, reading: HypothesisReading = HypothesisReading.SENTINEL
+) -> Prediction:
+    """Oracle of the three-map theorem, the Length3Sum entry of
+    all_predictions: sum beta_i = |chi| under the no-forced-homology
+    hypothesis, else not applicable."""
+    if shape.n_maps != 3 or not hypothesis_holds(shape, reading):
+        return Prediction(False, (), None, SourceTheorem.LENGTH3_SUM)
+    return Prediction(True, (), abs(euler_characteristic(shape)), SourceTheorem.LENGTH3_SUM)
+
+
 class TestLength3:
     def test_examples(self):
         assert predict_length3_sum(shape(2, 2, 2, 2)).predicted_sum == 0
@@ -187,6 +198,9 @@ class TestLength3:
         applicable = 0
         for dims in itertools.product(range(5), repeat=4):
             s = ComplexShape(dims)
+            for reading in HypothesisReading:
+                # all_predictions' Length3Sum entry is the rule under test.
+                assert all_predictions(s, reading)[2] == predict_length3_sum(s, reading), dims
             pred = predict_length3_sum(s)
             if not pred.applicable:
                 continue
