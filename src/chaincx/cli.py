@@ -60,6 +60,8 @@ EXIT_USAGE = 64
 
 # Largest --size-cap: an orbit matrix of at most 16384^2 doubles, 2 GiB.
 MAX_SIZE_CAP = 16384
+# Largest --trials: each trial samples and ranks every map of the shape.
+MAX_TRIALS = 10_000
 
 ENV_RANK_TOL = "CHAINCX_RANK_TOL"
 ENV_WORK_CAP = "CHAINCX_WORK_CAP"
@@ -280,6 +282,8 @@ def cmd_sample(args):
     shape = _shape_of(args)
     if args.trials < 1:
         raise _UsageError("--trials must be positive")
+    if args.trials > MAX_TRIALS:
+        raise _UsageError(f"--trials must be at most {MAX_TRIALS}")
     if args.seed < 0:
         raise _UsageError("--seed must be non-negative")
     if args.limit < 1:

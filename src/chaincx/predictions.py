@@ -4,18 +4,22 @@ For several families of shapes the positive-probability Betti vectors
 have closed forms: complexes with one or two maps, three maps under a
 no-forced-homology hypothesis on the dimensions, and arbitrary length
 with all dimensions equal.  This module implements those closed forms,
-decides them without listing maximizers, and scans shape space for
+checks them against the listed maximizers, and scans shape space for
 counterexamples to the general conjecture that total homology is almost
 surely |chi| whenever no Betti number is forced positive by the
 dimensions alone.
 
-A total-homology claim needs no DP.  By the forced-homology theorem
-(proved in the optimizer module) every maximizer has the rank sum of the
-greedy ranks g, so almost surely sum beta_i = sum a_i - 2 sum g_i, which
-costs O(n) per shape.  The scan and the sweep carry it and chi along
-shared prefixes, so each shape they visit is decided in O(1).  Past two
-maps both visit only the hypothesis shapes, one of each reversal pair:
-no other shape has an applicable prediction (see sweep_theorems).
+A predicted Betti set holds iff it equals the Betti spectrum of the
+listed maximizers.  A total-homology claim needs no DP.  By the
+forced-homology theorem (proved in the optimizer module) every maximizer
+has the rank sum of the greedy ranks g, so almost surely sum beta_i =
+sum a_i - 2 sum g_i, which costs O(n) per shape.  The scan and the sweep
+carry it and chi along shared prefixes, so each shape they visit is
+decided in O(1).  Every verdict is shared by a shape and its reversal,
+so both visit one shape of each reversal pair.  Past two maps both visit
+only the hypothesis shapes: no other shape has an applicable prediction.
+Up to two maps the sweep checks one shape of each pair with check_shape
+(see sweep_theorems).
 
 The no-forced-homology hypothesis reads a_i + a_{i+2} >= a_{i+1} over a
 window of indices with out-of-range dimensions treated as zero.  Two
@@ -30,9 +34,9 @@ window conventions are implemented:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from math import comb
 from operator import add, ge
 
@@ -43,7 +47,6 @@ from .core import (
     ComplexShape,
     WorkCapExceeded,
     _chi,
-    _dimension,
     _greedy,
     _unvalidated,
 )
@@ -243,46 +246,25 @@ def all_predictions(
     )
 
 
-def _fulfils(prediction, dims, total, solved) -> bool:
-    """Whether the maximizers fulfil an applicable prediction, without listing them.
-
-    Every maximizer has the greedy ranks' sum (the theorem in the optimizer
-    module), so a predicted sum holds iff their total homology `total`,
-    sum a_i - 2 sum g_i, equals it.  A Betti vector fixes its ranks,
-    r_{i+1} = a_i - beta_i - r_i closing at r_{n+1} = 0, so a predicted set
-    is the spectrum iff it has `count` members whose ranks are non-negative
-    (hence feasible) and reach max d `best`, for _solve's result
-    solved = (best, moves, count), which a sum does not read.
-    """
-    if not prediction.predicted_betti_set:
-        return total == prediction.predicted_sum
-    best, _, count = solved
-    if len(prediction.predicted_betti_set) != count:
-        return False
-    for betti in prediction.predicted_betti_set:
-        ranks = [0]
-        for a, b in zip(dims, betti.bettis):
-            ranks.append(a - b - ranks[-1])
-        if ranks[-1] or min(ranks) < 0 or _dimension(dims, ranks[1:-1]) != best:
-            return False
-    return True
+def _fulfils(prediction, total, spectrum) -> bool:
+    """Whether the listed Betti spectrum fulfils an applicable prediction: a
+    Betti set by set equality, a sum by the greedy total homology `total`."""
+    if prediction.predicted_betti_set:
+        return set(prediction.predicted_betti_set) == set(spectrum)
+    return total == prediction.predicted_sum
 
 
-def _judge(shape, reading, total, solved=None):
-    """check_shape's (verdict, deciding prediction, predictions, outcomes)
-    from the greedy total homology and _solve's result, which runs here only
-    if a Betti set needs it."""
-    predictions = all_predictions(shape, reading)
-    outcomes = []
-    for p in predictions:
-        if p.applicable and p.predicted_betti_set and solved is None:
-            solved = _solve(shape.dims)
-        outcomes.append(_fulfils(p, shape.dims, total, solved) if p.applicable else None)
-    if False in outcomes:
-        return Verdict.MISMATCH, predictions[outcomes.index(False)], predictions, outcomes
-    if True in outcomes:
-        return Verdict.MATCH, predictions[outcomes.index(True)], predictions, outcomes
-    return Verdict.NOT_APPLICABLE, _NA_CONJECTURE, predictions, outcomes
+def _observe(shape: ComplexShape) -> MaximizerReport:
+    """Every maximizer of the shape, listed; a shape with more than
+    CHECK_ENUMERATION_GUARD of them is refused before any is listed."""
+    best, moves, count = _solve(shape.dims)
+    if count > CHECK_ENUMERATION_GUARD:
+        raise WorkCapExceeded(
+            f"shape {shape.dims} has {count} maximizers, "
+            f"more than the comparison guard of {CHECK_ENUMERATION_GUARD}"
+        )
+    return _report(best, count, *_lexicographic_paths(shape.dims, moves, count),
+                   CHECK_ENUMERATION_GUARD)
 
 
 def check_shape(
@@ -290,24 +272,27 @@ def check_shape(
 ) -> ComparisonResult:
     """Compare every applicable prediction with the observed spectrum.
 
-    Every prediction is decided from one DP's max d and maximizer count,
-    a sum from the greedy ranks, as in sweep_theorems; a shape with more
-    than CHECK_ENUMERATION_GUARD maximizers is refused before any is listed.
-    Any mismatch dominates the verdict; with no applicable prediction it
-    is NOT_APPLICABLE.  The returned prediction is the deciding one (first
+    The maximizers are listed (_observe), so a shape with more than
+    CHECK_ENUMERATION_GUARD of them is refused first.  A predicted Betti
+    set holds iff it equals the listed spectrum as a set.  A predicted sum
+    holds iff it equals the greedy total homology sum a_i - 2 sum g_i,
+    which every maximizer has (the theorem in the optimizer module).  Any
+    mismatch dominates the verdict; with no applicable prediction it is
+    NOT_APPLICABLE.  The returned prediction is the deciding one (first
     mismatch, else first applicable match); `comparisons` holds all six
     predictions with their outcomes.
     """
-    solved = best, moves, count = _solve(shape.dims)
-    if count > CHECK_ENUMERATION_GUARD:
-        raise WorkCapExceeded(
-            f"shape {shape.dims} has {count} maximizers, "
-            f"more than the comparison guard of {CHECK_ENUMERATION_GUARD}"
-        )
+    observed = _observe(shape)
     total = sum(shape.dims) - 2 * sum(_greedy(shape.dims))
-    verdict, prediction, predictions, outcomes = _judge(shape, reading, total, solved)
-    observed = _report(best, count, *_lexicographic_paths(shape.dims, moves, count),
-                       CHECK_ENUMERATION_GUARD)
+    predictions = all_predictions(shape, reading)
+    outcomes = [_fulfils(p, total, observed.betti_spectrum) if p.applicable else None
+                for p in predictions]
+    if False in outcomes:
+        verdict, prediction = Verdict.MISMATCH, predictions[outcomes.index(False)]
+    elif True in outcomes:
+        verdict, prediction = Verdict.MATCH, predictions[outcomes.index(True)]
+    else:
+        verdict, prediction = Verdict.NOT_APPLICABLE, _NA_CONJECTURE
     return ComparisonResult(shape, prediction, observed, verdict,
                             tuple(zip(predictions, outcomes)))
 
@@ -327,112 +312,83 @@ def _check_bounds(max_length: int, max_entry: int, what: str) -> None:
         )
 
 
-def _scan_window(reading, max_entry, length):
-    """The _greedy_leaves window of _canonical_leaves: the hypothesis shapes
-    whose last entry is at least their first.
-
-    Every append of x after w, a obeys x >= a - w.  The sentinel reading
-    reads a 0 before the shape, so a_1 >= a_0, and one after it, so the
-    last entry is at most its predecessor and a lone entry is 0.  A
-    surviving prefix extends to a hypothesis shape by repeating its last
-    entry.  A shape whose last entry is below its first is greater than
-    its reversal, which the walk visits instead.
-    """
-    sentinel = reading is HypothesisReading.SENTINEL
-    last = length - 1
-
-    def window(path, k):
-        first = 0
-        if k >= 2:
-            first = max(path[k - 1] - path[k - 2], 0)
-        elif k and sentinel:
-            first = path[0]
-        if k < last:
-            return first, max_entry
-        if k:
-            first = max(first, path[0])
-        if not sentinel:
-            return first, max_entry
-        return first, path[k - 1] if k else 0
-
-    return window
-
-
-def _greedy_leaves(length, window):
-    """Every shape of `length` entries that `window` admits, in lexicographic
-    order, with its total homology sum a_i - 2 sum g_i for the greedy ranks
-    g, which every maximizer has (the theorem in the optimizer module), and
-    its Euler characteristic chi: (path, total, chi).
-
-    window(path, k) gives the inclusive range of entry k after path[:k]; an
-    empty range prunes.  A node at depth k holds only g_k = min(a_k, a_{k-1}
-    - g_{k-1}), g_0 = 0, and the running total and chi, shared by the shapes
-    below it, so a leaf costs O(1).  The same path list is yielded at every
-    leaf: copy it to keep it.
-    """
-    last = length - 1
-    path = [0] * length
-    stop = [0] * length
-    rank = [0] * length
-    total = [0] * length
-    chi = [0] * length
-    k = 0
-    path[0], stop[0] = window(path, 0)
-    while True:
-        a = path[k]
-        if k == last:
-            first = end = 0
-        else:
-            first, end = window(path, k + 1)
-        if a <= stop[k] and first <= end:
-            if k:
-                g = path[k - 1] - rank[k - 1]
-                if a < g:
-                    g = a
-                t = total[k - 1] + a - 2 * g
-                c = chi[k - 1] - a if k & 1 else chi[k - 1] + a
-            else:
-                g = 0
-                t = c = a
-            if k == last:
-                yield path, t, c
-            else:
-                rank[k], total[k], chi[k] = g, t, c
-                k += 1
-                path[k], stop[k] = first, end
-                continue
-        while path[k] >= stop[k]:
-            k -= 1
-            if k < 0:
-                return
-        path[k] += 1
-
-
 def _canonical_leaves(lengths, max_entry, reading):
     """The hypothesis shapes of the given lengths with entries up to
     max_entry, one of each reversal pair, by length and then
-    lexicographically: (path, total, chi, mirrored) as _greedy_leaves
-    yields them, where mirrored says whether the reversal is another shape.
+    lexicographically: (path, total, chi, mirrored) with the total homology
+    sum a_i - 2 sum g_i of the greedy ranks g, which every maximizer has
+    (the theorem in the optimizer module), the Euler characteristic chi,
+    and whether the reversal is another shape.  The same path list is
+    yielded at every leaf: copy it to keep it.
 
-    _scan_window admits only shapes whose last entry is at least their
-    first, so a shape is greater than its reversal only if those two are
-    equal; only then is the reversal compared.
+    The walk descends entry by entry.  A node at depth k holds only
+    g_k = min(a_k, a_{k-1} - g_{k-1}), g_0 = 0, and the running total and
+    chi, shared by the shapes below it, so a leaf costs O(1).  An entry x
+    after w, a obeys x >= a - w.  The sentinel reading reads a 0 before the
+    shape, so a_1 >= a_0, and one after it, so the last entry is at most
+    its predecessor and a lone entry is 0.  The last entry is also at least
+    the first: a shape whose last entry is below its first is greater than
+    its reversal, which the walk visits instead.  An empty range prunes the
+    node above it; any other prefix extends to a hypothesis shape by
+    repeating its last entry.  So a shape is greater than its reversal
+    only if its first and last entries are equal, and only then is the
+    reversal compared.
     """
+    sentinel = reading is HypothesisReading.SENTINEL
     for length in lengths:
-        for path, total, chi in _greedy_leaves(length, _scan_window(reading, max_entry, length)):
-            mirrored = True
-            if path[0] == path[-1]:
-                reverse = path[::-1]
-                if reverse < path:
+        last = length - 1
+        path = [0] * length
+        stop = [0] * length
+        rank = [0] * length
+        total = [0] * length
+        chi = [0] * length
+        stop[0] = 0 if sentinel and not last else max_entry
+        k = 0
+        while True:
+            a = path[k]
+            # The range [first, end] of entry k + 1 after this node.
+            first = end = 0
+            if k < last:
+                if k:
+                    first = a - path[k - 1]
+                    if first < 0:
+                        first = 0
+                elif sentinel:
+                    first = a
+                end = max_entry
+                if k + 1 == last:
+                    if first < path[0]:
+                        first = path[0]
+                    if sentinel:
+                        end = a
+            if a <= stop[k] and first <= end:
+                if k:
+                    g = path[k - 1] - rank[k - 1]
+                    if a < g:
+                        g = a
+                    t = total[k - 1] + a - 2 * g
+                    c = chi[k - 1] - a if k & 1 else chi[k - 1] + a
+                else:
+                    g = 0
+                    t = c = a
+                if k < last:
+                    rank[k], total[k], chi[k] = g, t, c
+                    k += 1
+                    path[k], stop[k] = first, end
                     continue
-                mirrored = reverse != path
-            yield path, total, chi, mirrored
-
-
-def _representatives(path, mirrored):
-    """The shape of a canonical leaf and, if it is another shape, its reversal."""
-    dims = tuple(path)
-    return (dims, dims[::-1]) if mirrored else (dims,)
+                if a != path[0]:
+                    yield path, t, c, True
+                else:
+                    reverse = path[::-1]
+                    if path <= reverse:
+                        yield path, t, c, path != reverse
+            while path[k] >= stop[k]:
+                k -= 1
+                if k < 0:
+                    break
+            if k < 0:
+                break
+            path[k] += 1
 
 
 def conjecture_scan(
@@ -450,10 +406,10 @@ def conjecture_scan(
     representatives are reported.  Only shapes that satisfy the hypothesis
     are generated (_canonical_leaves), and each is decided in O(1) by its
     greedy total homology and chi, which are shared along common prefixes;
-    the DP runs only to report a counterexample.  Hitting work_cap stops the
-    scan with partial results and truncated = True.  Bounds that are
-    negative or reach past MAX_LENGTH or MAX_ENTRY raise ValueError before
-    anything is scanned.
+    the DP runs only to list a counterexample's maximizers (_observe).
+    Hitting work_cap stops the scan with partial results and truncated =
+    True.  Bounds that are negative or reach past MAX_LENGTH or MAX_ENTRY
+    raise ValueError before anything is scanned.
     """
     _check_bounds(max_length, max_entry, "scan")
     counterexamples = []
@@ -467,12 +423,13 @@ def conjecture_scan(
         scanned += 1
         if total == abs(chi):
             continue
-        for rep in _representatives(path, mirrored):
+        dims = tuple(path)
+        for rep in (dims, dims[::-1]) if mirrored else (dims,):
             # A mismatch, reported against the conjecture alone.
-            result = check_shape(ComplexShape(rep), reading)
-            prediction = predict_conjecture(result.shape, reading)
-            counterexamples.append(
-                replace(result, prediction=prediction, comparisons=((prediction, False),)))
+            shape = ComplexShape(rep)
+            prediction = predict_conjecture(shape, reading)
+            counterexamples.append(ComparisonResult(
+                shape, prediction, _observe(shape), Verdict.MISMATCH, ((prediction, False),)))
     counterexamples.sort(key=lambda c: (len(c.shape.dims), c.shape.dims))
     return ScanReport(tuple(counterexamples), scanned, truncated)
 
@@ -485,10 +442,25 @@ def sweep_theorems(
 ) -> SweepSummary:
     """Tally check_shape's verdicts over every shape in the rectangle.
 
-    Shapes of up to two maps are all walked and judged as check_shape
-    judges them, from the walk's greedy total homology; the DP runs only
-    for an applicable Betti set.  From three maps on, only the shapes of
-    _canonical_leaves can get a verdict other than NOT_APPLICABLE:
+    Every input to the verdict is invariant under reversal, so the sweep
+    decides one shape of each mirror pair, which counts twice; a palindrome
+    counts once:
+
+    * d is symmetric under reversal, so the maximizers of the reversal are
+      the reversed maximizers, its spectrum is the reversed spectrum, and
+      its total homology is the same.
+    * Each closed form maps to its reversal.  LENGTH1 swaps its two cases.
+      LENGTH2 swaps its two one-sided dominant cases, and the a_1-dominant
+      and the balanced sets are closed under reversal, as chi is unchanged.
+      Reversal keeps equal dimensions equal, and every sum prediction
+      predicts |chi|, whose sign alone reversal may change.  Both windows
+      of the hypothesis are symmetric, so every prediction applies to a
+      shape iff it applies to its reversal.
+
+    Shapes of up to two maps are taken from the product of the entries,
+    those no greater than their reversal, and each goes through check_shape.
+    From three maps on, only the shapes of _canonical_leaves can get a
+    verdict other than NOT_APPLICABLE:
 
     * Such a shape's applicable predictions are LENGTH3_SUM and CONJECTURE,
       which need the hypothesis, and the equal-dims ones, which need every
@@ -498,15 +470,12 @@ def sweep_theorems(
     * Every applicable sum prediction predicts |chi|, and every maximizer
       has the greedy total homology.  So a shape without an applicable
       Betti set is a MATCH iff that total is |chi|, else a MISMATCH.  An
-      equal-dims shape with m >= 1 has a Betti set and goes to _judge.
-    * Every input to the verdict is invariant under reversal: both windows
-      of the hypothesis are symmetric, reversal keeps equal dimensions
-      equal, chi changes at most its sign, and the total is that of every
-      maximizer of d, which is symmetric under reversal.  So a mirror pair
-      shares its verdict and counts twice; a palindrome counts once.
+      equal-dims shape with m >= 1 has a Betti set and goes through
+      check_shape.
 
-    Only a mismatch goes through check_shape itself, each representative
-    for its details, which are then put in rectangle order; the rest of the
+    A mismatch that went through check_shape is its own detail; every
+    other representative of a mismatched pair goes through check_shape for
+    its details, which are then put in rectangle order.  The rest of the
     rectangle is NOT_APPLICABLE.  Bounds are refused as in conjecture_scan,
     before the work cap is read.
     """
@@ -517,26 +486,28 @@ def sweep_theorems(
             f"sweep up to {max_length} maps with entries up to {max_entry} "
             f"exceeds the work cap of {work_cap} shapes"
         )
-    # Every shape of up to two maps, then the canonical ones of three maps on.
-    leaves = chain(
-        ((*leaf, False) for length in range(1, min(max_length, 2) + 2)
-         for leaf in _greedy_leaves(length, lambda path, k: (0, max_entry))),
-        _canonical_leaves(range(4, max_length + 2), max_entry, reading),
-    )
+    # One of each mirror pair: of up to two maps, then the canonical ones.
+    short = (dims for length in range(1, min(max_length, 2) + 2)
+             for dims in product(range(max_entry + 1), repeat=length) if dims <= dims[::-1])
+    leaves = chain(((dims, None, None, dims != dims[::-1]) for dims in short),
+                   _canonical_leaves(range(4, max_length + 2), max_entry, reading))
     matches = 0
     details = []
     for path, total, chi, mirrored in leaves:
+        result = None
         if len(path) <= 3 or (not mirrored and path[0] and path.count(path[0]) == len(path)):
             # _check_bounds has admitted every length and entry the walks visit.
-            shape = _unvalidated(ComplexShape, "dims", tuple(path))
-            verdict = _judge(shape, reading, total)[0]
+            result = check_shape(_unvalidated(ComplexShape, "dims", tuple(path)), reading)
+            verdict = result.verdict
         else:
             verdict = Verdict.MATCH if total == abs(chi) else Verdict.MISMATCH
         if verdict is Verdict.MATCH:
             matches += 1 + mirrored
         elif verdict is Verdict.MISMATCH:
-            details += [check_shape(ComplexShape(rep), reading)
-                        for rep in _representatives(path, mirrored)]
+            dims = tuple(path)
+            details.append(result or check_shape(ComplexShape(dims), reading))
+            if mirrored:
+                details.append(check_shape(ComplexShape(dims[::-1]), reading))
     details.sort(key=lambda c: (len(c.shape.dims), c.shape.dims))
     mismatches = len(details)
     return SweepSummary(size, matches, mismatches, size - matches - mismatches,

@@ -280,6 +280,23 @@ class TestSample:
             assert proc.returncode == 64
             assert proc.stderr == "chaincx: error: --limit must be positive\n"
 
+    def test_trials_past_the_cap_exit_64(self, capsys, monkeypatch):
+        # Refused before any trial is sampled; unbounded, the larger count
+        # would sample for ever.  The cap itself reaches the sampler.
+        from chaincx import numerics
+
+        def failing(*args):
+            raise ValueError("no trial is sampled here")
+
+        monkeypatch.setattr(numerics, "sequential_sample", failing)
+        for trials in ("10001", "99999999999999999999"):
+            assert main(["sample", "--dims", "2,2", "--trials", trials, "--seed", "1"]) == 64
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "chaincx: error: --trials must be at most 10000\n"
+        assert main(["sample", "--dims", "2,2", "--trials", "10000", "--seed", "1"]) == 64
+        assert "sampling failed" in capsys.readouterr().err
+
     def test_tolerances_that_break_the_sampler_exit_64(self, capsys):
         # A pivot threshold this large reads every map as rank 0, so the
         # next map is drawn on the whole space and does not compose to zero.
@@ -422,6 +439,7 @@ class TestImportGraph:
         (["sample", "--dims", "4096,4096,4096"], None, 3),
         (["predict", "--dims", ",".join(["15"] * 61)], None, 3),
         (["check", "--dims", ",".join(["15"] * 61)], None, 3),
+        (["sample", "--dims", "1,2,1,2", "--trials", "99999999999999999999"], None, 64),
     ])
     def test_integer_paths_are_numpy_free(self, argv, env, code):
         assert probe_imports("chaincx.cli", argv, env) == (code, [])

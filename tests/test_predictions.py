@@ -43,11 +43,9 @@ from chaincx.predictions import (
     ComparisonResult,
     ScanReport,
     SweepSummary,
+    _canonical_leaves,
     _check_bounds,
     _fulfils,
-    _greedy_leaves,
-    _judge,
-    _scan_window,
 )
 from test_core import iter_shapes, ranks_from_betti, shape
 from test_optimizer import _quadratic_solve
@@ -295,10 +293,10 @@ class TestCheckShape:
                     assert result.verdict is Verdict.NOT_APPLICABLE
 
     def test_decision_rejects_wrong_predictions(self):
-        # The closed forms are right, so wrong ones are made up: the listing-
-        # free decision must judge each as the listing oracle does.  The
-        # maximizers of 3,3,3 have Betti vectors (1,0,2) and (2,0,1); the one
-        # of 0,0,1 has (0,0,1).
+        # The closed forms are right, so wrong ones are made up: _fulfils
+        # must judge each as the listing oracle does.  The maximizers of
+        # 3,3,3 have Betti vectors (1,0,2) and (2,0,1); the one of 0,0,1 has
+        # (0,0,1).
         cases = [
             ((3, 3, 3), [(1, 0, 2), (2, 0, 1)], True),
             ((3, 3, 3), [(2, 0, 1)], False),  # too few
@@ -316,8 +314,8 @@ class TestCheckShape:
                 pred = Prediction(True, tuple(map(BettiVector, predicted)), None,
                                   SourceTheorem.EQUAL_ODD)
             total = sum(dims) - 2 * sum(greedy_rank_vector(ComplexShape(dims)).ranks)
-            assert _fulfils(pred, dims, total, _solve(dims)) is expected, (dims, predicted)
             observed = enumerate_maximizers(ComplexShape(dims))
+            assert _fulfils(pred, total, observed.betti_spectrum) is expected, (dims, predicted)
             assert _prediction_matches(pred, observed) is expected, (dims, predicted)
 
     def test_a_mismatch_outranks_an_earlier_match(self, monkeypatch):
@@ -392,8 +390,9 @@ class TestSweeps:
         assert report.shapes_scanned == 5
 
     def test_sweep_runs_the_dp_only_for_betti_sets(self, monkeypatch):
-        # A predicted sum is decided by the greedy ranks, so the DP runs only
-        # on the shapes with an applicable Betti-set prediction.
+        # A predicted sum is decided by the greedy ranks, so past two maps
+        # the DP runs only on the equal-dims shapes, which have a Betti set;
+        # up to two maps it runs once per mirror pair, in product order.
         solved = []
 
         def counted(dims):
@@ -402,64 +401,115 @@ class TestSweeps:
 
         monkeypatch.setattr(predictions, "_solve", counted)
         summary = sweep_theorems(4, 6)
-        assert solved == [s.dims for s in iter_shapes(5, 6) if any(
-            p.applicable and p.predicted_betti_set for p in all_predictions(s))]
-        assert (len(solved), summary.shapes_checked) == (410, 19_607)
+        assert solved == [s.dims for s in iter_shapes(3, 6) if s.dims <= s.dims[::-1]] + [
+            (m,) * spaces for spaces in (4, 5) for m in range(1, 7)]
+        assert (len(solved), summary.shapes_checked) == (243, 19_607)
 
     @pytest.mark.parametrize("reading", list(HypothesisReading))
     @pytest.mark.parametrize("bounds", [(4, 6), (5, 4)])
     def test_sweep_judges_only_short_and_equal_dims_shapes(self, monkeypatch, bounds, reading):
-        # From three maps on, a shape without a Betti set is decided by its
-        # greedy total and chi alone; check_shape judges each mismatch again.
+        # check_shape judges one shape of each mirror pair of up to two maps
+        # and each equal-dims shape; from three maps on any other shape is
+        # decided by its greedy total and chi alone.  A mismatch judged that
+        # way is its own detail, and check_shape judges only the other
+        # representatives of mismatched pairs again.
         judged = []
 
         def counted(shape, *args):
             judged.append(shape.dims)
-            return _judge(shape, *args)
+            return check_shape(shape, *args)
 
-        monkeypatch.setattr(predictions, "_judge", counted)
+        monkeypatch.setattr(predictions, "check_shape", counted)
         summary = sweep_theorems(*bounds, reading)
-        expected = [s.dims for s in iter_shapes(bounds[0] + 1, bounds[1])
-                    if s.n_maps <= 2 or (s.dims[0] and len(set(s.dims)) == 1)]
-        assert Counter(judged) == Counter(
-            expected + [c.shape.dims for c in summary.mismatch_details])
+        decided = [s.dims for s in iter_shapes(bounds[0] + 1, bounds[1])
+                   if s.dims <= s.dims[::-1]
+                   and (s.n_maps <= 2 or (s.dims[0] and len(set(s.dims)) == 1))]
+        again = [c.shape.dims for c in summary.mismatch_details if c.shape.dims not in decided]
+        assert Counter(judged) == Counter(decided + again)
+
+    def test_short_verdicts_are_reversal_invariant(self):
+        # The sweep decides one shape of each mirror pair of up to two maps
+        # and counts its verdict twice; every outcome of the reversal is the
+        # same, and its spectrum is the reversed one.
+        for s in iter_shapes(3, 8):
+            mirror = ComplexShape(s.dims[::-1])
+            for reading in HypothesisReading:
+                result, reversed_result = check_shape(s, reading), check_shape(mirror, reading)
+                assert reversed_result.verdict is result.verdict, (s.dims, reading)
+                assert [m for _, m in reversed_result.comparisons] == \
+                    [m for _, m in result.comparisons], (s.dims, reading)
+                assert {b.bettis[::-1] for b in result.observed.betti_spectrum} == \
+                    {b.bettis for b in reversed_result.observed.betti_spectrum}, s.dims
+
+
+def _walk_lazily(lengths, max_entry, reading):
+    for path, total, chi, mirrored in _canonical_leaves(lengths, max_entry, reading):
+        yield tuple(path), total, chi, mirrored
+
+
+def _walk(lengths, max_entry, reading):
+    return list(_walk_lazily(lengths, max_entry, reading))
+
+
+def _leaf(dims):
+    """What the walk yields for a shape: the total homology of its greedy
+    ranks, its Euler characteristic, and whether its reversal differs."""
+    greedy = greedy_rank_vector(ComplexShape(dims)).ranks
+    return dims, sum(dims) - 2 * sum(greedy), _chi(dims), dims != dims[::-1]
+
+
+def _brute_walk(lengths, max_entry, reading):
+    """The hypothesis shapes no greater than their reversal, by length and
+    then in product order, as _leaf describes them."""
+    return [_leaf(dims) for length in lengths
+            for dims in itertools.product(range(max_entry + 1), repeat=length)
+            if dims <= dims[::-1] and hypothesis_holds(ComplexShape(dims), reading)]
 
 
 class TestGreedyLeaves:
-    """The walk of the scan and the sweep: the shapes its window admits, in
-    lexicographic order, each with the total homology of its greedy ranks."""
-
-    @staticmethod
-    def _assert_greedy_totals(leaves):
-        for path, total, chi in leaves:
-            greedy = greedy_rank_vector(ComplexShape(tuple(path))).ranks
-            assert total == sum(path) - 2 * sum(greedy), path
-            assert chi == _chi(path), path
+    """The one walk of the scan and the sweep: the hypothesis shapes, one of
+    each reversal pair, by length and then lexicographically, each with the
+    total homology of its greedy ranks, chi, and whether it is mirrored."""
 
     def test_every_small_shape_in_lexicographic_order(self):
-        for length in range(1, 6):
-            leaves = [(tuple(path), total, chi)
-                      for path, total, chi in _greedy_leaves(length, lambda path, k: (0, 5))]
-            assert [dims for dims, _, _ in leaves] == list(itertools.product(range(6),
-                                                                             repeat=length))
-            self._assert_greedy_totals(leaves)
+        for reading in HypothesisReading:
+            assert _walk(range(1, 6), 5, reading) == _brute_walk(range(1, 6), 5, reading)
 
     def test_random_wide_shapes(self):
-        # A window of one entry per depth walks a single shape.
+        # Entries up to 30 exhaustively, and the first leaves of walks with
+        # entries up to near MAX_ENTRY, whose last entries run into the
+        # thousands.
+        for reading in HypothesisReading:
+            assert _walk((2, 3), 30, reading) == _brute_walk((2, 3), 30, reading)
         rng = random.Random(20261019)
-        for _ in range(300):
-            dims = tuple(rng.randint(0, 30) for _ in range(rng.randint(1, 9)))
-            leaves = [(tuple(path), total, chi) for path, total, chi in
-                      _greedy_leaves(len(dims), lambda path, k: (dims[k], dims[k]))]
-            assert [path for path, _, _ in leaves] == [dims]
-            self._assert_greedy_totals(leaves)
+        for _ in range(6):
+            length, max_entry = rng.randint(3, 9), MAX_ENTRY - rng.randint(0, 1000)
+            for reading in HypothesisReading:
+                leaves = list(itertools.islice(
+                    _walk_lazily((length,), max_entry, reading), 3000))
+                assert len(leaves) == 3000
+                assert [dims for dims, *_ in leaves] == sorted({dims for dims, *_ in leaves})
+                assert max(max(dims) for dims, *_ in leaves) > 1000
+                for leaf in leaves:
+                    dims = leaf[0]
+                    assert dims <= dims[::-1] and hypothesis_holds(ComplexShape(dims), reading)
+                    assert leaf == _leaf(dims)
 
     def test_empty_windows_prune(self):
-        # Nothing may follow a 3: the leaves are exactly the admitted shapes.
-        leaves = [tuple(path) for path, _, _ in _greedy_leaves(
-            3, lambda path, k: (1, 0) if k and path[k - 1] == 3 else (0, 3))]
-        assert leaves == [d for d in itertools.product(range(4), repeat=3) if 3 not in d[:2]]
-        assert list(_greedy_leaves(2, lambda path, k: (1, 0))) == []
+        # Under the sentinel reading a lone entry is 0, a shape of two
+        # entries is (a, a), and one of three no greater than its reversal
+        # has a_0 <= a_2 <= a_1 <= a_0 + a_2.  A walk with no lengths yields
+        # nothing, and one over zero entries the all-zero shapes.
+        sentinel = HypothesisReading.SENTINEL
+        assert _walk((1,), 9, sentinel) == [((0,), 0, 0, False)]
+        assert [dims for dims, *_ in _walk((2,), 9, sentinel)] == [(a, a) for a in range(10)]
+        assert [dims for dims, *_ in _walk((3,), 6, sentinel)] == [
+            d for d in itertools.product(range(7), repeat=3)
+            if d[0] <= d[2] <= d[1] <= d[0] + d[2]]
+        for reading in HypothesisReading:
+            assert _walk((), 5, reading) == []
+            assert _walk(range(1, 5), 0, reading) == [
+                ((0,) * length, 0, 0, False) for length in range(1, 5)]
 
 
 # check_shape as it was before the listing-free decision: list every
@@ -625,6 +675,29 @@ class TestAgainstReference:
                 _outcome(_reference_sweep_theorems, *bounds, reading, **caps), caps
 
     @pytest.mark.parametrize("reading", list(HypothesisReading))
+    def test_sweep_reports_both_shapes_of_a_short_mismatch(self, monkeypatch, reading):
+        # A wrong two-map form that still maps to its reversal: the sweep
+        # decides one shape of each mismatched pair, and its details name
+        # both, as the reference finds them.
+        right = predictions.predict_length2
+
+        def wrong(shape):
+            prediction = right(shape)
+            a0, a1, a2 = shape.dims if prediction.applicable else (0, 0, 0)
+            if a1 <= a0 + a2:
+                return prediction
+            return Prediction(True, (BettiVector((1, a1 - a0 - a2, 1)),), None,
+                              SourceTheorem.LENGTH2)
+
+        monkeypatch.setattr(predictions, "predict_length2", wrong)
+        summary = sweep_theorems(2, 5, reading)
+        # a_1 > a_0 + a_2 for 5 + 8 + 9 + 8 + 5 shapes: 13 pairs and 9 palindromes.
+        assert summary.mismatches == 35
+        found = [c.shape.dims for c in summary.mismatch_details]
+        assert (0, 3, 1) in found and (1, 3, 0) in found
+        assert summary == _reference_sweep_theorems(2, 5, reading)
+
+    @pytest.mark.parametrize("reading", list(HypothesisReading))
     def test_longest_shapes(self, reading):
         # 1024 all-zero shapes, the longest a walk 1024 deep.
         report = conjecture_scan(MAX_LENGTH - 1, 0, reading)
@@ -633,20 +706,11 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("reading", list(HypothesisReading))
     def test_scan_window_admits_the_hypothesis_shapes(self, reading):
-        # Exactly the hypothesis shapes whose last entry is at least their
-        # first, in product order, each with the total homology of its
-        # greedy ranks and its Euler characteristic.
+        # Exactly the hypothesis shapes no greater than their reversal, in
+        # product order, each with the total homology of its greedy ranks,
+        # its Euler characteristic and whether it is mirrored.
         for length in range(1, 7):
-            leaves = [(tuple(path), total, chi) for path, total, chi in
-                      _greedy_leaves(length, _scan_window(reading, 4, length))]
-            assert [dims for dims, _, _ in leaves] == [
-                dims for dims in itertools.product(range(5), repeat=length)
-                if hypothesis_holds(ComplexShape(dims), reading) and dims[-1] >= dims[0]
-            ], length
-            for dims, total, chi in leaves:
-                greedy = greedy_rank_vector(ComplexShape(dims)).ranks
-                assert total == sum(dims) - 2 * sum(greedy), dims
-                assert chi == _chi(dims), dims
+            assert _walk((length,), 4, reading) == _brute_walk((length,), 4, reading), length
 
     def test_scan_runs_no_dp_and_the_work_cap_bounds_its_time(self, monkeypatch):
         # Near MAX_ENTRY a DP stage per node would make the cap bound shapes,
