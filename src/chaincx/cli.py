@@ -62,6 +62,12 @@ EXIT_USAGE = 64
 MAX_SIZE_CAP = 16384
 # Largest --trials: each trial samples and ranks every map of the shape.
 MAX_TRIALS = 10_000
+# Largest --trials times the work of one trial, counted in map entries with
+# SAMPLE_MAP_ENTRIES more per map.  Measured on 2 CPUs, a trial costs about
+# 60 us per map plus 0.1-0.6 us per entry, so a run at the cap takes at most
+# about 40 s (200,300,200,300: 371 trials in 38 s).
+MAX_SAMPLE_WORK = 1 << 26
+SAMPLE_MAP_ENTRIES = 256
 
 ENV_RANK_TOL = "CHAINCX_RANK_TOL"
 ENV_WORK_CAP = "CHAINCX_WORK_CAP"
@@ -300,6 +306,13 @@ def cmd_sample(args):
         raise WorkCapExceeded(
             f"sampling shape {shape.dims} needs {entries} map entries, "
             f"exceeding the cap of {DEFAULT_SIZE_CAP ** 2}"
+        )
+    work = args.trials * (entries + SAMPLE_MAP_ENTRIES * shape.n_maps)
+    if work > MAX_SAMPLE_WORK:
+        raise WorkCapExceeded(
+            f"{args.trials} trials on shape {shape.dims} need {work} units of sampling "
+            f"work (map entries, plus {SAMPLE_MAP_ENTRIES} per map, per trial), "
+            f"exceeding the cap of {MAX_SAMPLE_WORK}"
         )
     from .numerics import numerical_rank, sequential_sample
 

@@ -13,23 +13,59 @@ pivoting that exceed a relative threshold
 with eps the double-precision machine epsilon.  The same rule fixes the
 kernel dimension used by the sampler, so a single tolerance knob governs
 all rank decisions.  The factorization is one direct call of LAPACK's
-dgeqp3 on a Fortran-ordered array, overwritten in place: numerical_rank
-factors one copy of its input, and orbit_dimension ranks the orbit matrix
-L in place, through its transpose, so a rank check holds a single copy of
-L.  L.T has at least as many rows as columns; when it is tall and wide
-enough, one blocked dgeqrf first compresses it in place to its square R
-factor, which has the same pivots (Chan's QR before the pivoted
-factorization), and dgeqp3 runs on R.  An L too large for glibc's heap
-gets fresh pages from mmap; orbit_dimension first hands the heap's free
-pages back to the OS, so the pages of L do not stack on memory that
-earlier work freed but the heap kept, and the peak resident size of a
-large rank check does not depend on what ran before it.
+dgeqp3 on a Fortran-ordered array, overwritten in place.  Below a
+crossover size it runs on a copy of numerical_rank's input, or on the
+transpose of orbit_dimension's orbit matrix L, written in C order so that
+L.T is factored in place.
 
-The LAPACK routines, dgeqp3, dgeqrf and dorgqr, come from scipy's f2py
-extension scipy/linalg/_flapack, loaded straight from its file.  Importing
-the scipy.linalg package instead would run its __init__, which pulls in
-numpy.f2py, numpy.testing and numpy.ma and more than doubles the start-up
-time of the float commands.  The routines are the same function objects
+A tall m x n matrix M past the crossover (n >= _COMPRESS_MIN_COLS and
+m >= _COMPRESS_MIN_ASPECT * n) is pivoted through an n x n upper
+triangular R with R.T @ R = M.T @ M (Chan's QR before the pivoted
+factorization).  R has M's pivots.  Step k of the pivoted QR takes, among
+the columns not yet chosen, one farthest from the span of the chosen set
+S, and that distance is the k-th |pivot|.  The squared distance of column
+j from span(S) is G_jj - G_Sj^T G_SS^+ G_Sj, which reads only the Gram
+matrix G = M.T @ M.  Rotating rows by an orthogonal Q, permuting and
+stacking them, and dropping zero rows all keep G.  So in exact arithmetic
+R and M give the same pivot order, ties included, and the same |pivots|;
+in floating point they agree up to rounding, which the threshold, taken
+at M's longest side, absorbs.  R is built by folding: dtpqrt replaces an
+upper-triangular R and a block B of rows by the R factor of R stacked on
+B, an orthogonal transform of those rows (the sequential fold of
+tall-skinny QR; Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput.
+34, 2012).
+
+numerical_rank factors M's first n rows with dgeqrf and folds the rest in,
+about _FOLD_BYTES at a time, so M is never copied whole.  orbit_dimension
+never builds L.  L.T has one row per entry X_i[p, s] of the domain, and
+in the row-major vec coordinates of _orbit_matrix:
+  - the rows of X_0 are I_{a_0} (x) D_1, on map 1's columns;
+  - the rows of X_n are -(D_n^T (x) I_{a_n}), on map n's columns;
+  - the rows of X_i, 0 < i < n, touch only maps i and i+1.
+With D_1 = Q_1 R_1 and D_n^T = Q' R', the orthogonal I (x) Q_1^T and
+Q'^T (x) I turn the end blocks into I (x) R_1 and -(R' (x) I).  Row (p, s)
+of I (x) R_1 is zero left of column (p, s), and row (t, q) of R' (x) I
+left of column (t, q); put at the row of that column, each end block is an
+upper triangle, less its zero rows.  With two or more maps both triangles
+cover disjoint columns and are written straight into R; with one map,
+dtpqrt folds the second into the first as a triangular block.  The middle
+spaces' rows are written in blocks of about _FOLD_BYTES and folded in.
+So a check past the crossover holds R and one block (a second R for one
+map) instead of L.
+
+A buffer too large for glibc's heap gets fresh pages from mmap;
+orbit_dimension first hands the heap's free pages back to the OS, so the
+pages of L, or of R and its block, do not stack on memory that earlier
+work freed but the heap kept, and the peak resident size of a large rank
+check does not depend on what ran before it.  An R small enough for the
+heap can stay resident after it is freed, so the check trims again after
+ranking it.
+
+The LAPACK routines, dgeqp3, dgeqrf, dorgqr and dtpqrt, come from scipy's
+f2py extension scipy/linalg/_flapack, loaded straight from its file.
+Importing the scipy.linalg package instead would run its __init__, which
+pulls in numpy.f2py, numpy.testing and numpy.ma and more than doubles the
+start-up time of the float commands.  The routines are the same function objects
 that scipy.linalg.lapack re-exports.  random_conjugation's Q factors come
 from dgeqrf and dorgqr, without the R that np.linalg.qr builds; its solves
 stay with numpy (see its docstring).
@@ -97,14 +133,19 @@ _flapack = _load_flapack()
 # glibc's malloc_trim, None where the C library has none.
 _malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
 # glibc serves no allocation above 32 MiB from its heap, whatever its
-# dynamic mmap threshold: an orbit matrix this large always gets fresh pages.
+# dynamic mmap threshold: a buffer this large always gets fresh pages.
 _HEAP_MAX_BYTES = 32 << 20
 _EPS = float(np.finfo(np.float64).eps)
-# _rank_in_place compresses a matrix with at least this many columns and
-# this many times as many rows; below either, the compression costs more
-# than it saves (measured on orbit matrices).
+# A matrix with at least this many columns and this many times as many rows
+# is ranked through its R factor; below either, building R costs more than
+# it saves (measured on orbit matrices).
 _COMPRESS_MIN_COLS = 1024
 _COMPRESS_MIN_ASPECT = 1.5
+# Rows folded into an R factor go to dtpqrt in blocks of about this many
+# bytes, and dtpqrt's inner block size (on the fold of 30,30,30, 32 beat 16
+# and 64, and 2-16 MB blocks took 0.20-0.14 s).
+_FOLD_BYTES = 4 << 20
+_FOLD_NB = 32
 # Condition-number bound of the basis changes random_conjugation draws.
 _MAX_CONDITION = 1000.0
 _HALF_LOG_CONDITION = 0.5 * np.log(_MAX_CONDITION)
@@ -198,41 +239,57 @@ def _pivot_rank(qr: np.ndarray, longest_side: int, config: ToleranceConfig) -> i
     return int(np.count_nonzero(pivots > threshold))
 
 
-def _rank_in_place(a: np.ndarray, config: ToleranceConfig) -> int:
-    """numerical_rank of the Fortran-ordered float64 array a, overwriting a.
+def _compresses(rows: int, cols: int) -> bool:
+    """Whether a rows x cols matrix is ranked through its R factor."""
+    return cols >= _COMPRESS_MIN_COLS and rows >= _COMPRESS_MIN_ASPECT * cols
 
-    A tall a is pivoted through the R of its unpivoted QR: with a = QR and
-    Q orthonormal, a and R have the same column inner products, so the
-    pivoted QR of R picks a's pivots with a's |pivots| up to rounding, while
-    the blocked dgeqrf does most of the work at BLAS-3 speed.
-    """
+
+def _rank_in_place(a: np.ndarray, longest_side: int, config: ToleranceConfig) -> int:
+    """Pivots of the Fortran-ordered float64 array a above the threshold of
+    a matrix whose longest side is longest_side, overwriting a."""
     if a.size == 0:
         return 0
-    rows, cols = a.shape
-    longest = max(rows, cols)
-    if cols >= _COMPRESS_MIN_COLS and rows >= _COMPRESS_MIN_ASPECT * cols:
-        a = _r_factor_in_place(a)
-    return _pivot_rank(_geqp3(a)[0], longest, config)
+    return _pivot_rank(_geqp3(a)[0], longest_side, config)
 
 
-def _r_factor_in_place(a: np.ndarray) -> np.ndarray:
-    """The R of the QR factorization of the tall Fortran-ordered array a,
-    as a Fortran-ordered square view of a's leading cols^2 doubles."""
+def _fold_rows(n: int) -> int:
+    """Rows of n columns that one fold takes: about _FOLD_BYTES of them."""
+    return max(1, _FOLD_BYTES // (8 * n))
+
+
+def _fold(r: np.ndarray, rows: np.ndarray, l: int = 0) -> None:
+    """Fold the Fortran-ordered rows into the upper-triangular n x n R
+    factor r, in place: r becomes the R of the matrix r stacked on rows.
+    dtpqrt reads and writes only r's upper triangle; rows is overwritten.
+    The last l rows of rows must be upper trapezoidal."""
+    n = r.shape[0]
+    *_, info = _flapack.dtpqrt(l, min(_FOLD_NB, n), r, rows, overwrite_a=1, overwrite_b=1)
+    _check_info("dtpqrt", info)
+
+
+def _r_factor(a: np.ndarray) -> np.ndarray:
+    """The R factor of the QR factorization of the tall matrix a, Fortran
+    ordered and zero below its diagonal; a is left intact.  dgeqrf factors
+    the first cols rows, and the rest are folded in, _fold_rows at a time."""
     rows, cols = a.shape
-    flat = _geqrf(a)[0].ravel(order="F")
-    # Column j moves from j * rows to j * cols, left of every column not
-    # yet moved; the reflectors below R's diagonal are zeroed.
-    for j in range(cols):
-        at = j * cols
-        flat[at : at + j + 1] = flat[j * rows : j * rows + j + 1]
-        flat[at + j + 1 : at + cols] = 0.0
-    return flat[: cols * cols].reshape((cols, cols), order="F")
+    r = _geqrf(np.array(a[:cols], order="F"))[0]
+    for j in range(cols - 1):
+        r[j + 1 :, j] = 0.0
+    step = _fold_rows(cols)
+    for start in range(cols, rows, step):
+        _fold(r, np.array(a[start : start + step], order="F"))
+    return r
 
 
 def numerical_rank(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     """Pivot count of a column-pivoted QR factorization above the relative
-    threshold; 0 for empty or zero matrices."""
-    return _rank_in_place(np.array(_as_matrix(matrix), order="F"), config)
+    threshold; 0 for empty or zero matrices.  A tall matrix past the
+    crossover is pivoted through its R factor (module docstring), and is
+    never copied whole."""
+    a = _as_matrix(matrix)
+    rows, cols = a.shape
+    r = _r_factor(a) if _compresses(rows, cols) else np.array(a, order="F")
+    return _rank_in_place(r, max(rows, cols), config)
 
 
 def _kernel_basis(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -316,13 +373,97 @@ def orbit_dimension(
     fixed dims and ranks form a single orbit of that action, so rank(L)
     equals the stratum dimension; this is the numerical cross-check of the
     closed-form d(a, r).
+
+    Below the crossover L is built and its transpose ranked in place.  Past
+    it, L is never built: dgeqp3 runs on an ambient x ambient R with
+    R.T @ R = L @ L.T, folded from the Kronecker blocks of the maps (module
+    docstring), at the threshold of L's longest side.
     """
     ambient, domain = _orbit_matrix_sides(complex_.shape, size_cap)
-    if _malloc_trim is not None and 8 * ambient * domain > _HEAP_MAX_BYTES:
+    structured = _compresses(domain, ambient)
+    # The buffers the check allocates: L, or R and one block of rows (a
+    # second R for one map).
+    square = 8 * ambient * ambient
+    if not structured:
+        held = 8 * ambient * domain
+    else:
+        held = square + (square if complex_.shape.n_maps == 1 else _FOLD_BYTES)
+    if _malloc_trim is not None and held > _HEAP_MAX_BYTES:
         _malloc_trim(0)
-    # The maps were checked finite, so L is too.  L.T, domain x ambient and
-    # never wide, is the Fortran-ordered matrix that is factored in place.
-    return _rank_in_place(_orbit_matrix(complex_, ambient, domain).T, config)
+    if not structured:
+        # The maps were checked finite, so L is too.  L.T, domain x ambient
+        # and never wide, is the Fortran-ordered matrix factored in place.
+        return _rank_in_place(_orbit_matrix(complex_, ambient, domain).T, domain, config)
+    rank = _rank_in_place(_orbit_r_factor(complex_, ambient), domain, config)
+    # R is freed; pages it held on the heap would otherwise stay resident.
+    if _malloc_trim is not None and square <= _HEAP_MAX_BYTES:
+        _malloc_trim(0)
+    return rank
+
+
+def _orbit_r_factor(complex_: NumericalComplex, ambient: int) -> np.ndarray:
+    """An ambient x ambient upper-triangular R with R.T @ R = L @ L.T,
+    Fortran-ordered, built from the maps without L (module docstring).
+    Row (p, s) of a space is its entry X[p, s]; column (p, q) of map i is
+    entry (p, q) of its block, from offsets[i - 1]."""
+    dims = complex_.shape.dims
+    maps = complex_.maps
+    n = ambient
+    r = np.zeros((n, n), order="F")
+    offsets = [0]
+    for i in range(1, len(dims)):
+        offsets.append(offsets[-1] + dims[i - 1] * dims[i])
+    # X_0: I (x) D_1 rotates to I (x) R_1; [p, s, q] -> r[(p, s), (p, q)].
+    first = maps[0]
+    if first.size:
+        a0, a1 = first.shape
+        r1 = _triangle(first)
+        _view(r, (a0, len(r1), a1), 0, (a1 * (n + 1), 1, n))[:] = r1
+    # X_n: -(D_n^T (x) I) rotates to -(R' (x) I); [t, q, p] -> (t, q), (p, q).
+    last = maps[-1]
+    tail = r if len(maps) > 1 else np.zeros((n, n), order="F")
+    if last.size:
+        am, an = last.shape
+        rn = _triangle(last.T)
+        at = offsets[-2] * (n + 1)
+        _view(tail, (len(rn), an, am), at, (an, n + 1, an * n))[:] = -rn[:, None, :]
+    if tail is not r:
+        # One map: both triangles cover the same columns.
+        _fold(r, tail, n)
+    # X_i, 0 < i < n, in blocks of whole rows t: -D_i[p, t] at (t, q), (p, q)
+    # of map i, and D_{i+1}[q, u] at (t, q), (t, u) of map i+1.
+    for i in range(1, len(maps)):
+        a = dims[i]
+        if a == 0:
+            continue
+        left, right = maps[i - 1], maps[i]
+        per_block = max(1, _fold_rows(n) // a)
+        for t0 in range(0, a, per_block):
+            t = min(a - t0, per_block)
+            rows = t * a
+            block = np.zeros((rows, n), order="F")
+            if left.size:
+                at = offsets[i - 1] * rows
+                view = _view(block, (t, a, len(left)), at, (a, rows + 1, a * rows))
+                view[:] = -left.T[t0 : t0 + t, None, :]
+            if right.size:
+                k = right.shape[1]
+                at = (offsets[i] + t0 * k) * rows
+                _view(block, (t, a, k), at, (a + k * rows, 1, rows))[:] = right
+            _fold(r, block)
+    return r
+
+
+def _view(buf: np.ndarray, shape: tuple, at: int, strides: tuple) -> np.ndarray:
+    """A view of the float64 buffer buf, with offset and strides in elements."""
+    return np.ndarray(shape, np.float64, buf, 8 * at, tuple(8 * s for s in strides))
+
+
+def _triangle(d: np.ndarray) -> np.ndarray:
+    """The nonzero rows of the R factor of the QR factorization of the
+    non-empty matrix d."""
+    k = min(d.shape)
+    return np.triu(_geqrf(np.array(d, order="F"))[0][:k])
 
 
 def _orbit_matrix(complex_: NumericalComplex, ambient: int, domain: int) -> np.ndarray:

@@ -297,6 +297,23 @@ class TestSample:
         assert main(["sample", "--dims", "2,2", "--trials", "10000", "--seed", "1"]) == 64
         assert "sampling failed" in capsys.readouterr().err
 
+    def test_trial_work_past_the_cap_exits_3(self, capsys, monkeypatch):
+        # Trials times (map entries + 256 per map) above 2^26 are refused
+        # before any trial is sampled; the cap itself reaches the sampler.
+        from chaincx import numerics
+
+        def failing(*args):
+            raise ValueError("no trial is sampled here")
+
+        monkeypatch.setattr(numerics, "sequential_sample", failing)
+        for dims, trials in [("1024,1024", 64), (",".join(["2"] * 1024), 253)]:
+            assert main(["sample", "--dims", dims, "--trials", str(trials)]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.endswith("exceeding the cap of 67108864\n"), err
+        assert main(["sample", "--dims", "1024,1024", "--trials", "63"]) == 64
+        assert "sampling failed" in capsys.readouterr().err
+
     def test_tolerances_that_break_the_sampler_exit_64(self, capsys):
         # A pivot threshold this large reads every map as rank 0, so the
         # next map is drawn on the whole space and does not compose to zero.
@@ -440,6 +457,7 @@ class TestImportGraph:
         (["predict", "--dims", ",".join(["15"] * 61)], None, 3),
         (["check", "--dims", ",".join(["15"] * 61)], None, 3),
         (["sample", "--dims", "1,2,1,2", "--trials", "99999999999999999999"], None, 64),
+        (["sample", "--dims", "1024,1024", "--trials", "64"], None, 3),
     ])
     def test_integer_paths_are_numpy_free(self, argv, env, code):
         assert probe_imports("chaincx.cli", argv, env) == (code, [])

@@ -1,5 +1,6 @@
 """Numerical ranks, model complexes, orbit dimension, sampler."""
 
+import inspect
 import random
 import re
 import sys
@@ -38,9 +39,9 @@ from chaincx.numerics import (
     _geqp3,
     _kernel_basis,
     _orbit_matrix,
+    _orbit_r_factor,
     _pivot_rank,
     _q_factor,
-    _rank_in_place,
 )
 from test_core import _exactly, iter_feasible_ranks, iter_shapes, ranks, shape
 
@@ -422,9 +423,10 @@ class TestDirectLapack:
         pytest.param("dgeqp3", lambda: _kernel_basis(np.ones((2, 3))), id="dgeqp3"),
         pytest.param("dorgqr", lambda: _kernel_basis(np.ones((2, 3))), id="dorgqr"),
         pytest.param("dgeqrf", lambda: _q_factor(np.ones((2, 2))), id="dgeqrf"),
-        # The compression of a tall matrix before its pivoted QR.
-        pytest.param("dgeqrf", lambda: _rank_in_place(np.ones((3, 2), order="F"),
-                                                      DEFAULT_TOLERANCES), id="dgeqrf-rank"),
+        # The compression of a tall matrix before its pivoted QR: dgeqrf on
+        # its first rows, dtpqrt folding in the rest.
+        pytest.param("dgeqrf", lambda: numerical_rank(np.ones((3, 2))), id="dgeqrf-rank"),
+        pytest.param("dtpqrt", lambda: numerical_rank(np.ones((3, 2))), id="dtpqrt"),
     ])
     def test_illegal_argument_raises(self, monkeypatch, routine, call):
         # A negative info from LAPACK is an error, as in scipy.linalg.
@@ -438,6 +440,12 @@ class TestDirectLapack:
         force_compression(monkeypatch)
         with pytest.raises(ValueError, match=f"argument 2 of LAPACK {routine}"):
             call()
+
+    def test_extension_has_every_routine_called(self):
+        called = set(re.findall(r"_flapack\.(\w+)\(", inspect.getsource(numerics)))
+        assert called == {"dgeqp3", "dgeqrf", "dorgqr", "dtpqrt"}
+        for routine in called:
+            assert callable(getattr(numerics._flapack, routine, None)), routine
 
     def test_missing_extension_names_the_path(self, monkeypatch, tmp_path):
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
@@ -471,7 +479,7 @@ class TestDirectLapack:
 
 
 def force_compression(monkeypatch):
-    """Let _rank_in_place compress every matrix that is not wide."""
+    """Rank every matrix that is not wide through its R factor."""
     monkeypatch.setattr(numerics, "_COMPRESS_MIN_COLS", 1)
     monkeypatch.setattr(numerics, "_COMPRESS_MIN_ASPECT", 1.0)
 
@@ -489,17 +497,32 @@ def spy_pivots(monkeypatch):
     return seen
 
 
+def spy_folds(monkeypatch):
+    """The shape of the rows and the l of each fold into an R factor."""
+    seen = []
+    real = numerics._fold
+
+    def spy(r, rows, l=0):
+        seen.append((rows.shape, l))
+        return real(r, rows, l)
+
+    monkeypatch.setattr(numerics, "_fold", spy)
+    return seen
+
+
 class TestTallCompression:
-    # _rank_in_place pivots a tall matrix through the R of its unpivoted QR.
+    # A tall matrix is pivoted through an R factor with its column inner
+    # products: numerical_rank folds its rows into R, and orbit_dimension
+    # builds L.T's R from the Kronecker blocks of the maps.
 
     def test_compressed_pivots_match_direct(self, monkeypatch):
         seen = spy_pivots(monkeypatch)
 
         def both_paths(tall):
             monkeypatch.setattr(numerics, "_COMPRESS_MIN_COLS", 1 << 62)
-            direct = _rank_in_place(np.array(tall, order="F"), DEFAULT_TOLERANCES)
+            direct = numerical_rank(tall)
             force_compression(monkeypatch)
-            compressed = _rank_in_place(np.array(tall, order="F"), DEFAULT_TOLERANCES)
+            compressed = numerical_rank(tall)
             (p_direct, longest), (p_compressed, longest_compressed) = seen[-2:]
             assert compressed == direct
             assert longest_compressed == longest == max(tall.shape)
@@ -522,15 +545,9 @@ class TestTallCompression:
             assert both_paths(low_rank(rng, m, n, r)) == r, (m, n, r)
 
     def test_compression_holds_one_copy_of_orbit_matrix(self, monkeypatch):
-        # 33,33 is past the crossover: L.T is 2178 x 1089.
-        calls = []
-        real = numerics._r_factor_in_place
-
-        def counted(a):
-            calls.append(a.shape)
-            return real(a)
-
-        monkeypatch.setattr(numerics, "_r_factor_in_place", counted)
+        # 33,33 is past the crossover: L.T is 2178 x 1089.  With one map the
+        # check holds R and the second end triangle, folded in once.
+        folds = spy_folds(monkeypatch)
         s, rv = shape(33, 33), ranks(16)
         cx = random_conjugation(canonical_complex(s, rv), 3)
         ambient, domain = _orbit_matrix_sides(s, DEFAULT_SIZE_CAP)
@@ -540,8 +557,91 @@ class TestTallCompression:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls == [(domain, ambient)]
+        assert folds == [((ambient, ambient), ambient)]
         assert peak < 1.5 * 8 * ambient * domain
+
+    def test_structured_rank_holds_less_than_orbit_matrix(self, monkeypatch):
+        # 30,20,30 is past the crossover: L.T is 2200 x 1200.  The check
+        # never builds L, and holds R and one block of X_1's 400 rows.
+        def no_orbit_matrix(*args):
+            raise AssertionError("L is built")
+
+        monkeypatch.setattr(numerics, "_orbit_matrix", no_orbit_matrix)
+        folds = spy_folds(monkeypatch)
+        s, rv = shape(30, 20, 30), ranks(10, 10)
+        cx = random_conjugation(canonical_complex(s, rv), 3)
+        ambient, domain = _orbit_matrix_sides(s, DEFAULT_SIZE_CAP)
+        tracemalloc.start()
+        try:
+            assert orbit_dimension(cx) == stratum_dimension(s, rv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert folds == [((400, ambient), 0)]
+        assert peak < 8 * ambient * domain
+
+    def test_structured_pivots_match_direct(self, monkeypatch):
+        # The R built from the maps against dgeqp3 of L.T itself.  Small
+        # fold blocks split each middle space's rows over several folds.
+        force_compression(monkeypatch)
+        monkeypatch.setattr(numerics, "_FOLD_BYTES", 8 * 100 * 7)
+
+        def check(moved, rv):
+            s = moved.shape
+            ambient, domain = _orbit_matrix_sides(s, DEFAULT_SIZE_CAP)
+            if ambient == 0:
+                return
+            r = _orbit_r_factor(moved, ambient)
+            assert r.flags.f_contiguous and r.shape == (ambient, ambient)
+            assert not np.tril(r, -1).any(), s
+            lin = _orbit_matrix(moved, ambient, domain)
+            # R has L.T's column inner products, signs included.
+            gram = lin @ lin.T
+            assert np.abs(r.T @ r - gram).max() <= 4 * _EPS * domain * np.abs(gram).max(), s
+            direct = _geqp3(np.array(lin.T, order="F"))[0]
+            p_direct = np.abs(np.diag(direct))
+            p_structured = np.abs(np.diag(_geqp3(r)[0]))
+            assert np.all(np.abs(p_structured - p_direct)
+                          <= 4 * _EPS * domain * p_direct[0]), (s, rv)
+            d = stratum_dimension(s, rv)
+            assert _pivot_rank(direct, domain, DEFAULT_TOLERANCES) == d, (s, rv)
+            assert orbit_dimension(moved) == d, (s, rv)
+
+        for s in iter_shapes(3, 4):
+            for rv in iter_feasible_ranks(s):
+                cx = canonical_complex(s, rv)
+                for moved in (cx, random_conjugation(cx, sum(s.dims))):
+                    check(moved, rv)
+        # Zero end and middle spaces, single maps, and wide and tall end
+        # maps, with sides past dtpqrt's block size.
+        for dims in [(0, 4, 6, 3), (5, 3, 4, 0), (3, 4, 0, 5, 2), (7, 4), (4, 7), (3, 8, 5, 2),
+                     (8, 3, 5, 9), (2, 6, 6, 2)]:
+            s = ComplexShape(dims)
+            for rv in iter_feasible_ranks(s):
+                cx = canonical_complex(s, rv)
+                for moved in (cx, random_conjugation(cx, sum(dims))):
+                    check(moved, rv)
+
+    def test_structured_rank_trims_around_r_factor(self, monkeypatch):
+        # Before R when R and a block (two R for one map) exceed the heap's
+        # largest allocation; after the rank when R may sit on the heap.
+        events = []
+        monkeypatch.setattr(numerics, "_malloc_trim", lambda pad: events.append("trim"))
+        real = numerics._orbit_r_factor
+        monkeypatch.setattr(numerics, "_orbit_r_factor",
+                            lambda *args: events.append("R") or real(*args))
+        force_compression(monkeypatch)
+        for dims, rv in [((20, 20), (10,)), ((6, 6, 6), (3, 3))]:
+            s = ComplexShape(dims)
+            square = 8 * _orbit_matrix_sides(s, DEFAULT_SIZE_CAP)[0] ** 2
+            held = square + (square if s.n_maps == 1 else numerics._FOLD_BYTES)
+            cx = canonical_complex(s, RankVector(rv))
+            for heap_max, expected in [(held, ["R", "trim"]), (held - 1, ["trim", "R", "trim"]),
+                                       (square - 1, ["trim", "R"])]:
+                monkeypatch.setattr(numerics, "_HEAP_MAX_BYTES", heap_max)
+                events.clear()
+                assert orbit_dimension(cx) == stratum_dimension(s, RankVector(rv))
+                assert events == expected, (dims, heap_max)
 
     def test_rank_margins_on_bench_instances(self, monkeypatch):
         # The smallest kept pivot over the threshold and the threshold over
