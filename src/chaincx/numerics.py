@@ -38,7 +38,7 @@ tall-skinny QR; Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput.
 numerical_rank factors M's first n rows with dgeqrf and folds the rest in,
 about _FOLD_BYTES at a time, so M is never copied whole.  orbit_dimension
 never builds L.  L.T has one row per entry X_i[p, s] of the domain, and
-in the row-major vec coordinates of _orbit_matrix:
+in the row-major vec coordinates of _write_rows:
   - the rows of X_0 are I_{a_0} (x) D_1, on map 1's columns;
   - the rows of X_n are -(D_n^T (x) I_{a_n}), on map n's columns;
   - the rows of X_i, 0 < i < n, touch only maps i and i+1.
@@ -49,9 +49,9 @@ left of column (t, q); put at the row of that column, each end block is an
 upper triangle, less its zero rows.  With two or more maps both triangles
 cover disjoint columns and are written straight into R; with one map,
 dtpqrt folds the second into the first as a triangular block.  The middle
-spaces' rows are written in blocks of about _FOLD_BYTES and folded in.
-So a check past the crossover holds R and one block (a second R for one
-map) instead of L.
+spaces' rows are folded in blocks of about _FOLD_BYTES, written by
+_write_rows, the one writer of L's rows for both routes.  So a check past
+the crossover holds R and one block (a second R for one map) instead of L.
 
 A buffer too large for glibc's heap gets fresh pages from mmap;
 orbit_dimension first hands the heap's free pages back to the OS, so the
@@ -87,6 +87,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 import scipy
@@ -269,12 +270,10 @@ def _fold(r: np.ndarray, rows: np.ndarray, l: int = 0) -> None:
 
 def _r_factor(a: np.ndarray) -> np.ndarray:
     """The R factor of the QR factorization of the tall matrix a, Fortran
-    ordered and zero below its diagonal; a is left intact.  dgeqrf factors
-    the first cols rows, and the rest are folded in, _fold_rows at a time."""
+    ordered and zero below its diagonal; a is left intact.  It is the
+    _triangle of the first cols rows, the rest folded in _fold_rows at a time."""
     rows, cols = a.shape
-    r = _geqrf(np.array(a[:cols], order="F"))[0]
-    for j in range(cols - 1):
-        r[j + 1 :, j] = 0.0
+    r = _triangle(a[:cols])
     step = _fold_rows(cols)
     for start in range(cols, rows, step):
         _fold(r, np.array(a[start : start + step], order="F"))
@@ -401,96 +400,97 @@ def orbit_dimension(
     return rank
 
 
-def _orbit_r_factor(complex_: NumericalComplex, ambient: int) -> np.ndarray:
-    """An ambient x ambient upper-triangular R with R.T @ R = L @ L.T,
+def _orbit_r_factor(complex_: NumericalComplex, n: int) -> np.ndarray:
+    """An n x n upper-triangular R, n = ambient, with R.T @ R = L @ L.T,
     Fortran-ordered, built from the maps without L (module docstring).
-    Row (p, s) of a space is its entry X[p, s]; column (p, q) of map i is
-    entry (p, q) of its block, from offsets[i - 1]."""
-    dims = complex_.shape.dims
+    Rows and columns are indexed as in _write_rows, which writes the middle
+    spaces' blocks here and all of L in _orbit_matrix."""
     maps = complex_.maps
-    n = ambient
     r = np.zeros((n, n), order="F")
-    offsets = [0]
-    for i in range(1, len(dims)):
-        offsets.append(offsets[-1] + dims[i - 1] * dims[i])
+    offsets = _map_offsets(complex_.shape.dims)
     # X_0: I (x) D_1 rotates to I (x) R_1; [p, s, q] -> r[(p, s), (p, q)].
-    first = maps[0]
-    if first.size:
-        a0, a1 = first.shape
-        r1 = _triangle(first)
+    if maps[0].size:
+        a0, a1 = maps[0].shape
+        r1 = _triangle(maps[0])
         _view(r, (a0, len(r1), a1), 0, (a1 * (n + 1), 1, n))[:] = r1
     # X_n: -(D_n^T (x) I) rotates to -(R' (x) I); [t, q, p] -> (t, q), (p, q).
-    last = maps[-1]
     tail = r if len(maps) > 1 else np.zeros((n, n), order="F")
-    if last.size:
-        am, an = last.shape
-        rn = _triangle(last.T)
+    if maps[-1].size:
+        am, an = maps[-1].shape
+        rn = _triangle(maps[-1].T)
         at = offsets[-2] * (n + 1)
         _view(tail, (len(rn), an, am), at, (an, n + 1, an * n))[:] = -rn[:, None, :]
     if tail is not r:
         # One map: both triangles cover the same columns.
         _fold(r, tail, n)
-    # X_i, 0 < i < n, in blocks of whole rows t: -D_i[p, t] at (t, q), (p, q)
-    # of map i, and D_{i+1}[q, u] at (t, q), (t, u) of map i+1.
-    for i in range(1, len(maps)):
-        a = dims[i]
+    # X_i, 0 < i < n, in blocks of whole rows t.
+    for i, a in enumerate(complex_.shape.dims[1:-1], 1):
         if a == 0:
             continue
-        left, right = maps[i - 1], maps[i]
         per_block = max(1, _fold_rows(n) // a)
         for t0 in range(0, a, per_block):
             t = min(a - t0, per_block)
-            rows = t * a
-            block = np.zeros((rows, n), order="F")
-            if left.size:
-                at = offsets[i - 1] * rows
-                view = _view(block, (t, a, len(left)), at, (a, rows + 1, a * rows))
-                view[:] = -left.T[t0 : t0 + t, None, :]
-            if right.size:
-                k = right.shape[1]
-                at = (offsets[i] + t0 * k) * rows
-                _view(block, (t, a, k), at, (a + k * rows, 1, rows))[:] = right
+            block = np.zeros((t * a, n), order="F")
+            _write_rows(block, t * a, 0, complex_, offsets, i, t0, t)
             _fold(r, block)
     return r
 
 
 def _view(buf: np.ndarray, shape: tuple, at: int, strides: tuple) -> np.ndarray:
-    """A view of the float64 buffer buf, with offset and strides in elements."""
-    return np.ndarray(shape, np.float64, buf, 8 * at, tuple(8 * s for s in strides))
+    """A 3-d view of the float64 buffer buf, offset and strides in elements."""
+    s0, s1, s2 = strides
+    return np.ndarray(shape, np.float64, buf, 8 * at, (8 * s0, 8 * s1, 8 * s2))
 
 
 def _triangle(d: np.ndarray) -> np.ndarray:
     """The nonzero rows of the R factor of the QR factorization of the
-    non-empty matrix d."""
+    non-empty matrix d: dgeqrf's first min(d.shape) rows, zeroed below the
+    diagonal in place; for a square d, all of its Fortran-ordered output."""
     k = min(d.shape)
-    return np.triu(_geqrf(np.array(d, order="F"))[0][:k])
+    r = _geqrf(np.array(d, order="F"))[0][:k]
+    for j in range(k - 1):
+        r[j + 1 :, j] = 0.0
+    return r
+
+
+def _map_offsets(dims: tuple[int, ...]) -> list[int]:
+    """The first row of each map's block of L, then ambient."""
+    return [0, *accumulate(m * k for m, k in zip(dims, dims[1:]))]
+
+
+def _write_rows(buf: np.ndarray, ld: int, first: int, complex_: NumericalComplex,
+                offsets: list[int], i: int, t0: int, t: int) -> None:
+    """Write rows X_i[t0 : t0 + t, :] of L.T, from row first on, into the
+    zeroed float64 buffer buf, whose element row + col * ld is L.T[row, col].
+    Row (t, q) of space i is X_i[t, q]; column (p, q) of map j is row
+    offsets[j - 1] + p * a_j + q of L.  In row-major vec coordinates,
+    vec(X_{i-1} D_i) = (I (x) D_i^T) vec(X_{i-1}) and vec(D_i X_i) =
+    (D_i (x) I) vec(X_i), so row (t, q) holds -D_i[p, t] at column (p, q) of
+    map i and D_{i+1}[q, u] at column (t, u) of map i+1, written through
+    strided views indexed [p, t, q] and [t, q, u].  "0.0 -" and "+ 0.0"
+    turn -0.0 into +0.0, so L holds no negative zero (the QR's Householder
+    signs read the sign of zero)."""
+    maps, a = complex_.maps, complex_.shape.dims[i]
+    if i and maps[i - 1].size:
+        left = maps[i - 1]
+        view = _view(buf, (len(left), t, a), first + offsets[i - 1] * ld, (a * ld, a, ld + 1))
+        np.subtract(0.0, left[:, t0 : t0 + t, None], out=view)
+    if i < len(maps) and maps[i].size:
+        k = maps[i].shape[1]
+        view = _view(buf, (t, a, k), first + (offsets[i] + t0 * k) * ld, (a + k * ld, 1, ld))
+        np.add(maps[i], 0.0, out=view)
 
 
 def _orbit_matrix(complex_: NumericalComplex, ambient: int, domain: int) -> np.ndarray:
     """The ambient x domain matrix of L in row-major vec coordinates, in C
-    order so that its transpose can be factored in place."""
-    dims = complex_.shape.dims
-    # L[r, c] is element r * domain + c of the flat buffer.
+    order so that its transpose, of leading dimension domain, can be factored
+    in place; _write_rows, the writer of _orbit_r_factor's blocks, fills it."""
     lin = np.zeros((ambient, domain))
-    row = col = 0
-    for i, d in enumerate(complex_.maps, 1):
-        m, k = dims[i - 1], dims[i]
-        if d.size:
-            # Row-major vec; row (p, q) of block i:
-            #   vec(X_{i-1} D_i):  L[(p, q), X_{i-1}[p, s]] =  D_i[s, q]
-            #   vec(D_i X_i):      L[(p, q), X_i[t, q]]     = -D_i[p, t]
-            # written through strided views of lin indexed [p, s, q] and
-            # [p, t, q] (strides in bytes).  "+ 0.0" and "0.0 -" turn -0.0
-            # into +0.0, so L holds no negative zero (the QR's Householder
-            # signs read the sign of zero).
-            at = 8 * (row * domain + col)
-            strides = (8 * (k * domain + m), 8, 8 * domain)
-            np.add(d, 0.0, out=np.ndarray((m, m, k), np.float64, lin, at, strides))
-            at += 8 * m * m
-            strides = (8 * k * domain, 8 * k, 8 * (domain + 1))
-            np.subtract(0.0, d[:, :, None], out=np.ndarray((m, k, k), np.float64, lin, at, strides))
-        col += m * m
-        row += m * k
+    offsets = _map_offsets(complex_.shape.dims)
+    first = 0
+    for i, a in enumerate(complex_.shape.dims):
+        _write_rows(lin, domain, first, complex_, offsets, i, 0, a)
+        first += a * a
     return lin
 
 

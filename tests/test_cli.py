@@ -223,6 +223,20 @@ class TestVerifyDim:
         env = run_json("verify-dim", "--dims", "2,2,2", "--ranks", "1,1")
         assert env["payload"]["formula_d"] == env["payload"]["orbit_d"] == 5
 
+    @pytest.mark.parametrize("dims, ranks", [("33,33", "16"), ("30,20,30", "10,10")])
+    def test_structured_route(self, dims, ranks):
+        # Past the crossover L is never built: R comes from the maps, for
+        # one map and with a middle space folded in.
+        from chaincx.core import DEFAULT_SIZE_CAP, ComplexShape, _orbit_matrix_sides
+        from chaincx.numerics import _compresses
+
+        shape = ComplexShape(tuple(map(int, dims.split(","))))
+        ambient, domain = _orbit_matrix_sides(shape, DEFAULT_SIZE_CAP)
+        assert _compresses(domain, ambient)
+        env = run_json("verify-dim", "--dims", dims, "--ranks", ranks)
+        assert env["payload"]["agree"] is True
+        assert env["payload"]["orbit_d"] == env["payload"]["formula_d"]
+
     def test_infeasible_exits_2(self):
         run_json("verify-dim", "--dims", "1,1,1", "--ranks", "1,1", expect_code=2)
 

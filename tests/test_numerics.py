@@ -622,6 +622,37 @@ class TestTallCompression:
                 for moved in (cx, random_conjugation(cx, sum(dims))):
                     check(moved, rv)
 
+    def test_folded_blocks_are_the_middle_rows_of_orbit_matrix(self, monkeypatch):
+        # Stacked in order, the l = 0 folds of _orbit_r_factor are the
+        # middle spaces' rows of L.T, signs of zero included.  Small fold
+        # blocks split each middle space's rows over several folds.
+        monkeypatch.setattr(numerics, "_FOLD_BYTES", 8 * 100 * 7)
+        blocks = []
+        real = numerics._fold
+
+        def spy(r, rows, l=0):
+            if l == 0:
+                blocks.append(rows.copy())
+            return real(r, rows, l)
+
+        monkeypatch.setattr(numerics, "_fold", spy)
+        instances = list(orbit_instances(3, 4))
+        for dims in [(3, 4, 3), (2, 6, 6, 2), (3, 4, 0, 5, 2), (8, 3, 5, 9)]:
+            s = ComplexShape(dims)
+            instances += [canonical_complex(s, rv) for rv in iter_feasible_ranks(s)]
+        for cx in instances:
+            dims = cx.shape.dims
+            ambient, domain = _orbit_matrix_sides(cx.shape, DEFAULT_SIZE_CAP)
+            if ambient == 0:
+                continue
+            for moved in (cx, random_conjugation(cx, sum(dims))):
+                blocks.clear()
+                _orbit_r_factor(moved, ambient)
+                folded = np.concatenate([np.zeros((0, ambient)), *blocks])
+                lin = _orbit_matrix(moved, ambient, domain)
+                middle = lin.T[dims[0] ** 2 : domain - dims[-1] ** 2]
+                assert bit_equal(folded, middle), dims
+
     def test_structured_rank_trims_around_r_factor(self, monkeypatch):
         # Before R when R and a block (two R for one map) exceed the heap's
         # largest allocation; after the rank when R may sit on the heap.
