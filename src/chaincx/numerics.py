@@ -13,32 +13,31 @@ pivoting that exceed a relative threshold
 with eps the double-precision machine epsilon.  The same rule fixes the
 kernel dimension used by the sampler, so a single tolerance knob governs
 all rank decisions.  The factorization is one direct call of LAPACK's
-dgeqp3 on a Fortran-ordered array, overwritten in place.  Below a
-crossover size it runs on a copy of numerical_rank's input, or on the
-transpose of orbit_dimension's orbit matrix L, written in C order so that
-L.T is factored in place.
+dgeqp3 on a Fortran-ordered array, overwritten in place: a copy of
+numerical_rank's input, whatever its shape, or, below a crossover size,
+the transpose of orbit_dimension's orbit matrix L, written in C order so
+that L.T is factored in place.
 
-A tall m x n matrix M past the crossover (n >= _COMPRESS_MIN_COLS and
-m >= _COMPRESS_MIN_ASPECT * n) is pivoted through an n x n upper
-triangular R with R.T @ R = M.T @ M (Chan's QR before the pivoted
-factorization).  R has M's pivots.  Step k of the pivoted QR takes, among
-the columns not yet chosen, one farthest from the span of the chosen set
-S, and that distance is the k-th |pivot|.  The squared distance of column
-j from span(S) is G_jj - G_Sj^T G_SS^+ G_Sj, which reads only the Gram
-matrix G = M.T @ M.  Rotating rows by an orthogonal Q, permuting and
-stacking them, and dropping zero rows all keep G.  So in exact arithmetic
-R and M give the same pivot order, ties included, and the same |pivots|;
-in floating point they agree up to rounding, which the threshold, taken
-at M's longest side, absorbs.  R is built by folding: dtpqrt replaces an
-upper-triangular R and a block B of rows by the R factor of R stacked on
-B, an orthogonal transform of those rows (the sequential fold of
-tall-skinny QR; Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput.
-34, 2012).
+Past the crossover (L.T, m x n, with n >= _COMPRESS_MIN_COLS and
+m >= _COMPRESS_MIN_ASPECT * n), orbit_dimension pivots an n x n upper
+triangular R with R.T @ R = L @ L.T instead (Chan's QR before the pivoted
+factorization).  R has L.T's pivots.  Step k of the pivoted QR of a
+matrix M takes, among the columns not yet chosen, one farthest from the
+span of the chosen set S, and that distance is the k-th |pivot|.  The
+squared distance of column j from span(S) is G_jj - G_Sj^T G_SS^+ G_Sj,
+which reads only the Gram matrix G = M.T @ M.  Rotating rows by an
+orthogonal Q, permuting and stacking them, and dropping zero rows all
+keep G.  So in exact arithmetic R and M give the same pivot order, ties
+included, and the same |pivots|; in floating point they agree up to
+rounding, which the threshold, taken at M's longest side, absorbs.  R is
+built by folding: dtpqrt replaces an upper-triangular R and a block B of
+rows by the R factor of R stacked on B, an orthogonal transform of those
+rows (the sequential fold of tall-skinny QR; Demmel, Grigori, Hoemmen and
+Langou, SIAM J. Sci. Comput. 34, 2012).
 
-numerical_rank factors M's first n rows with dgeqrf and folds the rest in,
-about _FOLD_BYTES at a time, so M is never copied whole.  orbit_dimension
-never builds L.  L.T has one row per entry X_i[p, s] of the domain, and
-in the row-major vec coordinates of _write_rows:
+Past the crossover orbit_dimension never builds L.  L.T has one row per
+entry X_i[p, s] of the domain, and in the row-major vec coordinates of
+_write_rows:
   - the rows of X_0 are I_{a_0} (x) D_1, on map 1's columns;
   - the rows of X_n are -(D_n^T (x) I_{a_n}), on map n's columns;
   - the rows of X_i, 0 < i < n, touch only maps i and i+1.
@@ -52,6 +51,14 @@ dtpqrt folds the second into the first as a triangular block.  The middle
 spaces' rows are folded in blocks of about _FOLD_BYTES, written by
 _write_rows, the one writer of L's rows for both routes.  So a check past
 the crossover holds R and one block (a second R for one map) instead of L.
+
+The R factor is the orbit check's route only.  numerical_rank pivots its
+whole input, which on a tall input past the crossover is slower and
+holds more than folding it into R (in process, best of 3, 2-CPU Xeon: a
+3000 x 1500 matrix of rank 700 took 677 against 541 ms, traced peak 34.7
+against 21.9 MiB; 4096 x 1024 took 510 against 352 ms, 32.3 against 12.5
+MiB).  Such an input reaches it only through the sampler, on a shape with
+a map that tall, which no benchmark workload samples.
 
 A buffer too large for glibc's heap gets fresh pages from mmap;
 orbit_dimension first hands the heap's free pages back to the OS, so the
@@ -137,9 +144,9 @@ _malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "po
 # dynamic mmap threshold: a buffer this large always gets fresh pages.
 _HEAP_MAX_BYTES = 32 << 20
 _EPS = float(np.finfo(np.float64).eps)
-# A matrix with at least this many columns and this many times as many rows
-# is ranked through its R factor; below either, building R costs more than
-# it saves (measured on orbit matrices).
+# An orbit matrix L.T with at least this many columns and this many times as
+# many rows is ranked through its R factor; below either, building R costs
+# more than it saves.
 _COMPRESS_MIN_COLS = 1024
 _COMPRESS_MIN_ASPECT = 1.5
 # Rows folded into an R factor go to dtpqrt in blocks of about this many
@@ -231,17 +238,17 @@ def _geqp3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pivot_rank(qr: np.ndarray, longest_side: int, config: ToleranceConfig) -> int:
-    """Pivots on the diagonal of the pivoted QR factor above the relative
-    threshold."""
+    """Pivots on the diagonal of the non-empty pivoted QR factor qr above
+    the relative threshold."""
     pivots = np.abs(np.diag(qr))
-    if pivots.size == 0 or pivots[0] <= 0.0:
+    if pivots[0] <= 0.0:
         return 0
     threshold = config.rank_tolerance_factor * _EPS * longest_side * pivots[0]
     return int(np.count_nonzero(pivots > threshold))
 
 
 def _compresses(rows: int, cols: int) -> bool:
-    """Whether a rows x cols matrix is ranked through its R factor."""
+    """Whether orbit_dimension ranks the rows x cols L.T through its R factor."""
     return cols >= _COMPRESS_MIN_COLS and rows >= _COMPRESS_MIN_ASPECT * cols
 
 
@@ -251,11 +258,6 @@ def _rank_in_place(a: np.ndarray, longest_side: int, config: ToleranceConfig) ->
     if a.size == 0:
         return 0
     return _pivot_rank(_geqp3(a)[0], longest_side, config)
-
-
-def _fold_rows(n: int) -> int:
-    """Rows of n columns that one fold takes: about _FOLD_BYTES of them."""
-    return max(1, _FOLD_BYTES // (8 * n))
 
 
 def _fold(r: np.ndarray, rows: np.ndarray, l: int = 0) -> None:
@@ -268,27 +270,13 @@ def _fold(r: np.ndarray, rows: np.ndarray, l: int = 0) -> None:
     _check_info("dtpqrt", info)
 
 
-def _r_factor(a: np.ndarray) -> np.ndarray:
-    """The R factor of the QR factorization of the tall matrix a, Fortran
-    ordered and zero below its diagonal; a is left intact.  It is the
-    _triangle of the first cols rows, the rest folded in _fold_rows at a time."""
-    rows, cols = a.shape
-    r = _triangle(a[:cols])
-    step = _fold_rows(cols)
-    for start in range(cols, rows, step):
-        _fold(r, np.array(a[start : start + step], order="F"))
-    return r
-
-
 def numerical_rank(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     """Pivot count of a column-pivoted QR factorization above the relative
-    threshold; 0 for empty or zero matrices.  A tall matrix past the
-    crossover is pivoted through its R factor (module docstring), and is
-    never copied whole."""
+    threshold; 0 for empty or zero matrices.  dgeqp3 runs on a copy of the
+    whole matrix, whatever its shape: the R factor of a tall matrix is
+    orbit_dimension's route only (module docstring)."""
     a = _as_matrix(matrix)
-    rows, cols = a.shape
-    r = _r_factor(a) if _compresses(rows, cols) else np.array(a, order="F")
-    return _rank_in_place(r, max(rows, cols), config)
+    return _rank_in_place(np.array(a, order="F"), max(a.shape), config)
 
 
 def _kernel_basis(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -427,7 +415,8 @@ def _orbit_r_factor(complex_: NumericalComplex, n: int) -> np.ndarray:
     for i, a in enumerate(complex_.shape.dims[1:-1], 1):
         if a == 0:
             continue
-        per_block = max(1, _fold_rows(n) // a)
+        # Whole rows t of X_i, about _FOLD_BYTES of L.T's rows at a time.
+        per_block = max(1, _FOLD_BYTES // (8 * n * a))
         for t0 in range(0, a, per_block):
             t = min(a - t0, per_block)
             block = np.zeros((t * a, n), order="F")
@@ -445,7 +434,7 @@ def _view(buf: np.ndarray, shape: tuple, at: int, strides: tuple) -> np.ndarray:
 def _triangle(d: np.ndarray) -> np.ndarray:
     """The nonzero rows of the R factor of the QR factorization of the
     non-empty matrix d: dgeqrf's first min(d.shape) rows, zeroed below the
-    diagonal in place; for a square d, all of its Fortran-ordered output."""
+    diagonal in place."""
     k = min(d.shape)
     r = _geqrf(np.array(d, order="F"))[0][:k]
     for j in range(k - 1):

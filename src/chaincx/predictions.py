@@ -143,9 +143,10 @@ def _sum_prediction(shape: ComplexShape, applies: bool, not_applicable: Predicti
 def hypothesis_holds(
     shape: ComplexShape, reading: HypothesisReading = HypothesisReading.SENTINEL
 ) -> bool:
-    """Whether a_i + a_{i+2} >= a_{i+1} over the reading's index window."""
+    """Whether a_i + a_{i+2} >= a_{i+1} over the reading's index window.
+    The reading may be given by its value; any other raises ValueError."""
     p = shape.dims
-    if reading is HypothesisReading.SENTINEL:
+    if HypothesisReading(reading) is HypothesisReading.SENTINEL:
         p = (0, *p, 0)
     return all(map(ge, map(add, p, p[2:]), p[1:]))
 
@@ -334,7 +335,7 @@ def _canonical_leaves(lengths, max_entry, reading):
     only if its first and last entries are equal, and only then is the
     reversal compared.
     """
-    sentinel = reading is HypothesisReading.SENTINEL
+    sentinel = HypothesisReading(reading) is HypothesisReading.SENTINEL
     for length in lengths:
         last = length - 1
         path = [0] * length

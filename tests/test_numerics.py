@@ -374,6 +374,18 @@ class TestDirectLapack:
                 ref = np.diag(scipy.linalg.qr(lin.T, mode="r", pivoting=True)[0])
                 assert bit_equal(np.diag(_geqp3(lin.T)[0]), ref), moved.shape
 
+    def test_tall_rank_pivots_match_wrapper(self, monkeypatch):
+        # numerical_rank pivots the whole of a tall matrix, also past the
+        # orbit check's crossover.
+        seen = spy_pivots(monkeypatch)
+        a = low_rank(np.random.default_rng(20261020), 2048, 1024, 700)
+        assert numerics._compresses(*a.shape)
+        assert numerical_rank(a) == 700
+        [(pivots, longest)] = seen
+        assert longest == 2048
+        ref = np.diag(scipy.linalg.qr(a, mode="r", pivoting=True)[0])
+        assert bit_equal(pivots, np.abs(ref))
+
     def test_kernel_basis_matches_wrapper(self):
         rng = np.random.default_rng(20261018)
         small = [(m, n, r) for m, n in [(3, 7), (9, 4), (6, 6), (1, 12), (12, 1), (17, 17)]
@@ -423,10 +435,12 @@ class TestDirectLapack:
         pytest.param("dgeqp3", lambda: _kernel_basis(np.ones((2, 3))), id="dgeqp3"),
         pytest.param("dorgqr", lambda: _kernel_basis(np.ones((2, 3))), id="dorgqr"),
         pytest.param("dgeqrf", lambda: _q_factor(np.ones((2, 2))), id="dgeqrf"),
-        # The compression of a tall matrix before its pivoted QR: dgeqrf on
-        # its first rows, dtpqrt folding in the rest.
-        pytest.param("dgeqrf", lambda: numerical_rank(np.ones((3, 2))), id="dgeqrf-rank"),
-        pytest.param("dtpqrt", lambda: numerical_rank(np.ones((3, 2))), id="dtpqrt"),
+        # The orbit check's R factor past the crossover: dgeqrf on the end
+        # maps (_triangle), dtpqrt folding in the middle space's rows.
+        pytest.param("dgeqrf", lambda: orbit_dimension(canonical_complex(
+            shape(2, 2, 2), ranks(1, 1))), id="dgeqrf-rank"),
+        pytest.param("dtpqrt", lambda: orbit_dimension(canonical_complex(
+            shape(2, 2, 2), ranks(1, 1))), id="dtpqrt"),
     ])
     def test_illegal_argument_raises(self, monkeypatch, routine, call):
         # A negative info from LAPACK is an error, as in scipy.linalg.
@@ -511,38 +525,9 @@ def spy_folds(monkeypatch):
 
 
 class TestTallCompression:
-    # A tall matrix is pivoted through an R factor with its column inner
-    # products: numerical_rank folds its rows into R, and orbit_dimension
-    # builds L.T's R from the Kronecker blocks of the maps.
-
-    def test_compressed_pivots_match_direct(self, monkeypatch):
-        seen = spy_pivots(monkeypatch)
-
-        def both_paths(tall):
-            monkeypatch.setattr(numerics, "_COMPRESS_MIN_COLS", 1 << 62)
-            direct = numerical_rank(tall)
-            force_compression(monkeypatch)
-            compressed = numerical_rank(tall)
-            (p_direct, longest), (p_compressed, longest_compressed) = seen[-2:]
-            assert compressed == direct
-            assert longest_compressed == longest == max(tall.shape)
-            assert p_compressed.shape == p_direct.shape
-            # Equal up to rounding: the threshold's scale without its factor.
-            assert np.all(np.abs(p_compressed - p_direct) <= 4 * _EPS * longest * p_direct[0])
-            return direct
-
-        for s in iter_shapes(3, 4):
-            sides = _orbit_matrix_sides(s, DEFAULT_SIZE_CAP)
-            for rv in iter_feasible_ranks(s):
-                cx = canonical_complex(s, rv)
-                for moved in (cx, random_conjugation(cx, sum(s.dims))):
-                    lin = _orbit_matrix(moved, *sides)
-                    if lin.size:
-                        assert both_paths(lin.T) == stratum_dimension(s, rv), (s, rv)
-        # Past LAPACK's blocking size dgeqrf and dgeqp3 run blocked.
-        rng = np.random.default_rng(20261020)
-        for m, n, r in [(300, 200, 120), (400, 150, 90), (600, 260, 260), (260, 130, 0)]:
-            assert both_paths(low_rank(rng, m, n, r)) == r, (m, n, r)
+    # A tall orbit matrix is pivoted through an R factor with its column
+    # inner products: orbit_dimension builds L.T's R from the Kronecker
+    # blocks of the maps.
 
     def test_compression_holds_one_copy_of_orbit_matrix(self, monkeypatch):
         # 33,33 is past the crossover: L.T is 2178 x 1089.  With one map the

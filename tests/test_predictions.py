@@ -369,6 +369,23 @@ class TestSweeps:
         for c in report.counterexamples:
             assert c.comparisons == ((predict_conjecture(c.shape, INTERIOR), False),)
 
+    @pytest.mark.parametrize("reading", list(HypothesisReading), ids=lambda r: r.value)
+    def test_reading_by_value_is_the_enum(self, reading):
+        # The readings disagree on 2,1,1,2, which is in both rectangles.
+        s = shape(2, 1, 1, 2)
+        assert check_shape(s, reading.value) == check_shape(s, reading)
+        assert conjecture_scan(3, 2, reading.value) == conjecture_scan(3, 2, reading)
+        assert sweep_theorems(3, 2, reading.value) == sweep_theorems(3, 2, reading)
+
+    @pytest.mark.parametrize("run", [
+        lambda reading: check_shape(shape(2, 1, 1, 2), reading),
+        lambda reading: conjecture_scan(3, 2, reading),
+        lambda reading: sweep_theorems(3, 2, reading),
+    ], ids=["check_shape", "conjecture_scan", "sweep_theorems"])
+    def test_unknown_reading_raises(self, run):
+        with pytest.raises(ValueError, match="'bogus' is not a valid HypothesisReading"):
+            run("bogus")
+
     @pytest.mark.parametrize("run", [conjecture_scan, sweep_theorems])
     def test_bounds_past_the_caps_refused_before_iterating(self, run):
         # Each bound alone; without the refusal, (0, MAX_ENTRY + 1) would
