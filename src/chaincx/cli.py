@@ -25,6 +25,7 @@ from .core import (
     RankVector,
     ToleranceConfig,
     WorkCapExceeded,
+    _canonical_orbit_rank,
     _orbit_matrix_sides,
     ambient_dimension,
     betti_from_ranks,
@@ -130,14 +131,17 @@ def _setting(flag, name: str, kind, noun: str, default):
         raise _UsageError(f"environment variable {name}={raw!r} is not {noun}") from None
 
 
-def _tolerances(args) -> ToleranceConfig:
-    factor = _setting(args.rank_tol, ENV_RANK_TOL, float, "a number",
-                      DEFAULT_TOLERANCES.rank_tolerance_factor)
+def _tolerances(args) -> tuple[ToleranceConfig, bool]:
+    """The tolerances, and whether a rank tolerance was set by flag or environment."""
+    factor = _setting(args.rank_tol, ENV_RANK_TOL, float, "a number", None)
     try:
-        return ToleranceConfig(rank_tolerance_factor=factor,
-                               composition_tolerance=args.composition_tol)
+        config = ToleranceConfig(
+            rank_tolerance_factor=(DEFAULT_TOLERANCES.rank_tolerance_factor
+                                   if factor is None else factor),
+            composition_tolerance=args.composition_tol)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    return config, factor is not None
 
 
 def _work_cap(args) -> int:
@@ -264,15 +268,21 @@ def cmd_verify_dim(args):
         raise _UsageError(f"--size-cap must be at most {MAX_SIZE_CAP}")
     if not is_feasible(shape, ranks):
         return _infeasible("verify-dim", shape, ranks)
-    config = _tolerances(args)
+    config, rank_tol_set = _tolerances(args)
     _orbit_matrix_sides(shape, args.size_cap)
-    # numpy, the bare scipy package and scipy's LAPACK extension load only
-    # here and in cmd_sample, past the integer checks; scipy.linalg never does.
-    from .numerics import canonical_complex, orbit_dimension
-
-    complex_ = canonical_complex(shape, ranks, config)
     formula_d = stratum_dimension(shape, ranks)
-    orbit_d = orbit_dimension(complex_, config, size_cap=args.size_cap)
+    if rank_tol_set:
+        # Only a set rank tolerance needs the float rank.  numpy, the bare
+        # scipy package and scipy's LAPACK extension load only here and in
+        # cmd_sample, past the integer checks; scipy.linalg never does.
+        from .numerics import canonical_complex, orbit_dimension
+
+        complex_ = canonical_complex(shape, ranks, config)
+        orbit_d = orbit_dimension(complex_, config, size_cap=args.size_cap)
+    else:
+        # L at the canonical complex is an incidence matrix: its rank is a
+        # spanning forest's edge count, exact and numpy-free.
+        orbit_d = _canonical_orbit_rank(shape.dims, ranks.ranks)
     agree = formula_d == orbit_d
     payload = {
         "feasible": True,
@@ -294,7 +304,7 @@ def cmd_sample(args):
         raise _UsageError("--seed must be non-negative")
     if args.limit < 1:
         raise _UsageError("--limit must be positive")
-    config = _tolerances(args)
+    config, _ = _tolerances(args)
     if max(shape.dims) > DEFAULT_SIZE_CAP:
         raise WorkCapExceeded(
             f"sampling shape {shape.dims} needs a space of dimension {max(shape.dims)}, "

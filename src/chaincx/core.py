@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 MAX_ENTRY = 1 << 20
 MAX_LENGTH = 1 << 10
@@ -194,6 +195,54 @@ def _orbit_matrix_sides(shape: ComplexShape, size_cap: int) -> tuple[int, int]:
             f"exceeding the size cap of {size_cap}"
         )
     return ambient, domain
+
+
+def _canonical_orbit_rank(dims, ranks) -> int:
+    """rank(L) of numerics.orbit_dimension at numerics.canonical_complex,
+    counted exactly in integers, for feasible ranks.
+
+    There D_i = eye(a_{i-1}, a_i, a_i - r_i), so D_i[p, t] = 1 iff
+    t = p + a_i - r_i.  In the index convention of numerics._write_rows, row
+    (t, q) of L.T, the entry X_i[t, q], holds -D_i[p, t] at column (p, q) of
+    map i and D_{i+1}[q, u] at column (t, u) of map i+1: at most one -1 and
+    at most one +1, in different maps' columns.  Take the columns and one
+    ground vertex g as vertices, and each nonzero row as an edge between its
+    two columns, or between its one column and g.  L.T is then the signed
+    incidence matrix of that graph, up to row signs, less g's column, which
+    is minus the sum of the others, so dropping it keeps the rank.  The rows
+    of a spanning forest are independent (a leaf's edge is the only forest
+    row nonzero at the leaf), and any other edge is the signed sum of the
+    rows along the forest path between its ends.  So over the reals, as over
+    every field, rank(L) is the number of edges that join two components,
+    counted here by union-find.
+    """
+    n = len(dims) - 1
+    offsets = [0, *accumulate(map(operator.mul, dims, dims[1:]))]
+    ground = offsets[-1]
+    parent = list(range(ground + 1))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    rank = 0
+    for i, a in enumerate(dims):
+        # Rows t >= first have a -1, at column offsets[i-1] + (t - first) a + q;
+        # rows q < right have a +1, at column offsets[i] + t k + q + k - right.
+        first = a - ranks[i - 1] if i else a
+        k, right = (dims[i + 1], ranks[i]) if i < n else (0, 0)
+        for t in range(a):
+            for q in range(a):
+                u = offsets[i - 1] + (t - first) * a + q if t >= first else ground
+                v = offsets[i] + t * k + q + k - right if q < right else ground
+                if u != v:
+                    u, v = find(u), find(v)
+                    if u != v:
+                        parent[u] = v
+                        rank += 1
+    return rank
 
 
 def betti_lower_bound(shape: ComplexShape) -> int:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -233,7 +234,8 @@ class TestVerifyDim:
         shape = ComplexShape(tuple(map(int, dims.split(","))))
         ambient, domain = _orbit_matrix_sides(shape, DEFAULT_SIZE_CAP)
         assert _compresses(domain, ambient)
-        env = run_json("verify-dim", "--dims", dims, "--ranks", ranks)
+        # A set rank tolerance takes the float route.
+        env = run_json("verify-dim", "--dims", dims, "--ranks", ranks, "--rank-tol", "1000")
         assert env["payload"]["agree"] is True
         assert env["payload"]["orbit_d"] == env["payload"]["formula_d"]
 
@@ -253,11 +255,28 @@ class TestVerifyDim:
 
     def test_disagreement_exits_5(self):
         # An absurd rank threshold zeroes the orbit rank, forcing disagreement.
-        env = run_json("verify-dim", "--dims", "2,2", "--ranks", "1",
-                       "--rank-tol", "1e30", expect_code=5)
-        assert env["payload"]["agree"] is False
-        assert env["payload"]["formula_d"] == 3
-        assert env["payload"]["orbit_d"] == 0
+        for tol in ("1e16", "1e30"):
+            env = run_json("verify-dim", "--dims", "2,2", "--ranks", "1",
+                           "--rank-tol", tol, expect_code=5)
+            assert env["payload"]["agree"] is False
+            assert env["payload"]["formula_d"] == 3
+            assert env["payload"]["orbit_d"] == 0
+
+    def test_exact_rank_holds_no_orbit_matrix(self, capsys, monkeypatch):
+        # Without a rank tolerance the orbit rank is a spanning forest's edge
+        # count; the float route would hold an L or R of about 1 GB here.
+        monkeypatch.delenv("CHAINCX_RANK_TOL", raising=False)
+        tracemalloc.start()
+        try:
+            code = main(["verify-dim", "--dims", "90,90", "--ranks", "45",
+                         "--size-cap", "16384"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 << 20
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert payload["orbit_d"] == payload["formula_d"] == 6075
 
     def test_env_rank_tol_respected_and_flag_wins(self):
         run_json("verify-dim", "--dims", "2,2", "--ranks", "1",
@@ -434,9 +453,10 @@ print(json.dumps([registered, ours.tobytes() == theirs.tobytes()]))
 
 
 class TestImportGraph:
-    """Integer-only commands and the error paths before any float work leave
-    numpy and scipy unloaded; only verify-dim and sample past their checks
-    load them, and never the scipy.linalg package."""
+    """Integer-only commands, verify-dim without a rank tolerance and the
+    error paths before any float work leave numpy and scipy unloaded; only
+    sample past its checks and verify-dim with a rank tolerance load them,
+    and never the scipy.linalg package."""
 
     @pytest.mark.parametrize("module", ["chaincx", "chaincx.cli"])
     def test_import_is_numpy_free(self, module):
@@ -472,16 +492,22 @@ class TestImportGraph:
         (["check", "--dims", ",".join(["15"] * 61)], None, 3),
         (["sample", "--dims", "1,2,1,2", "--trials", "99999999999999999999"], None, 64),
         (["sample", "--dims", "1024,1024", "--trials", "64"], None, 3),
+        (["verify-dim", "--dims", "2,2", "--ranks", "1"], None, 0),
     ])
     def test_integer_paths_are_numpy_free(self, argv, env, code):
         assert probe_imports("chaincx.cli", argv, env) == (code, [])
 
     @pytest.mark.parametrize("argv", [
-        ["verify-dim", "--dims", "2,2", "--ranks", "1"],
+        ["verify-dim", "--dims", "2,2", "--ranks", "1", "--rank-tol", "1000"],
         ["sample", "--dims", "1,2,1,2"],
     ])
     def test_float_commands_load_numerics(self, argv):
         assert probe_imports("chaincx.cli", argv) == (0, ["numpy", "scipy"])
+
+    def test_env_rank_tol_loads_numerics(self):
+        argv = ["verify-dim", "--dims", "2,2", "--ranks", "1"]
+        env = {"CHAINCX_RANK_TOL": "1000"}
+        assert probe_imports("chaincx.cli", argv, env) == (0, ["numpy", "scipy"])
 
 
 class TestOutputModes:

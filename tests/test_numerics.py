@@ -1,6 +1,7 @@
 """Numerical ranks, model complexes, orbit dimension, sampler."""
 
 import inspect
+import itertools
 import random
 import re
 import sys
@@ -33,7 +34,12 @@ from chaincx import (
     sequential_sample,
     stratum_dimension,
 )
-from chaincx.core import DEFAULT_SIZE_CAP, _feasible, _orbit_matrix_sides
+from chaincx.core import (
+    DEFAULT_SIZE_CAP,
+    _canonical_orbit_rank,
+    _feasible,
+    _orbit_matrix_sides,
+)
 from chaincx.numerics import (
     _EPS,
     _geqp3,
@@ -688,6 +694,22 @@ class TestOrbitDimension:
             for rv in iter_feasible_ranks(s):
                 cx = canonical_complex(s, rv)
                 assert orbit_dimension(cx) == stratum_dimension(s, rv), (s, rv)
+
+    def test_canonical_orbit_rank_is_exact(self):
+        # The forest count, the float rank and the formula agree on every
+        # feasible pair of 2 spaces with entries <= 6, 3 <= 4, 4 <= 3, 5 <= 2.
+        pairs = 0
+        for k, top in ((2, 6), (3, 4), (4, 3), (5, 2)):
+            for dims in itertools.product(range(top + 1), repeat=k):
+                s = ComplexShape(dims)
+                for rv in iter_feasible_ranks(s):
+                    exact = _canonical_orbit_rank(dims, rv.ranks)
+                    float_rank = orbit_dimension(canonical_complex(s, rv))
+                    assert exact == float_rank == stratum_dimension(s, rv), (s, rv)
+                    pairs += 1
+        assert pairs == 3307
+        for s, rv in ((shape(30, 30, 30), ranks(15, 15)), (shape(40, 40), ranks(40))):
+            assert _canonical_orbit_rank(s.dims, rv.ranks) == stratum_dimension(s, rv)
 
     def test_conjugation_invariance(self):
         s = shape(3, 2, 2, 3)
