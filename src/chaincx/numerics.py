@@ -72,10 +72,11 @@ The LAPACK routines, dgeqp3, dgeqrf, dorgqr and dtpqrt, come from scipy's
 f2py extension scipy/linalg/_flapack, loaded straight from its file.
 Importing the scipy.linalg package instead would run its __init__, which
 pulls in numpy.f2py, numpy.testing and numpy.ma and more than doubles the
-start-up time of the float commands.  The routines are the same function objects
-that scipy.linalg.lapack re-exports.  random_conjugation's Q factors come
-from dgeqrf and dorgqr, without the R that np.linalg.qr builds; its solves
-stay with numpy (see its docstring).
+start-up time of the float commands.  The routines are the same function
+objects that scipy.linalg.lapack re-exports.  Every routine with a workspace
+query, all but dtpqrt, goes through _lapack, which runs query and call.
+random_conjugation's Q factors come from dgeqrf and dorgqr, without the R
+that np.linalg.qr builds; its solves stay with numpy (see its docstring).
 
 The sequential sampler draws D_1 with i.i.d. standard Gaussian entries
 and each later map as K @ G, with K an orthonormal kernel basis of the
@@ -225,25 +226,27 @@ def _check_info(routine: str, info: int) -> None:
         raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
 
 
-def _geqp3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column-pivoted QR of the non-empty Fortran-ordered float64 array a,
-    overwriting a: LAPACK's (qr, tau), with R on and above qr's diagonal."""
-    # _flapack.dgeqp3 is the routine scipy.linalg.qr calls.  The workspace
-    # query leaves a untouched; the factorization needs its answer to give
-    # the same bits as scipy.linalg.qr.
-    lwork = int(_flapack.dgeqp3(a, lwork=-1, overwrite_a=1)[3][0])
-    qr, _, tau, _, info = _flapack.dgeqp3(a, lwork=lwork, overwrite_a=1)
-    _check_info("dgeqp3", info)
-    return qr, tau
+def _lapack(routine: str, *args) -> tuple:
+    """Run LAPACK's dgeqp3, dgeqrf or dorgqr on args, overwriting the first,
+    a Fortran-ordered float64 array; return its output tuple, which ends
+    with work and info.  lwork comes from a workspace query, as in
+    scipy.linalg.qr and np.linalg.qr, whose bits it decides past LAPACK's
+    crossover size.  Both calls pass overwrite_a=1, without which f2py
+    copies the input, even for the query."""
+    call = getattr(_flapack, routine)
+    lwork = int(call(*args, lwork=-1, overwrite_a=1)[-2][0])
+    out = call(*args, lwork=lwork, overwrite_a=1)
+    _check_info(routine, out[-1])
+    return out
 
 
 def _pivot_rank(qr: np.ndarray, longest_side: int, config: ToleranceConfig) -> int:
     """Pivots on the diagonal of the non-empty pivoted QR factor qr above
     the relative threshold."""
     pivots = np.abs(np.diag(qr))
-    if pivots[0] <= 0.0:
-        return 0
-    threshold = config.rank_tolerance_factor * _EPS * longest_side * pivots[0]
+    # A zero largest pivot makes the threshold 0, or NaN under an infinite
+    # factor (Python's float NaN, without numpy's warning): no pivot counts.
+    threshold = config.rank_tolerance_factor * _EPS * longest_side * float(pivots[0])
     return int(np.count_nonzero(pivots > threshold))
 
 
@@ -257,7 +260,7 @@ def _rank_in_place(a: np.ndarray, longest_side: int, config: ToleranceConfig) ->
     a matrix whose longest side is longest_side, overwriting a."""
     if a.size == 0:
         return 0
-    return _pivot_rank(_geqp3(a)[0], longest_side, config)
+    return _pivot_rank(_lapack("dgeqp3", a)[0], longest_side, config)
 
 
 def _fold(r: np.ndarray, rows: np.ndarray, l: int = 0) -> None:
@@ -292,7 +295,7 @@ def _kernel_basis(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> np.nd
         return np.zeros((0, 0))
     if rows == 0 or not a.any():
         return np.eye(cols)
-    qr, tau = _geqp3(np.array(a.T, order="F"))
+    qr, _, tau, _, _ = _lapack("dgeqp3", np.array(a.T, order="F"))
     rank = _pivot_rank(qr, max(rows, cols), config)
     # dorgqr expands the reflectors into the cols x cols Q in place, from
     # the leading square of qr or, when qr is narrower, from a padded copy.
@@ -301,33 +304,14 @@ def _kernel_basis(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> np.nd
     else:
         q = np.zeros((cols, cols), order="F")
         q[:, :rows] = qr
-    return _orgqr(q, tau)[:, rank:]
-
-
-def _orgqr(qr: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """The Q that the reflectors (qr, tau) of a QR factorization define,
-    expanded in place over the Fortran-ordered array qr."""
-    lwork = int(_flapack.dorgqr(qr, tau, lwork=-1, overwrite_a=1)[1][0])
-    q, _, info = _flapack.dorgqr(qr, tau, lwork=lwork, overwrite_a=1)
-    _check_info("dorgqr", info)
-    return q
-
-
-def _geqrf(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR of the Fortran-ordered float64 array a, overwriting a: LAPACK's
-    (qr, tau).  The workspace query is np.linalg.qr's, which its bits depend
-    on past LAPACK's crossover size; without overwrite_a=1 the query would
-    copy a."""
-    lwork = int(_flapack.dgeqrf(a, lwork=-1, overwrite_a=1)[2][0])
-    qr, tau, _, info = _flapack.dgeqrf(a, lwork=lwork, overwrite_a=1)
-    _check_info("dgeqrf", info)
-    return qr, tau
+    return _lapack("dorgqr", q, tau)[0][:, rank:]
 
 
 def _q_factor(g: np.ndarray) -> np.ndarray:
     """Q of the QR factorization of the square matrix g, in C order; g is
     left intact."""
-    return np.ascontiguousarray(_orgqr(*_geqrf(np.array(g, order="F"))))
+    qr, tau, _, _ = _lapack("dgeqrf", np.array(g, order="F"))
+    return np.ascontiguousarray(_lapack("dorgqr", qr, tau)[0])
 
 
 def canonical_complex(
@@ -436,7 +420,7 @@ def _triangle(d: np.ndarray) -> np.ndarray:
     non-empty matrix d: dgeqrf's first min(d.shape) rows, zeroed below the
     diagonal in place."""
     k = min(d.shape)
-    r = _geqrf(np.array(d, order="F"))[0][:k]
+    r = _lapack("dgeqrf", np.array(d, order="F"))[0][:k]
     for j in range(k - 1):
         r[j + 1 :, j] = 0.0
     return r

@@ -42,8 +42,8 @@ from chaincx.core import (
 )
 from chaincx.numerics import (
     _EPS,
-    _geqp3,
     _kernel_basis,
+    _lapack,
     _orbit_matrix,
     _orbit_r_factor,
     _pivot_rank,
@@ -59,6 +59,11 @@ class TestNumericalRank:
 
     def test_zero_and_empty(self):
         assert numerical_rank(np.zeros((3, 4))) == 0
+        # An infinite factor makes the threshold of a zero matrix NaN.
+        infinite = ToleranceConfig(rank_tolerance_factor=float("inf"))
+        assert numerical_rank(np.zeros((3, 4)), infinite) == 0
+        zero_orbit = canonical_complex(shape(2, 2), ranks(0))
+        assert orbit_dimension(zero_orbit) == orbit_dimension(zero_orbit, infinite) == 0
         assert numerical_rank(np.zeros((0, 5))) == 0
         assert numerical_rank(np.zeros((5, 0))) == 0
 
@@ -378,7 +383,7 @@ class TestDirectLapack:
                     continue
                 # orbit_dimension factors L.T, which is Fortran-ordered.
                 ref = np.diag(scipy.linalg.qr(lin.T, mode="r", pivoting=True)[0])
-                assert bit_equal(np.diag(_geqp3(lin.T)[0]), ref), moved.shape
+                assert bit_equal(np.diag(_lapack("dgeqp3", lin.T)[0]), ref), moved.shape
 
     def test_tall_rank_pivots_match_wrapper(self, monkeypatch):
         # numerical_rank pivots the whole of a tall matrix, also past the
@@ -462,10 +467,37 @@ class TestDirectLapack:
             call()
 
     def test_extension_has_every_routine_called(self):
-        called = set(re.findall(r"_flapack\.(\w+)\(", inspect.getsource(numerics)))
+        source = inspect.getsource(numerics)
+        called = set(re.findall(r"_flapack\.(\w+)\(", source))
+        called |= set(re.findall(r'_lapack\("(\w+)"', source))
         assert called == {"dgeqp3", "dgeqrf", "dorgqr", "dtpqrt"}
         for routine in called:
             assert callable(getattr(numerics._flapack, routine, None)), routine
+
+    @pytest.mark.parametrize("routine, call", [
+        pytest.param("dgeqp3", numerical_rank, id="dgeqp3"),
+        pytest.param("dgeqrf", _q_factor, id="dgeqrf"),
+        pytest.param("dorgqr", _kernel_basis, id="dorgqr"),
+    ])
+    def test_workspace_query_then_call_in_place(self, monkeypatch, routine, call):
+        # A workspace query, then the call with its lwork, both on the same
+        # Fortran-ordered float64 array with overwrite_a=1, so that f2py
+        # copies it for neither and the factor is written over it.
+        real = getattr(numerics._flapack, routine)
+        calls = []
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append((args[0], kwargs, out))
+            return out
+
+        monkeypatch.setattr(numerics._flapack, routine, spy)
+        call(low_rank(np.random.default_rng(5), 4, 4, 2))
+        (a, query, answer), (again, kwargs, out) = calls
+        assert again is a and a.flags.f_contiguous and a.dtype == np.float64
+        assert query == {"lwork": -1, "overwrite_a": 1}
+        assert kwargs == {"lwork": int(answer[-2][0]), "overwrite_a": 1}
+        assert np.shares_memory(out[0], a)
 
     def test_missing_extension_names_the_path(self, monkeypatch, tmp_path):
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
@@ -589,9 +621,9 @@ class TestTallCompression:
             # R has L.T's column inner products, signs included.
             gram = lin @ lin.T
             assert np.abs(r.T @ r - gram).max() <= 4 * _EPS * domain * np.abs(gram).max(), s
-            direct = _geqp3(np.array(lin.T, order="F"))[0]
+            direct = _lapack("dgeqp3", np.array(lin.T, order="F"))[0]
             p_direct = np.abs(np.diag(direct))
-            p_structured = np.abs(np.diag(_geqp3(r)[0]))
+            p_structured = np.abs(np.diag(_lapack("dgeqp3", r)[0]))
             assert np.all(np.abs(p_structured - p_direct)
                           <= 4 * _EPS * domain * p_direct[0]), (s, rv)
             d = stratum_dimension(s, rv)
