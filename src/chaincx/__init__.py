@@ -12,8 +12,10 @@ linearized change-of-basis action.
 __version__ = "0.1.0"
 
 from .core import (
+    DEFAULT_ENUMERATION_CAP,
     DEFAULT_SIZE_CAP,
     DEFAULT_TOLERANCES,
+    DEFAULT_WORK_CAP,
     MAX_ENTRY,
     MAX_LENGTH,
     BettiVector,
@@ -30,48 +32,36 @@ from .core import (
     is_feasible,
     stratum_dimension,
 )
-from .optimizer import (
-    DEFAULT_ENUMERATION_CAP,
-    DEFAULT_WORK_CAP,
-    MAX_DP_STATES,
-    MaximizerReport,
-    brute_force_maximize,
-    enumerate_maximizers,
-    maximize_dp,
-    maximizer_rank_sum_range,
-)
-from .predictions import (
-    ComparisonResult,
-    HypothesisReading,
-    Prediction,
-    ScanReport,
-    SourceTheorem,
-    SweepSummary,
-    Verdict,
-    all_predictions,
-    check_shape,
-    conjecture_scan,
-    hypothesis_holds,
-    predict_conjecture,
-    predict_equal_dim,
-    predict_length1,
-    predict_length2,
-    sweep_theorems,
-)
 
-# numerics imports numpy, the bare scipy package and scipy's LAPACK extension
-# (not scipy.linalg), so it and its names load on first access.
-_NUMERICS_NAMES = ("NumericalComplex", "canonical_complex", "numerical_rank",
-                   "orbit_dimension", "random_conjugation", "sequential_sample")
+# Every other layer, and its names, load on first access, so that a command
+# imports only the layers it runs.  numerics imports numpy, the bare scipy
+# package and scipy's LAPACK extension (not scipy.linalg).
+_LAZY = {
+    "optimizer": ("MAX_DP_STATES", "MaximizerReport", "brute_force_maximize",
+                  "enumerate_maximizers", "maximize_dp", "maximizer_rank_sum_range"),
+    "predictions": ("ComparisonResult", "HypothesisReading", "Prediction", "ScanReport",
+                    "SourceTheorem", "SweepSummary", "Verdict", "all_predictions",
+                    "check_shape", "conjecture_scan", "hypothesis_holds",
+                    "predict_conjecture", "predict_equal_dim", "predict_length1",
+                    "predict_length2", "sweep_theorems"),
+    "numerics": ("NumericalComplex", "canonical_complex", "numerical_rank",
+                 "orbit_dimension", "random_conjugation", "sequential_sample"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
 
-__all__ = sorted([name for name in dir() if not name.startswith("_")]
-                 + ["numerics", *_NUMERICS_NAMES])
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + [*_HOME])
 
 
 def __getattr__(name):
-    if name == "numerics" or name in _NUMERICS_NAMES:
-        import importlib
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
 
-        numerics = importlib.import_module(".numerics", __name__)
-        return numerics if name == "numerics" else getattr(numerics, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    layer = importlib.import_module(f".{module}", __name__)
+    value = globals()[name] = layer if name == module else getattr(layer, name)
+    return value
+
+
+def __dir__():
+    return list(__all__)

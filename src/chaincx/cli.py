@@ -17,10 +17,15 @@ import json
 import os
 import sys
 
+# Of the package only core loads here.  Each command imports the layers it
+# runs, past its own usage checks, so --version, dimension, verify-dim and
+# the refusals before any work load neither the optimizer nor predictions.
 from . import __version__
 from .core import (
+    DEFAULT_ENUMERATION_CAP,
     DEFAULT_SIZE_CAP,
     DEFAULT_TOLERANCES,
+    DEFAULT_WORK_CAP,
     ComplexShape,
     RankVector,
     ToleranceConfig,
@@ -34,20 +39,6 @@ from .core import (
     greedy_rank_vector,
     is_feasible,
     stratum_dimension,
-)
-from .optimizer import (
-    DEFAULT_ENUMERATION_CAP,
-    DEFAULT_WORK_CAP,
-    brute_force_maximize,
-    enumerate_maximizers,
-)
-from .predictions import (
-    HypothesisReading,
-    Verdict,
-    all_predictions,
-    check_shape,
-    conjecture_scan,
-    sweep_theorems,
 )
 
 SCHEMA_VERSION = 1
@@ -223,6 +214,8 @@ def cmd_maximize(args):
     shape = _shape_of(args)
     if args.limit < 1:
         raise _UsageError("--limit must be positive")
+    from .optimizer import brute_force_maximize, enumerate_maximizers
+
     if args.method == "brute":
         report = brute_force_maximize(shape, work_cap=_work_cap(args))
     else:
@@ -233,6 +226,8 @@ def cmd_maximize(args):
 
 def cmd_predict(args):
     shape = _shape_of(args)
+    from .predictions import HypothesisReading, all_predictions
+
     reading = HypothesisReading(args.reading)
     payload = {
         "reading": reading.value,
@@ -243,6 +238,8 @@ def cmd_predict(args):
 
 def cmd_check(args):
     shape = _shape_of(args)
+    from .predictions import HypothesisReading, Verdict, check_shape
+
     reading = HypothesisReading(args.reading)
     result = check_shape(shape, reading)
     comparisons = [
@@ -325,6 +322,7 @@ def cmd_sample(args):
             f"exceeding the cap of {MAX_SAMPLE_WORK}"
         )
     from .numerics import numerical_rank, sequential_sample
+    from .optimizer import enumerate_maximizers
 
     trial_ranks = []
     for t in range(args.trials):
@@ -352,10 +350,13 @@ def cmd_sample(args):
 
 
 def cmd_sweep(args):
+    work_cap = _work_cap(args)
+    from .predictions import HypothesisReading, conjecture_scan, sweep_theorems
+
     reading = HypothesisReading(args.reading)
     run = sweep_theorems if args.mode == "theorems" else conjecture_scan
     try:
-        result = run(args.max_length, args.max_entry, reading, work_cap=_work_cap(args))
+        result = run(args.max_length, args.max_entry, reading, work_cap=work_cap)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     payload = {

@@ -28,11 +28,14 @@ and refuse oversized orbit checks without importing numpy or scipy.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
 
 MAX_ENTRY = 1 << 20
 MAX_LENGTH = 1 << 10
+# The optimizer's defaults, here so that the CLI can build its parser
+# without importing the optimizer.
+DEFAULT_ENUMERATION_CAP = 10_000
+DEFAULT_WORK_CAP = 100_000_000
 
 
 class InfeasibleRanksError(ValueError):
@@ -46,8 +49,62 @@ class WorkCapExceeded(RuntimeError):
 DEFAULT_SIZE_CAP = 4096  # refusal cap on either side of the orbit matrix
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+# The rich comparisons of an ordered record; eq=True records get the first.
+_COMPARISONS = (("__eq__", "=="), ("__lt__", "<"), ("__le__", "<="), ("__gt__", ">"),
+                ("__ge__", ">="))
+
+
+class _Record:
+    """Base of the frozen records.
+
+    A subclass declares its fields as annotations, defaults as class
+    attributes, and gets the methods a frozen dataclass would, compiled from
+    generated source as dataclasses does: an __init__ that sets the fields
+    in order and then runs __post_init__ if the class has one; with eq (the
+    default), __eq__ and __hash__ on the tuple of field values, so sets of
+    records iterate in the same order; with order, <, <=, > and >= on that
+    tuple.  Fields cannot be assigned or deleted afterwards, and those named
+    in `hidden` stay out of the repr.  Importing dataclasses, and the
+    inspect module it imports, would cost every command several ms.
+    """
+
+    def __init_subclass__(cls, eq=True, order=False, hidden=()):
+        super().__init_subclass__()
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        defaults = {f"_d_{n}": cls.__dict__[n] for n in names if n in cls.__dict__}
+        params = ", ".join(f"{n}=_d_{n}" if f"_d_{n}" in defaults else n for n in names)
+        lines = [f"def __init__(self, {params}):",
+                 *(f"    _set(self, {n!r}, {n})" for n in names)]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        if eq:
+            mine, theirs = ("(" + "".join(f"{who}.{n}, " for n in names) + ")"
+                            for who in ("self", "other"))
+            lines += ["def __hash__(self):", f"    return hash({mine})"]
+            for name, symbol in _COMPARISONS if order else _COMPARISONS[:1]:
+                lines += [f"def {name}(self, other):",
+                          "    if other.__class__ is self.__class__:",
+                          f"        return {mine} {symbol} {theirs}",
+                          "    return NotImplemented"]
+        methods = {}
+        exec("\n".join(lines), {"_set": object.__setattr__, **defaults}, methods)
+        for name, method in methods.items():
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
+        cls._shown = tuple(n for n in names if n not in hidden)
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ToleranceConfig(_Record):
     """Knobs for the two floating-point comparisons in the numerics module."""
 
     rank_tolerance_factor: float = 1000.0
@@ -68,8 +125,7 @@ def _int_tuple(values, what):
         raise ValueError(f"{what} entries must be integers") from None
 
 
-@dataclass(frozen=True)
-class ComplexShape:
+class ComplexShape(_Record):
     """Dimension vector (a_0, ..., a_n) of the spaces; n = len(dims) - 1 maps."""
 
     dims: tuple[int, ...]
@@ -92,8 +148,7 @@ class ComplexShape:
         return len(self.dims) - 1
 
 
-@dataclass(frozen=True, order=True)
-class RankVector:
+class RankVector(_Record, order=True):
     """Ranks (r_1, ..., r_n) of the boundary maps; sentinels never stored.
 
     Ordering is lexicographic on the entries.
@@ -109,8 +164,7 @@ class RankVector:
             raise ValueError(f"ranks must be non-negative, got {first}")
 
 
-@dataclass(frozen=True, order=True)
-class BettiVector:
+class BettiVector(_Record, order=True):
     """Homology dimensions (beta_0, ..., beta_n); ordered lexicographically."""
 
     bettis: tuple[int, ...]
@@ -124,7 +178,7 @@ class BettiVector:
 
 
 def _unvalidated(cls, field, value):
-    """cls(value) for one of the one-field frozen dataclasses above, without
+    """cls(value) for one of the one-field records above, without
     __post_init__: only for a tuple of ints that the caller derived from
     validated input, such as a DP path, its Betti numbers or a walk's shape."""
     obj = object.__new__(cls)

@@ -94,7 +94,6 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -107,6 +106,7 @@ from .core import (
     RankVector,
     ToleranceConfig,
     _orbit_matrix_sides,
+    _Record,
     _require_feasible,
     greedy_rank_vector,
 )
@@ -164,8 +164,7 @@ def _max_norm(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class NumericalComplex:
+class NumericalComplex(_Record, eq=False, hidden=("maps",)):
     """Explicit real matrices (D_1, ..., D_n) on a shape, with the
     composition-zero condition enforced up to a scale-invariant tolerance:
 
@@ -173,7 +172,7 @@ class NumericalComplex:
     """
 
     shape: ComplexShape
-    maps: tuple[np.ndarray, ...] = field(repr=False)
+    maps: tuple[np.ndarray, ...]
     composition_tolerance: float = DEFAULT_TOLERANCES.composition_tolerance
 
     def __post_init__(self):

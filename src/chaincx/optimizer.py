@@ -116,11 +116,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import islice, product
 from operator import sub
 
 from .core import (
+    DEFAULT_ENUMERATION_CAP,
+    DEFAULT_WORK_CAP,
     BettiVector,
     ComplexShape,
     RankVector,
@@ -129,11 +130,10 @@ from .core import (
     _dimension,
     _feasible,
     _greedy,
+    _Record,
     _unvalidated,
 )
 
-DEFAULT_ENUMERATION_CAP = 10_000
-DEFAULT_WORK_CAP = 100_000_000
 # Largest DP state count sum_i (min(a_{i-1}, a_i) + 1) that _solve accepts.
 # At MAX_ENTRY a state costs about 71 bytes at the DP's peak (the stage's
 # value and count tables, its negated slopes and its 8-byte least move), so
@@ -142,8 +142,7 @@ DEFAULT_WORK_CAP = 100_000_000
 MAX_DP_STATES = 3 << 20
 
 
-@dataclass(frozen=True)
-class MaximizerReport:
+class MaximizerReport(_Record):
     """Maximizers of d(a, r) with their common dimension and Betti spectrum.
 
     maximizer_count is always exact; the listing (and the aligned

@@ -34,7 +34,6 @@ window conventions are implemented:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations, product
 from math import comb
@@ -48,6 +47,7 @@ from .core import (
     WorkCapExceeded,
     _chi,
     _greedy,
+    _Record,
     _unvalidated,
 )
 from .optimizer import MaximizerReport, _lexicographic_paths, _report, _solve
@@ -79,8 +79,7 @@ class Verdict(Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(_Record):
     """A closed form's claim about the almost-sure Betti data of a shape.
 
     Either a full set of Betti vectors (predicted_betti_set) or only the
@@ -98,8 +97,7 @@ class Prediction:
  _NA_EQUAL_EVEN_SPREAD, _NA_CONJECTURE) = (Prediction(False, (), None, s) for s in SourceTheorem)
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(_Record):
     """A verdict on one shape.  `prediction` is the deciding prediction;
     `comparisons` pairs each compared prediction with whether the observed
     spectrum fulfils it, None when the prediction does not apply."""
@@ -111,8 +109,7 @@ class ComparisonResult:
     comparisons: tuple[tuple[Prediction, bool | None], ...]
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(_Record):
     """Outcome of a conjecture scan: the counterexamples found (expected
     none), how many hypothesis-satisfying shapes were checked, and whether
     the scan stopped early at the work cap."""
@@ -122,8 +119,7 @@ class ScanReport:
     truncated: bool
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(_Record):
     """Verdict tally of check_shape over a rectangle of shapes."""
 
     shapes_checked: int

@@ -407,8 +407,10 @@ class TestSweep:
         assert (payload["shapes_scanned"], payload["truncated"]) == (1000, True)
 
 
-# Imports `module`, runs cli.main on the argv in sys.argv[1] (if any) with
-# its output discarded, and prints the exit code and the heavy modules loaded.
+# Imports the module in sys.argv[2], runs cli.main on the argv in sys.argv[1]
+# if any, with its output discarded, and prints the exit code and the
+# watched modules then loaded: the package's own, dataclasses and inspect,
+# numpy, scipy and scipy.linalg.
 _IMPORT_PROBE = """
 import contextlib, importlib, io, json, sys
 importlib.import_module(sys.argv[2])
@@ -420,7 +422,9 @@ if argv:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-print(json.dumps([code, [m for m in ("numpy", "scipy", "scipy.linalg") if m in sys.modules]]))
+watched = ("dataclasses", "inspect", "numpy", "scipy", "scipy.linalg")
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m in watched or m.split(".")[0] == "chaincx")]))
 """
 
 
@@ -432,6 +436,21 @@ def probe_imports(module, argv=(), env_extra=None):
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout)
     return code, loaded
+
+
+def float_layers(loaded):
+    """The probe's modules less dataclasses and inspect, which numpy and
+    scipy may load themselves."""
+    return [m for m in loaded if m not in ("dataclasses", "inspect")]
+
+
+CLI = ["chaincx", "chaincx.cli", "chaincx.core"]
+MAXIMIZE = sorted(CLI + ["chaincx.optimizer"])
+PREDICT = sorted(MAXIMIZE + ["chaincx.predictions"])
+# The layers each command loads once past its usage checks.
+LAYERS = {"maximize": MAXIMIZE, "predict": PREDICT, "check": PREDICT, "sweep": PREDICT,
+          "verify-dim": sorted(CLI + ["chaincx.numerics", "numpy", "scipy"]),
+          "sample": sorted(CLI + ["chaincx.numerics", "chaincx.optimizer", "numpy", "scipy"])}
 
 
 # Imports the module in sys.argv[1] first, then chaincx.numerics and
@@ -453,17 +472,24 @@ print(json.dumps([registered, ours.tobytes() == theirs.tobytes()]))
 
 
 class TestImportGraph:
-    """Integer-only commands, verify-dim without a rank tolerance and the
-    error paths before any float work leave numpy and scipy unloaded; only
-    sample past its checks and verify-dim with a rank tolerance load them,
-    and never the scipy.linalg package."""
+    """Each command loads only the layers it runs.  --version, dimension,
+    verify-dim without a rank tolerance, and the usage errors and size
+    refusals the CLI decides itself load the package, core and the CLI
+    alone; maximize adds the optimizer, and predict, check and sweep the
+    predictions, which import it.  Only sample past its checks and
+    verify-dim with a rank tolerance load numerics, numpy and scipy, and
+    never the scipy.linalg package.  No command loads dataclasses or
+    inspect before numpy does."""
 
     @pytest.mark.parametrize("module", ["chaincx", "chaincx.cli"])
     def test_import_is_numpy_free(self, module):
-        assert probe_imports(module) == (None, [])
+        loaded = ["chaincx", "chaincx.core"] if module == "chaincx" else CLI
+        assert probe_imports(module) == (None, loaded)
 
     def test_numerics_skips_scipy_linalg(self):
-        assert probe_imports("chaincx.numerics") == (None, ["numpy", "scipy"])
+        code, loaded = probe_imports("chaincx.numerics")
+        assert (code, float_layers(loaded)) == (
+            None, ["chaincx", "chaincx.core", "chaincx.numerics", "numpy", "scipy"])
 
     @pytest.mark.parametrize("first", ["chaincx.numerics", "scipy.linalg"])
     def test_scipy_linalg_shares_the_lapack_extension(self, first):
@@ -495,19 +521,33 @@ class TestImportGraph:
         (["verify-dim", "--dims", "2,2", "--ranks", "1"], None, 0),
     ])
     def test_integer_paths_are_numpy_free(self, argv, env, code):
-        assert probe_imports("chaincx.cli", argv, env) == (code, [])
+        # verify-dim and sample end here before their float work.
+        loaded = CLI if argv[0] in ("verify-dim", "sample") else LAYERS.get(argv[0], CLI)
+        assert probe_imports("chaincx.cli", argv, env) == (code, loaded)
+
+    @pytest.mark.parametrize("argv,env", [
+        (["maximize", "--dims", "3,1,3", "--limit", "0"], None),
+        (["predict", "--dims", "2,x"], None),
+        (["check", "--dims", "2,-1"], None),
+        (["sweep", "--max-length", "2", "--max-entry", "4"], {"CHAINCX_WORK_CAP": "x"}),
+        (["dimension", "--dims", "2,2"], None),
+        (["frobnicate"], None),
+    ])
+    def test_usage_errors_load_no_layer(self, argv, env):
+        assert probe_imports("chaincx.cli", argv, env) == (64, CLI)
 
     @pytest.mark.parametrize("argv", [
         ["verify-dim", "--dims", "2,2", "--ranks", "1", "--rank-tol", "1000"],
         ["sample", "--dims", "1,2,1,2"],
     ])
     def test_float_commands_load_numerics(self, argv):
-        assert probe_imports("chaincx.cli", argv) == (0, ["numpy", "scipy"])
+        code, loaded = probe_imports("chaincx.cli", argv)
+        assert (code, float_layers(loaded)) == (0, LAYERS[argv[0]])
 
     def test_env_rank_tol_loads_numerics(self):
         argv = ["verify-dim", "--dims", "2,2", "--ranks", "1"]
-        env = {"CHAINCX_RANK_TOL": "1000"}
-        assert probe_imports("chaincx.cli", argv, env) == (0, ["numpy", "scipy"])
+        code, loaded = probe_imports("chaincx.cli", argv, {"CHAINCX_RANK_TOL": "1000"})
+        assert (code, float_layers(loaded)) == (0, LAYERS["verify-dim"])
 
 
 class TestOutputModes:
