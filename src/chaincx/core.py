@@ -20,7 +20,7 @@ Entries are capped at 2^20 and lengths at 2^10 so that every derived
 quantity fits comfortably in 64-bit signed integers when callers move
 the numbers into fixed-width storage.
 
-The float tolerances and the orbit-matrix size rule of the numerics module
+The float tolerances and the orbit matrix's size rule and block layout
 also live here, so that the CLI can build its parser, validate its flags
 and refuse oversized orbit checks without importing numpy or scipy.
 """
@@ -232,10 +232,21 @@ def euler_characteristic(shape: ComplexShape) -> int:
     return _chi(shape.dims)
 
 
+def _map_offsets(dims) -> list[int]:
+    """The first row of each map's block of L, then N.
+
+    The one statement of the index convention of L.T, for the orbit map L
+    of numerics.orbit_dimension: row (t, q) of L.T is X_i[t, q], after the
+    rows of X_0, ..., X_{i-1}, and column (p, q) of map j is row
+    offsets[j - 1] + p a_j + q of L.  So row (t, q) holds -D_i[p, t] at
+    column (p, q) of map i and D_{i+1}[q, u] at column (t, u) of map i+1.
+    """
+    return [0, *accumulate(map(operator.mul, dims, dims[1:]))]
+
+
 def ambient_dimension(shape: ComplexShape) -> int:
     """Total matrix-entry count N = sum a_{i-1} a_i of the boundary maps."""
-    dims = shape.dims
-    return sum(dims[i - 1] * dims[i] for i in range(1, len(dims)))
+    return _map_offsets(shape.dims)[-1]
 
 
 def _orbit_matrix_sides(shape: ComplexShape, size_cap: int) -> tuple[int, int]:
@@ -256,22 +267,20 @@ def _canonical_orbit_rank(dims, ranks) -> int:
     counted exactly in integers, for feasible ranks.
 
     There D_i = eye(a_{i-1}, a_i, a_i - r_i), so D_i[p, t] = 1 iff
-    t = p + a_i - r_i.  In the index convention of numerics._write_rows, row
-    (t, q) of L.T, the entry X_i[t, q], holds -D_i[p, t] at column (p, q) of
-    map i and D_{i+1}[q, u] at column (t, u) of map i+1: at most one -1 and
-    at most one +1, in different maps' columns.  Take the columns and one
-    ground vertex g as vertices, and each nonzero row as an edge between its
-    two columns, or between its one column and g.  L.T is then the signed
-    incidence matrix of that graph, up to row signs, less g's column, which
-    is minus the sum of the others, so dropping it keeps the rank.  The rows
-    of a spanning forest are independent (a leaf's edge is the only forest
-    row nonzero at the leaf), and any other edge is the signed sum of the
-    rows along the forest path between its ends.  So over the reals, as over
-    every field, rank(L) is the number of edges that join two components,
-    counted here by union-find.
+    t = p + a_i - r_i, and by the index convention of _map_offsets each row
+    of L.T holds at most one -1 and at most one +1, in different maps'
+    columns.  Take the columns and one ground vertex g as vertices, and each
+    nonzero row as an edge between its two columns, or between its one
+    column and g.  L.T is then the signed incidence matrix of that graph,
+    up to row signs, less g's column, which is minus the sum of the others,
+    so dropping it keeps the rank.  The rows of a spanning forest are
+    independent (a leaf's edge is the only forest row nonzero at the leaf),
+    and any other edge is the signed sum of the rows along the forest path
+    between its ends.  So over the reals, as over every field, rank(L) is
+    the number of edges that join two components, counted by union-find.
     """
     n = len(dims) - 1
-    offsets = [0, *accumulate(map(operator.mul, dims, dims[1:]))]
+    offsets = _map_offsets(dims)
     ground = offsets[-1]
     parent = list(range(ground + 1))
 

@@ -35,9 +35,8 @@ rows by the R factor of R stacked on B, an orthogonal transform of those
 rows (the sequential fold of tall-skinny QR; Demmel, Grigori, Hoemmen and
 Langou, SIAM J. Sci. Comput. 34, 2012).
 
-Past the crossover orbit_dimension never builds L.  L.T has one row per
-entry X_i[p, s] of the domain, and in the row-major vec coordinates of
-_write_rows:
+Past the crossover orbit_dimension never builds L.  In the index
+convention of L.T that core._map_offsets states:
   - the rows of X_0 are I_{a_0} (x) D_1, on map 1's columns;
   - the rows of X_n are -(D_n^T (x) I_{a_n}), on map n's columns;
   - the rows of X_i, 0 < i < n, touch only maps i and i+1.
@@ -94,7 +93,6 @@ import importlib.util
 import math
 import os
 import sys
-from itertools import accumulate
 
 import numpy as np
 import scipy
@@ -105,6 +103,7 @@ from .core import (
     ComplexShape,
     RankVector,
     ToleranceConfig,
+    _map_offsets,
     _orbit_matrix_sides,
     _Record,
     _require_feasible,
@@ -374,8 +373,8 @@ def orbit_dimension(
 def _orbit_r_factor(complex_: NumericalComplex, n: int) -> np.ndarray:
     """An n x n upper-triangular R, n = ambient, with R.T @ R = L @ L.T,
     Fortran-ordered, built from the maps without L (module docstring).
-    Rows and columns are indexed as in _write_rows, which writes the middle
-    spaces' blocks here and all of L in _orbit_matrix."""
+    Rows and columns are indexed as in core._map_offsets; _write_rows writes
+    the middle spaces' blocks here and all of L in _orbit_matrix."""
     maps = complex_.maps
     r = np.zeros((n, n), order="F")
     offsets = _map_offsets(complex_.shape.dims)
@@ -425,23 +424,14 @@ def _triangle(d: np.ndarray) -> np.ndarray:
     return r
 
 
-def _map_offsets(dims: tuple[int, ...]) -> list[int]:
-    """The first row of each map's block of L, then ambient."""
-    return [0, *accumulate(m * k for m, k in zip(dims, dims[1:]))]
-
-
 def _write_rows(buf: np.ndarray, ld: int, first: int, complex_: NumericalComplex,
                 offsets: list[int], i: int, t0: int, t: int) -> None:
     """Write rows X_i[t0 : t0 + t, :] of L.T, from row first on, into the
-    zeroed float64 buffer buf, whose element row + col * ld is L.T[row, col].
-    Row (t, q) of space i is X_i[t, q]; column (p, q) of map j is row
-    offsets[j - 1] + p * a_j + q of L.  In row-major vec coordinates,
-    vec(X_{i-1} D_i) = (I (x) D_i^T) vec(X_{i-1}) and vec(D_i X_i) =
-    (D_i (x) I) vec(X_i), so row (t, q) holds -D_i[p, t] at column (p, q) of
-    map i and D_{i+1}[q, u] at column (t, u) of map i+1, written through
-    strided views indexed [p, t, q] and [t, q, u].  "0.0 -" and "+ 0.0"
-    turn -0.0 into +0.0, so L holds no negative zero (the QR's Householder
-    signs read the sign of zero)."""
+    zeroed float64 buffer buf, whose element row + col * ld is L.T[row, col],
+    in the index convention of core._map_offsets, through strided views
+    indexed [p, t, q] and [t, q, u].  "0.0 -" and "+ 0.0" turn -0.0 into
+    +0.0, so L holds no negative zero (the QR's Householder signs read the
+    sign of zero)."""
     maps, a = complex_.maps, complex_.shape.dims[i]
     if i and maps[i - 1].size:
         left = maps[i - 1]
@@ -454,9 +444,9 @@ def _write_rows(buf: np.ndarray, ld: int, first: int, complex_: NumericalComplex
 
 
 def _orbit_matrix(complex_: NumericalComplex, ambient: int, domain: int) -> np.ndarray:
-    """The ambient x domain matrix of L in row-major vec coordinates, in C
-    order so that its transpose, of leading dimension domain, can be factored
-    in place; _write_rows, the writer of _orbit_r_factor's blocks, fills it."""
+    """L, ambient x domain, in C order so that its transpose, of leading
+    dimension domain, is factored in place; _write_rows fills it, as it
+    does _orbit_r_factor's blocks."""
     lin = np.zeros((ambient, domain))
     offsets = _map_offsets(complex_.shape.dims)
     first = 0
