@@ -34,8 +34,8 @@ from .core import (
 )
 
 # Every other layer, and its names, load on first access, so that a command
-# imports only the layers it runs.  numerics imports numpy, the bare scipy
-# package and scipy's LAPACK extension (not scipy.linalg).
+# imports only the layers it runs.  numerics imports numpy and scipy's
+# LAPACK extension, not the scipy package.
 _LAZY = {
     "optimizer": ("MAX_DP_STATES", "MaximizerReport", "brute_force_maximize",
                   "enumerate_maximizers", "maximize_dp", "maximizer_rank_sum_range"),

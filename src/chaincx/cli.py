@@ -269,9 +269,9 @@ def cmd_verify_dim(args):
     _orbit_matrix_sides(shape, args.size_cap)
     formula_d = stratum_dimension(shape, ranks)
     if rank_tol_set:
-        # Only a set rank tolerance needs the float rank.  numpy, the bare
-        # scipy package and scipy's LAPACK extension load only here and in
-        # cmd_sample, past the integer checks; scipy.linalg never does.
+        # Only a set rank tolerance needs the float rank.  numpy and scipy's
+        # LAPACK extension load only here and in cmd_sample, past the
+        # integer checks; the scipy package never does.
         from .numerics import canonical_complex, orbit_dimension
 
         complex_ = canonical_complex(shape, ranks, config)

@@ -68,10 +68,10 @@ heap can stay resident after it is freed, so the check trims again after
 ranking it.
 
 The LAPACK routines, dgeqp3, dgeqrf, dorgqr and dtpqrt, come from scipy's
-f2py extension scipy/linalg/_flapack, loaded straight from its file.
-Importing the scipy.linalg package instead would run its __init__, which
-pulls in numpy.f2py, numpy.testing and numpy.ma and more than doubles the
-start-up time of the float commands.  The routines are the same function
+f2py extension scipy/linalg/_flapack, loaded straight from its file, so
+that neither scipy's __init__ nor scipy.linalg's runs; the latter pulls in
+numpy.f2py, numpy.testing and numpy.ma and more than doubles the start-up
+time of the float commands.  The routines are the same function
 objects that scipy.linalg.lapack re-exports.  Every routine with a workspace
 query, all but dtpqrt, goes through _lapack, which runs query and call.
 random_conjugation's Q factors come from dgeqrf and dorgqr, without the R
@@ -95,7 +95,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from .core import (
     DEFAULT_SIZE_CAP,
@@ -112,17 +111,22 @@ from .core import (
 
 
 def _load_flapack():
-    """scipy's LAPACK extension, loaded without the scipy.linalg package.
+    """scipy's LAPACK extension, loaded without executing the scipy package.
 
-    `import scipy` above set up scipy's bundled library paths.  Once
-    scipy.linalg is loaded, its registered extension is the one to use:
-    loading the file again would return that module, and the clean-up
-    below would unregister it.
+    find_spec locates scipy's directory without running its __init__; on
+    Linux the extension finds scipy's bundled libraries (scipy.libs) through
+    its RPATH.  Once scipy.linalg is loaded, its registered extension is the
+    one to use: loading the file again would return that module, and the
+    clean-up below would unregister it.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    package = importlib.util.find_spec("scipy")
+    if package is None or not package.submodule_search_locations:
+        raise ImportError("numerics needs scipy's LAPACK extension, and scipy is not installed",
+                          name="scipy")
+    stem = os.path.join(package.submodule_search_locations[0], "linalg", "_flapack")
     paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.isfile(p)), None)
     if path is None:

@@ -54,6 +54,11 @@ from .optimizer import MaximizerReport, _lexicographic_paths, _report, _solve
 
 DEFAULT_SCAN_CAP = 2_000_000
 CHECK_ENUMERATION_GUARD = 100_000
+# Largest number of DP states, summed over the shapes of up to two maps
+# that sweep_theorems runs through check_shape, that a sweep accepts.  Each
+# such shape runs its own DP and listing; at the cap the sweep takes about
+# 2 s with one map (entries up to 366) and 6 s with two (up to 68).
+MAX_SWEEP_DP_STATES = 1 << 23
 
 
 class SourceTheorem(Enum):
@@ -431,6 +436,25 @@ def conjecture_scan(
     return ScanReport(tuple(counterexamples), scanned, truncated)
 
 
+def _short_sweep_states(max_length, max_entry):
+    """The DP states _solve allocates, len(dims) + sum_i min(a_{i-1}, a_i),
+    summed over the shapes of up to two maps that sweep_theorems checks:
+    those with entries up to E = max_entry no greater than their reversal,
+    that is a_0 <= a_last.  So a shape a_0 <= a_1 has 2 + a_0 states.  Over
+    the pairs a_0 <= a_2 in [0, E], each x is a_0 in E + 1 - x of them and
+    a_2 in x + 1, so their sum of min(a_0, b) + min(a_2, b) is
+    (E + 2) sum_x min(x, b)."""
+    e = max_entry
+    states = e + 1
+    if max_length >= 1:
+        states += sum((2 + x) * (e + 1 - x) for x in range(e + 1))
+    if max_length >= 2:
+        pairs = (e + 1) * (e + 2) // 2
+        states += sum(3 * pairs + (e + 2) * (b * (b + 1) // 2 + b * (e - b))
+                      for b in range(e + 1))
+    return states
+
+
 def sweep_theorems(
     max_length: int,
     max_entry: int,
@@ -474,7 +498,9 @@ def sweep_theorems(
     other representative of a mismatched pair goes through check_shape for
     its details, which are then put in rectangle order.  The rest of the
     rectangle is NOT_APPLICABLE.  Bounds are refused as in conjecture_scan,
-    before the work cap is read.
+    before the work cap is read; then a rectangle of more than work_cap
+    shapes, or whose shapes of up to two maps need more than
+    MAX_SWEEP_DP_STATES DP states in all, is refused before any DP.
     """
     _check_bounds(max_length, max_entry, "sweep")
     size = sum((max_entry + 1) ** (n + 1) for n in range(max_length + 1))
@@ -482,6 +508,13 @@ def sweep_theorems(
         raise WorkCapExceeded(
             f"sweep up to {max_length} maps with entries up to {max_entry} "
             f"exceeds the work cap of {work_cap} shapes"
+        )
+    states = _short_sweep_states(max_length, max_entry)
+    if states > MAX_SWEEP_DP_STATES:
+        raise WorkCapExceeded(
+            f"sweep up to {max_length} maps with entries up to {max_entry} needs "
+            f"{states} DP states on its shapes of up to two maps, exceeding the "
+            f"cap of {MAX_SWEEP_DP_STATES}"
         )
     # One of each mirror pair: of up to two maps, then the canonical ones.
     short = (dims for length in range(1, min(max_length, 2) + 2)

@@ -394,6 +394,19 @@ class TestSweep:
         assert out == ""
         assert err.startswith("chaincx: error: ") and cap in err
 
+    def test_short_sweep_past_the_dp_state_cap_exits_3(self, capsys, monkeypatch):
+        # The default cap of 10^8 shapes admits this rectangle, whose shapes
+        # of one map would each run the DP, for hours in all.
+        monkeypatch.delenv("CHAINCX_WORK_CAP", raising=False)
+        argv = ["sweep", "--max-length", "1", "--max-entry", "9998", "--mode", "theorems"]
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "needs 166716669999 DP states" in err
+        assert f"cap of {predictions.MAX_SWEEP_DP_STATES}" in err
+
     def test_wide_entries_reach_the_work_cap(self, capsys, monkeypatch):
         # Only hypothesis shapes are generated, so entries up to MAX_ENTRY
         # reach the cap at once instead of walking the rectangle.
@@ -449,8 +462,8 @@ MAXIMIZE = sorted(CLI + ["chaincx.optimizer"])
 PREDICT = sorted(MAXIMIZE + ["chaincx.predictions"])
 # The layers each command loads once past its usage checks.
 LAYERS = {"maximize": MAXIMIZE, "predict": PREDICT, "check": PREDICT, "sweep": PREDICT,
-          "verify-dim": sorted(CLI + ["chaincx.numerics", "numpy", "scipy"]),
-          "sample": sorted(CLI + ["chaincx.numerics", "chaincx.optimizer", "numpy", "scipy"])}
+          "verify-dim": sorted(CLI + ["chaincx.numerics", "numpy"]),
+          "sample": sorted(CLI + ["chaincx.numerics", "chaincx.optimizer", "numpy"])}
 
 
 # Imports the module in sys.argv[1] first, then chaincx.numerics and
@@ -477,9 +490,9 @@ class TestImportGraph:
     refusals the CLI decides itself load the package, core and the CLI
     alone; maximize adds the optimizer, and predict, check and sweep the
     predictions, which import it.  Only sample past its checks and
-    verify-dim with a rank tolerance load numerics, numpy and scipy, and
-    never the scipy.linalg package.  No command loads dataclasses or
-    inspect before numpy does."""
+    verify-dim with a rank tolerance load numerics, numpy and scipy's
+    LAPACK extension, and never the scipy or scipy.linalg package.  No
+    command loads dataclasses or inspect before numpy does."""
 
     @pytest.mark.parametrize("module", ["chaincx", "chaincx.cli"])
     def test_import_is_numpy_free(self, module):
@@ -489,7 +502,7 @@ class TestImportGraph:
     def test_numerics_skips_scipy_linalg(self):
         code, loaded = probe_imports("chaincx.numerics")
         assert (code, float_layers(loaded)) == (
-            None, ["chaincx", "chaincx.core", "chaincx.numerics", "numpy", "scipy"])
+            None, ["chaincx", "chaincx.core", "chaincx.numerics", "numpy"])
 
     @pytest.mark.parametrize("first", ["chaincx.numerics", "scipy.linalg"])
     def test_scipy_linalg_shares_the_lapack_extension(self, first):

@@ -4,10 +4,11 @@ import inspect
 import itertools
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
-from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.machinery import EXTENSION_SUFFIXES, ModuleSpec
 
 import numpy as np
 import pytest
@@ -501,10 +502,30 @@ class TestDirectLapack:
 
     def test_missing_extension_names_the_path(self, monkeypatch, tmp_path):
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
-        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        spec = ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations.append(str(tmp_path))
+        find_spec = numerics.importlib.util.find_spec
+        monkeypatch.setattr(numerics.importlib.util, "find_spec",
+                            lambda name, *args: spec if name == "scipy" else find_spec(name, *args))
         stem = str(tmp_path / "linalg" / "_flapack")
         with pytest.raises(ImportError, match=re.escape(stem + EXTENSION_SUFFIXES[0])):
             numerics._load_flapack()
+
+    def test_absent_scipy_is_named(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        monkeypatch.setattr(numerics.importlib.util, "find_spec", lambda name, *args: None)
+        with pytest.raises(ImportError, match="scipy is not installed") as raised:
+            numerics._load_flapack()
+        assert raised.value.name == "scipy"
+
+    def test_import_leaves_the_scipy_package_unloaded(self):
+        # In a fresh interpreter: no module of the scipy package is loaded,
+        # not even its __init__, and the extension still factors.
+        probe = ("import sys, numpy as np, chaincx.numerics as n;"
+                 "assert n.numerical_rank(np.ones((3, 4))) == 1;"
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
     def test_numerical_rank_leaves_input_intact(self):
         a = np.asfortranarray(low_rank(np.random.default_rng(4), 7, 5, 3))

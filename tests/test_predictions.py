@@ -36,10 +36,11 @@ from chaincx import (
 )
 from chaincx.core import MAX_ENTRY, MAX_LENGTH, _chi, _feasible
 from chaincx import predictions
-from chaincx.optimizer import _solve
+from chaincx.optimizer import _solve, _state_caps
 from chaincx.predictions import (
     CHECK_ENUMERATION_GUARD,
     DEFAULT_SCAN_CAP,
+    MAX_SWEEP_DP_STATES,
     ComparisonResult,
     ScanReport,
     SweepSummary,
@@ -457,6 +458,47 @@ class TestSweeps:
                     [m for _, m in result.comparisons], (s.dims, reading)
                 assert {b.bettis[::-1] for b in result.observed.betti_spectrum} == \
                     {b.bettis for b in reversed_result.observed.betti_spectrum}, s.dims
+
+
+class TestSweepStateCap:
+    """A theorem sweep whose shapes of up to two maps need more than
+    MAX_SWEEP_DP_STATES DP states in all is refused before any DP."""
+
+    @pytest.mark.parametrize("bounds", [(0, 5), (1, 0), (1, 7), (2, 5), (3, 4)])
+    def test_count_is_the_states_the_sweep_allocates(self, monkeypatch, bounds):
+        # Under the sentinel reading no shape of up to two maps mismatches,
+        # so the DP runs once on each one the sweep checks.
+        states = []
+
+        def counted(dims):
+            if len(dims) <= 3:
+                states.append(sum(_state_caps(dims)) + len(dims))
+            return _solve(dims)
+
+        monkeypatch.setattr(predictions, "_solve", counted)
+        sweep_theorems(*bounds)
+        assert sum(states) == predictions._short_sweep_states(*bounds)
+
+    @pytest.mark.parametrize("bounds,states", [((1, 1200), 290_165_203), ((1, 367), 8_442_104),
+                                               ((2, 69), 8_528_590), ((5, 69), 8_528_590)])
+    def test_refused_before_any_dp(self, monkeypatch, bounds, states):
+        def refused(dims):
+            raise AssertionError(f"the DP ran on {dims}")
+
+        monkeypatch.setattr(predictions, "_solve", refused)
+        with pytest.raises(WorkCapExceeded,
+                           match=f"needs {states} DP states .* cap of {MAX_SWEEP_DP_STATES}$"):
+            sweep_theorems(*bounds, work_cap=10**13)
+        assert predictions._short_sweep_states(*bounds) == states
+
+    def test_largest_admitted_bounds(self):
+        assert predictions._short_sweep_states(1, 366) <= MAX_SWEEP_DP_STATES
+        assert predictions._short_sweep_states(2, 68) <= MAX_SWEEP_DP_STATES
+
+    def test_largest_readme_sweep_still_runs(self):
+        # Up to two maps with entries up to 40: 1,049,026 states.
+        summary = sweep_theorems(2, 40)
+        assert (summary.shapes_checked, summary.mismatches) == (70_643, 0)
 
 
 def _walk_lazily(lengths, max_entry, reading):
