@@ -89,11 +89,25 @@ def _parse_vector(text: str, what: str) -> tuple[int, ...]:
         ) from None
 
 
-def _shape_of(args) -> ComplexShape:
+def _usage(build, *args):
+    """build(*args), with a ValueError it raises turned into a usage error."""
     try:
-        return ComplexShape(_parse_vector(args.dims, "--dims"))
+        return build(*args)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _bounded(value: int, name: str, least: int = 1, most: int | None = None) -> int:
+    """An integer setting, refused below `least` (1 or 0) or above `most`."""
+    if value < least:
+        raise _UsageError(f"{name} must be {'positive' if least else 'non-negative'}")
+    if most is not None and value > most:
+        raise _UsageError(f"{name} must be at most {most}")
+    return value
+
+
+def _shape_of(args) -> ComplexShape:
+    return _usage(ComplexShape, _parse_vector(args.dims, "--dims"))
 
 
 def _ranks_of(args, shape: ComplexShape) -> RankVector:
@@ -103,10 +117,7 @@ def _ranks_of(args, shape: ComplexShape) -> RankVector:
             f"--ranks has {len(values)} entries but shape {shape.dims} "
             f"has {shape.n_maps} maps"
         )
-    try:
-        return RankVector(values)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return _usage(RankVector, values)
 
 
 def _setting(flag, name: str, kind, noun: str, default):
@@ -125,21 +136,13 @@ def _setting(flag, name: str, kind, noun: str, default):
 def _tolerances(args) -> tuple[ToleranceConfig, bool]:
     """The tolerances, and whether a rank tolerance was set by flag or environment."""
     factor = _setting(args.rank_tol, ENV_RANK_TOL, float, "a number", None)
-    try:
-        config = ToleranceConfig(
-            rank_tolerance_factor=(DEFAULT_TOLERANCES.rank_tolerance_factor
-                                   if factor is None else factor),
-            composition_tolerance=args.composition_tol)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    return config, factor is not None
+    rank_tol = DEFAULT_TOLERANCES.rank_tolerance_factor if factor is None else factor
+    return _usage(ToleranceConfig, rank_tol, args.composition_tol), factor is not None
 
 
 def _work_cap(args) -> int:
-    cap = _setting(args.work_cap, ENV_WORK_CAP, int, "an integer", DEFAULT_WORK_CAP)
-    if cap < 1:
-        raise _UsageError("work cap must be positive")
-    return cap
+    return _bounded(_setting(args.work_cap, ENV_WORK_CAP, int, "an integer", DEFAULT_WORK_CAP),
+                    "work cap")
 
 
 def _envelope(command: str, shape: ComplexShape | None, payload, warnings=()):
@@ -212,8 +215,7 @@ def cmd_dimension(args):
 
 def cmd_maximize(args):
     shape = _shape_of(args)
-    if args.limit < 1:
-        raise _UsageError("--limit must be positive")
+    _bounded(args.limit, "--limit")
     from .optimizer import brute_force_maximize, enumerate_maximizers
 
     if args.method == "brute":
@@ -259,10 +261,7 @@ def cmd_check(args):
 def cmd_verify_dim(args):
     shape = _shape_of(args)
     ranks = _ranks_of(args, shape)
-    if args.size_cap < 1:
-        raise _UsageError("--size-cap must be positive")
-    if args.size_cap > MAX_SIZE_CAP:
-        raise _UsageError(f"--size-cap must be at most {MAX_SIZE_CAP}")
+    _bounded(args.size_cap, "--size-cap", most=MAX_SIZE_CAP)
     if not is_feasible(shape, ranks):
         return _infeasible("verify-dim", shape, ranks)
     config, rank_tol_set = _tolerances(args)
@@ -293,14 +292,9 @@ def cmd_verify_dim(args):
 
 def cmd_sample(args):
     shape = _shape_of(args)
-    if args.trials < 1:
-        raise _UsageError("--trials must be positive")
-    if args.trials > MAX_TRIALS:
-        raise _UsageError(f"--trials must be at most {MAX_TRIALS}")
-    if args.seed < 0:
-        raise _UsageError("--seed must be non-negative")
-    if args.limit < 1:
-        raise _UsageError("--limit must be positive")
+    _bounded(args.trials, "--trials", most=MAX_TRIALS)
+    _bounded(args.seed, "--seed", least=0)
+    _bounded(args.limit, "--limit")
     config, _ = _tolerances(args)
     if max(shape.dims) > DEFAULT_SIZE_CAP:
         raise WorkCapExceeded(
@@ -355,10 +349,7 @@ def cmd_sweep(args):
 
     reading = HypothesisReading(args.reading)
     run = sweep_theorems if args.mode == "theorems" else conjecture_scan
-    try:
-        result = run(args.max_length, args.max_entry, reading, work_cap=work_cap)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    result = _usage(run, args.max_length, args.max_entry, reading, work_cap)
     payload = {
         "mode": args.mode,
         "reading": reading.value,

@@ -118,11 +118,17 @@ class ToleranceConfig(_Record):
 DEFAULT_TOLERANCES = ToleranceConfig()
 
 
-def _int_tuple(values, what):
+def _entries(record, field, what, noun):
+    """Store record.field as a tuple of ints and return it, refusing a
+    non-integer entry and then the first negative one."""
     try:
-        return tuple(map(operator.index, values))
+        values = tuple(map(operator.index, getattr(record, field)))
     except TypeError:
         raise ValueError(f"{what} entries must be integers") from None
+    if values and min(values) < 0:
+        raise ValueError(f"{noun} must be non-negative, got {next(v for v in values if v < 0)}")
+    object.__setattr__(record, field, values)
+    return values
 
 
 class ComplexShape(_Record):
@@ -131,17 +137,14 @@ class ComplexShape(_Record):
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = _int_tuple(self.dims, "shape")
-        object.__setattr__(self, "dims", dims)
+        dims = _entries(self, "dims", "shape", "shape entries")
         if len(dims) < 1:
             raise ValueError("shape needs at least one space")
         if len(dims) > MAX_LENGTH:
             raise ValueError(f"shape length {len(dims)} exceeds cap {MAX_LENGTH}")
-        for a in dims:
-            if a < 0:
-                raise ValueError(f"shape entries must be non-negative, got {a}")
-            if a > MAX_ENTRY:
-                raise ValueError(f"shape entry {a} exceeds cap {MAX_ENTRY}")
+        if max(dims) > MAX_ENTRY:
+            raise ValueError(f"shape entry {next(a for a in dims if a > MAX_ENTRY)} "
+                             f"exceeds cap {MAX_ENTRY}")
 
     @property
     def n_maps(self) -> int:
@@ -157,11 +160,7 @@ class RankVector(_Record, order=True):
     ranks: tuple[int, ...]
 
     def __post_init__(self):
-        ranks = _int_tuple(self.ranks, "rank")
-        object.__setattr__(self, "ranks", ranks)
-        if ranks and min(ranks) < 0:
-            first = next(r for r in ranks if r < 0)
-            raise ValueError(f"ranks must be non-negative, got {first}")
+        _entries(self, "ranks", "rank", "ranks")
 
 
 class BettiVector(_Record, order=True):
@@ -170,11 +169,7 @@ class BettiVector(_Record, order=True):
     bettis: tuple[int, ...]
 
     def __post_init__(self):
-        bettis = _int_tuple(self.bettis, "Betti")
-        object.__setattr__(self, "bettis", bettis)
-        if bettis and min(bettis) < 0:
-            first = next(b for b in bettis if b < 0)
-            raise ValueError(f"Betti numbers must be non-negative, got {first}")
+        _entries(self, "bettis", "Betti", "Betti numbers")
 
 
 def _unvalidated(cls, field, value):

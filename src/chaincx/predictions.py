@@ -187,17 +187,19 @@ def predict_length2(shape: ComplexShape) -> Prediction:
     )
 
 
+def _guard(size, subject, noun):
+    """Refuse a listing of more than CHECK_ENUMERATION_GUARD vectors before any is listed."""
+    if size > CHECK_ENUMERATION_GUARD:
+        raise WorkCapExceeded(f"{subject} has {size} {noun}, "
+                              f"more than the comparison guard of {CHECK_ENUMERATION_GUARD}")
+
+
 def _spread_set(n, m):
     """Betti vectors with zero odd entries and even entries floor/ceil of
     m / (n/2 + 1), summing to m; sorted lexicographically."""
     slots = n // 2 + 1
     base, extra = divmod(m, slots)
-    size = comb(slots, extra)
-    if size > CHECK_ENUMERATION_GUARD:
-        raise WorkCapExceeded(
-            f"the spread set of {n} maps of dimension {m} has {size} Betti vectors, "
-            f"more than the comparison guard of {CHECK_ENUMERATION_GUARD}"
-        )
+    _guard(comb(slots, extra), f"the spread set of {n} maps of dimension {m}", "Betti vectors")
     vectors = []
     for raised in combinations(range(slots), extra):
         betti = [0] * (n + 1)
@@ -260,11 +262,7 @@ def _observe(shape: ComplexShape) -> MaximizerReport:
     """Every maximizer of the shape, listed; a shape with more than
     CHECK_ENUMERATION_GUARD of them is refused before any is listed."""
     best, moves, count = _solve(shape.dims)
-    if count > CHECK_ENUMERATION_GUARD:
-        raise WorkCapExceeded(
-            f"shape {shape.dims} has {count} maximizers, "
-            f"more than the comparison guard of {CHECK_ENUMERATION_GUARD}"
-        )
+    _guard(count, f"shape {shape.dims}", "maximizers")
     return _report(best, count, *_lexicographic_paths(shape.dims, moves, count),
                    CHECK_ENUMERATION_GUARD)
 
