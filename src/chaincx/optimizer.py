@@ -140,6 +140,13 @@ from .core import (
 # the cap keeps a DP under about 0.23 GB; it serves three spaces of
 # MAX_ENTRY (2,097,155 states).
 MAX_DP_STATES = 3 << 20
+# Largest number of vectors that predictions lists to compare a shape.
+CHECK_ENUMERATION_GUARD = 100_000
+# Largest number of entries, vectors times their length, in one listing of
+# maximizers or Betti vectors: the envelope prints each entry on a line of
+# its own.  10,000 rows of MAX_LENGTH entries, the default listing of the
+# longest shape, fit.
+MAX_LISTED_ENTRIES = 10 << 20
 
 
 class MaximizerReport(_Record):
@@ -323,6 +330,18 @@ def _report(best, count, listed, bettis, cap) -> MaximizerReport:
     )
 
 
+def _listing_guard(size, length, subject, noun, most=CHECK_ENUMERATION_GUARD):
+    """Refuse, before any is listed, a listing of `size` {noun} of `length`
+    entries each: more than `most` of them (None: no such bound), or more
+    than MAX_LISTED_ENTRIES entries."""
+    if most is not None and size > most:
+        raise WorkCapExceeded(f"{subject} has {size} {noun}, "
+                              f"more than the comparison guard of {most}")
+    if size * length > MAX_LISTED_ENTRIES:
+        raise WorkCapExceeded(f"{subject} has {size} {noun} of {length} entries, {size * length} "
+                              f"in all, more than the listing cap of {MAX_LISTED_ENTRIES}")
+
+
 def maximize_dp(shape: ComplexShape) -> tuple[int, RankVector]:
     """Maximum of d(a, r) and its lexicographically smallest maximizer."""
     best, moves, _ = _solve(shape.dims)
@@ -335,11 +354,14 @@ def enumerate_maximizers(
 ) -> MaximizerReport:
     """All maximizers of d(a, r), listed lexicographically up to cap.
 
-    The count is exact regardless of truncation.
+    The count is exact regardless of truncation.  A listing of more than
+    MAX_LISTED_ENTRIES entries is refused before any row is listed.
     """
     if cap < 1:
         raise ValueError("enumeration cap must be positive")
     best, moves, count = _solve(shape.dims)
+    _listing_guard(min(count, cap), len(shape.dims), f"the listing of shape {shape.dims}",
+                   "maximizers", most=None)
     return _report(best, count, *_lexicographic_paths(shape.dims, moves, cap), cap)
 
 

@@ -50,10 +50,16 @@ from .core import (
     _Record,
     _unvalidated,
 )
-from .optimizer import MaximizerReport, _lexicographic_paths, _report, _solve
+from .optimizer import (
+    CHECK_ENUMERATION_GUARD,
+    MaximizerReport,
+    _lexicographic_paths,
+    _listing_guard,
+    _report,
+    _solve,
+)
 
 DEFAULT_SCAN_CAP = 2_000_000
-CHECK_ENUMERATION_GUARD = 100_000
 # Largest number of DP states, summed over the shapes of up to two maps
 # that sweep_theorems runs through check_shape, that a sweep accepts.  Each
 # such shape runs its own DP and listing; at the cap the sweep takes about
@@ -187,19 +193,13 @@ def predict_length2(shape: ComplexShape) -> Prediction:
     )
 
 
-def _guard(size, subject, noun):
-    """Refuse a listing of more than CHECK_ENUMERATION_GUARD vectors before any is listed."""
-    if size > CHECK_ENUMERATION_GUARD:
-        raise WorkCapExceeded(f"{subject} has {size} {noun}, "
-                              f"more than the comparison guard of {CHECK_ENUMERATION_GUARD}")
-
-
 def _spread_set(n, m):
     """Betti vectors with zero odd entries and even entries floor/ceil of
     m / (n/2 + 1), summing to m; sorted lexicographically."""
     slots = n // 2 + 1
     base, extra = divmod(m, slots)
-    _guard(comb(slots, extra), f"the spread set of {n} maps of dimension {m}", "Betti vectors")
+    _listing_guard(comb(slots, extra), n + 1, f"the spread set of {n} maps of dimension {m}",
+                   "Betti vectors")
     vectors = []
     for raised in combinations(range(slots), extra):
         betti = [0] * (n + 1)
@@ -212,7 +212,8 @@ def _spread_set(n, m):
 def predict_equal_dim(shape: ComplexShape) -> Prediction:
     """All dimensions equal m >= 1: exact for odd n, evenly spread |chi| = m
     across the even Betti numbers for even n.  Raises WorkCapExceeded when
-    the spread set outnumbers CHECK_ENUMERATION_GUARD."""
+    the spread set outnumbers CHECK_ENUMERATION_GUARD or its entries
+    MAX_LISTED_ENTRIES."""
     dims = shape.dims
     n = shape.n_maps
     m = dims[0]
@@ -260,9 +261,10 @@ def _fulfils(prediction, total, spectrum) -> bool:
 
 def _observe(shape: ComplexShape) -> MaximizerReport:
     """Every maximizer of the shape, listed; a shape with more than
-    CHECK_ENUMERATION_GUARD of them is refused before any is listed."""
+    CHECK_ENUMERATION_GUARD of them, or whose listing would pass
+    MAX_LISTED_ENTRIES entries, is refused before any is listed."""
     best, moves, count = _solve(shape.dims)
-    _guard(count, f"shape {shape.dims}", "maximizers")
+    _listing_guard(count, len(shape.dims), f"shape {shape.dims}", "maximizers")
     return _report(best, count, *_lexicographic_paths(shape.dims, moves, count),
                    CHECK_ENUMERATION_GUARD)
 
@@ -273,8 +275,9 @@ def check_shape(
     """Compare every applicable prediction with the observed spectrum.
 
     The maximizers are listed (_observe), so a shape with more than
-    CHECK_ENUMERATION_GUARD of them is refused first.  A predicted Betti
-    set holds iff it equals the listed spectrum as a set.  A predicted sum
+    CHECK_ENUMERATION_GUARD of them, or with a listing past
+    MAX_LISTED_ENTRIES entries, is refused first.  A predicted Betti set
+    holds iff it equals the listed spectrum as a set.  A predicted sum
     holds iff it equals the greedy total homology sum a_i - 2 sum g_i,
     which every maximizer has (the theorem in the optimizer module).  Any
     mismatch dominates the verdict; with no applicable prediction it is

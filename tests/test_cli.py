@@ -20,6 +20,23 @@ from chaincx.cli import main
 SAMPLER_WARNING = "sequential sampler does not realize the conditional measure"
 
 
+def twos(spaces):
+    """--dims of `spaces` spaces of dimension 2."""
+    return ",".join(["2"] * spaces)
+
+
+# Listings under the comparison guard or the --limit that would pass the
+# listing cap of MAX_LISTED_ENTRIES entries, with their refusals.  Served,
+# each one needed more than 3 GB of memory.
+OVER_THE_LISTING_CAP = [
+    (["check", "--dims", twos(601)], "has 45150 maximizers of 601 entries, 27135150 in all"),
+    (["predict", "--dims", twos(893)], "the spread set of 892 maps of dimension 2 has 99681 "
+                                       "Betti vectors of 893 entries, 89015133 in all"),
+    (["maximize", "--dims", twos(1023), "--limit", "200000"],
+     "has 130816 maximizers of 1023 entries, 133824768 in all"),
+]
+
+
 def child_env(env_extra=None):
     env = os.environ.copy()
     env.pop("CHAINCX_RANK_TOL", None)
@@ -203,6 +220,31 @@ class TestCheck:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"has {count} maximizers, more than the comparison guard of 100000" in err
+
+
+class TestListingCap:
+    """A listing of more vectors times entries than MAX_LISTED_ENTRIES exits
+    3 within seconds, before any vector is listed."""
+
+    @pytest.mark.parametrize("argv,refusal", OVER_THE_LISTING_CAP + [
+        (["check", "--dims", twos(451)], "has 25425 maximizers of 451 entries, 11466675 in all"),
+        (["sample", "--dims", twos(1023), "--limit", "200000"],
+         "has 130816 maximizers of 1023 entries, 133824768 in all"),
+    ])
+    def test_refused_before_listing(self, argv, refusal, capsys, monkeypatch):
+        def no_listing(*args):
+            raise AssertionError("vectors were listed")
+
+        monkeypatch.setattr(optimizer, "_lexicographic_paths", no_listing)
+        monkeypatch.setattr(predictions, "_lexicographic_paths", no_listing)
+        monkeypatch.setattr(predictions, "combinations", no_listing)
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 5.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("chaincx: ") and refusal in err
+        assert err.endswith(", more than the listing cap of 10485760\n")
 
 
 class TestVerifyDim:
@@ -532,6 +574,7 @@ class TestImportGraph:
         (["sample", "--dims", "1,2,1,2", "--trials", "99999999999999999999"], None, 64),
         (["sample", "--dims", "1024,1024", "--trials", "64"], None, 3),
         (["verify-dim", "--dims", "2,2", "--ranks", "1"], None, 0),
+        *((argv, None, 3) for argv, _ in OVER_THE_LISTING_CAP),
     ])
     def test_integer_paths_are_numpy_free(self, argv, env, code):
         # verify-dim and sample end here before their float work.
@@ -610,6 +653,55 @@ class TestOutputModes:
                                "CHAINCX_RANK_TOL='tiny' is not a number\n")
 
 
+class TestUsageErrors:
+    """Each usage error the library or a bounded setting raises exits 64
+    with its exact message, and so does the installed entry point."""
+
+    @pytest.mark.parametrize("argv,env,message", [
+        (["dimension", "--dims", "2,2", "--ranks", "-1"], {},
+         "ranks must be non-negative, got -1"),
+        (["verify-dim", "--dims", "2,2", "--ranks", "1", "--rank-tol", "0"], {},
+         "tolerances must be positive"),
+        (["verify-dim", "--dims", "2,2", "--ranks", "1", "--composition-tol", "0"], {},
+         "tolerances must be positive"),
+        (["verify-dim", "--dims", "2,2", "--ranks", "1"], {"CHAINCX_RANK_TOL": "0"},
+         "tolerances must be positive"),
+        (["sample", "--dims", "1,2,1,2", "--seed", "-1"], {}, "--seed must be non-negative"),
+        (["sample", "--dims", "1,2,1,2", "--trials", "0"], {}, "--trials must be positive"),
+        (["maximize", "--dims", "3,1,3", "--limit", "0"], {}, "--limit must be positive"),
+        (["verify-dim", "--dims", "2,2", "--ranks", "1", "--size-cap", "16385"], {},
+         "--size-cap must be at most 16384"),
+        (["maximize", "--dims", "2,2", "--method", "brute", "--work-cap", "0"], {},
+         "work cap must be positive"),
+        (["sweep", "--max-length", "2", "--max-entry", "2"], {"CHAINCX_WORK_CAP": "-5"},
+         "work cap must be positive"),
+        (["check", "--dims", "2,-1"], {}, "shape entries must be non-negative, got -1"),
+        (["sweep", "--max-length", "-1", "--max-entry", "2"], {},
+         "sweep bounds must be non-negative"),
+    ])
+    def test_exit_64_with_the_message(self, argv, env, message, capsys, monkeypatch):
+        for name in ("CHAINCX_RANK_TOL", "CHAINCX_WORK_CAP"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(argv) == 64
+        assert capsys.readouterr() == ("", f"chaincx: error: {message}\n")
+
+    @pytest.mark.parametrize("argv,code", [
+        (["dimension", "--dims", "2,1", "--ranks", "1"], 0),
+        (["dimension", "--dims", "2,2", "--ranks", "-1"], 64),
+    ])
+    def test_entry_point_exits_with_the_code(self, argv, code, capsys, monkeypatch):
+        from chaincx import cli
+
+        monkeypatch.setattr(sys, "argv", ["chaincx", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry_point()
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert bool(out) == (code == 0) and bool(err) == (code != 0)
+
+
 _INT_FLAGS = {"--limit": (-1, 5), "--work-cap": (-1, 10_000), "--size-cap": (-1, 400),
               "--seed": (-1, 5), "--trials": (-1, 3), "--max-length": (-1, 3),
               "--max-entry": (-1, 4)}
@@ -681,6 +773,9 @@ class TestContractFuzz:
     @example(["verify-dim", "--dims", "1048576,1048576", "--ranks", "0",
               "--size-cap", "100000000000000"], {})
     @example(["sample", "--dims", "4096,4096,4096"], {})
+    @example(OVER_THE_LISTING_CAP[0][0], {})
+    @example(OVER_THE_LISTING_CAP[1][0], {})
+    @example(OVER_THE_LISTING_CAP[2][0], {})
     @given(argv=_argv(),
            env=st.fixed_dictionaries({k: st.none() | st.sampled_from(v)
                                       for k, v in _ENV_VALUES.items()}))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from chaincx import (
     MAX_DP_STATES,
     MAX_ENTRY,
+    MAX_LENGTH,
     ComplexShape,
     RankVector,
     WorkCapExceeded,
@@ -28,7 +29,10 @@ from chaincx import (
 from chaincx import optimizer
 from chaincx.core import _betti, _dimension, _feasible
 from chaincx.optimizer import (
+    CHECK_ENUMERATION_GUARD,
+    MAX_LISTED_ENTRIES,
     _lexicographic_paths,
+    _listing_guard,
     _solve,
     _state_caps,
 )
@@ -537,3 +541,36 @@ class TestStateCap:
         finally:
             tracemalloc.stop()
         assert peak / states < 80
+
+
+class TestListingGuard:
+    def test_bounds(self):
+        # The default listing of the longest shape fits, as does a listing
+        # at the cap; one more row, or one more vector than the comparison
+        # guard, is refused.
+        _listing_guard(10_000, MAX_LENGTH, "s", "rows", most=None)
+        rows = MAX_LISTED_ENTRIES // MAX_LENGTH
+        _listing_guard(rows, MAX_LENGTH, "s", "rows")
+        with pytest.raises(WorkCapExceeded, match=f"^s has {rows + 1} rows of 1024 entries, "
+                                                  f"{(rows + 1) * 1024} in all, more than the "
+                                                  f"listing cap of {MAX_LISTED_ENTRIES}$"):
+            _listing_guard(rows + 1, MAX_LENGTH, "s", "rows", most=None)
+        _listing_guard(CHECK_ENUMERATION_GUARD, 1, "s", "rows")
+        with pytest.raises(WorkCapExceeded, match="^s has 100001 rows, more than the "
+                                                  "comparison guard of 100000$"):
+            _listing_guard(CHECK_ENUMERATION_GUARD + 1, 1, "s", "rows")
+        _listing_guard(CHECK_ENUMERATION_GUARD + 1, 1, "s", "rows", most=None)
+
+    def test_enumeration_refused_before_listing(self, monkeypatch):
+        # 130,816 maximizers of 1,023 entries under a cap of 200,000; the
+        # same shape's default listing of 10,000 rows is served.
+        def no_listing(*args):
+            raise AssertionError("maximizers were listed")
+
+        monkeypatch.setattr(optimizer, "_lexicographic_paths", no_listing)
+        s = ComplexShape((2,) * 1023)
+        with pytest.raises(WorkCapExceeded, match="has 130816 maximizers of 1023 entries"):
+            enumerate_maximizers(s, cap=200_000)
+        monkeypatch.undo()
+        report = enumerate_maximizers(s)
+        assert (len(report.maximizers), report.maximizer_count) == (10_000, 130_816)

@@ -242,6 +242,21 @@ class TestEqualDim:
                 predict_equal_dim(ComplexShape((m,) * spaces))
         assert len(predict_equal_dim(ComplexShape((8,) * 33)).predicted_betti_set) == 24_310
 
+    def test_spread_set_refused_past_the_listing_cap(self, monkeypatch):
+        # Under the guard, but 99,681 and 25,425 vectors of 893 and 451
+        # entries pass the listing cap; 23,871 of 437 entries do not.
+        monkeypatch.setattr(predictions, "combinations", None)
+        monkeypatch.setattr(predictions, "_lexicographic_paths", None)
+        for spaces, size in [(893, 99_681), (451, 25_425)]:
+            with pytest.raises(WorkCapExceeded, match=f"has {size} Betti vectors of {spaces} "
+                                                      f"entries, {size * spaces} in all"):
+                predict_equal_dim(ComplexShape((2,) * spaces))
+            with pytest.raises(WorkCapExceeded, match=f"has {size} maximizers of {spaces} "
+                                                      f"entries, {size * spaces} in all"):
+                check_shape(ComplexShape((2,) * spaces))
+        monkeypatch.undo()
+        assert len(predict_equal_dim(ComplexShape((2,) * 437)).predicted_betti_set) == 23_871
+
     def test_spread_vectors_realizable(self):
         for n, m in [(2, 3), (4, 5), (6, 4)]:
             s = ComplexShape((m,) * (n + 1))
