@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 # Of the package only core loads here.  Each command imports the layers it
 # runs, past its own usage checks, so --version, dimension, verify-dim and
@@ -228,28 +229,26 @@ def cmd_maximize(args):
 
 def cmd_predict(args):
     shape = _shape_of(args)
-    from .predictions import HypothesisReading, all_predictions
+    from .predictions import all_predictions
 
-    reading = HypothesisReading(args.reading)
     payload = {
-        "reading": reading.value,
-        "predictions": [_prediction_payload(p) for p in all_predictions(shape, reading)],
+        "reading": args.reading,
+        "predictions": [_prediction_payload(p) for p in all_predictions(shape, args.reading)],
     }
     return _envelope("predict", shape, payload), EXIT_OK
 
 
 def cmd_check(args):
     shape = _shape_of(args)
-    from .predictions import HypothesisReading, Verdict, check_shape
+    from .predictions import Verdict, check_shape
 
-    reading = HypothesisReading(args.reading)
-    result = check_shape(shape, reading)
+    result = check_shape(shape, args.reading)
     comparisons = [
         {**_prediction_payload(pred), "matched": matched}
         for pred, matched in result.comparisons
     ]
     payload = {
-        "reading": reading.value,
+        "reading": args.reading,
         "verdict": result.verdict.value,
         "comparisons": comparisons,
         "observed": _report_payload(result.observed),
@@ -315,8 +314,13 @@ def cmd_sample(args):
             f"work (map entries, plus {SAMPLE_MAP_ENTRIES} per map, per trial), "
             f"exceeding the cap of {MAX_SAMPLE_WORK}"
         )
-    from .numerics import numerical_rank, sequential_sample
+    # The listing, or its refusal, and the integer work come before any trial.
     from .optimizer import enumerate_maximizers
+
+    report = enumerate_maximizers(shape, cap=args.limit)
+    greedy = greedy_rank_vector(shape)
+    greedy_d = stratum_dimension(shape, greedy)
+    from .numerics import numerical_rank, sequential_sample
 
     trial_ranks = []
     for t in range(args.trials):
@@ -325,10 +329,6 @@ def cmd_sample(args):
         except ValueError as exc:  # the tolerances broke the composition check
             raise _UsageError(f"sampling failed under the given tolerances: {exc}") from None
         trial_ranks.append([numerical_rank(m, config) for m in complex_.maps])
-    greedy = greedy_rank_vector(shape)
-    report = enumerate_maximizers(shape, cap=args.limit)
-    greedy_d = stratum_dimension(shape, greedy)
-    biased = greedy_d != report.max_dimension
     payload = {
         "seed": args.seed,
         "trials": args.trials,
@@ -338,21 +338,20 @@ def cmd_sample(args):
         "max_dimension": report.max_dimension,
         "maximizers": [list(r.ranks) for r in report.maximizers],
         "maximizers_truncated": report.truncated,
-        "biased": biased,
+        "biased": greedy_d != report.max_dimension,
     }
     return _envelope("sample", shape, payload, warnings=[SAMPLER_WARNING]), EXIT_OK
 
 
 def cmd_sweep(args):
     work_cap = _work_cap(args)
-    from .predictions import HypothesisReading, conjecture_scan, sweep_theorems
+    from .predictions import conjecture_scan, sweep_theorems
 
-    reading = HypothesisReading(args.reading)
     run = sweep_theorems if args.mode == "theorems" else conjecture_scan
-    result = _usage(run, args.max_length, args.max_entry, reading, work_cap)
+    result = _usage(run, args.max_length, args.max_entry, args.reading, work_cap)
     payload = {
         "mode": args.mode,
-        "reading": reading.value,
+        "reading": args.reading,
         "max_length": args.max_length,
         "max_entry": args.max_entry,
     }
@@ -391,8 +390,17 @@ def _render_table(envelope) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_json(stream, envelope) -> None:
+    """Write json.dumps(envelope, indent=2) and a newline as it is encoded.
+    Joined whole, the encoder's small chunks hold far more memory than the
+    envelope; written one by one, they make a write call per token."""
+    chunks = json.JSONEncoder(indent=2).iterencode(envelope)
+    while block := "".join(islice(chunks, 65536)):
+        stream.write(block)
+    stream.write("\n")
+
+
 def _emit(envelope, args) -> None:
-    text = json.dumps(envelope, indent=2) + "\n"
     if args.out:
         import tempfile
 
@@ -401,7 +409,7 @@ def _emit(envelope, args) -> None:
             directory = os.path.dirname(os.path.abspath(args.out))
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".chaincx-", suffix=".tmp")
             with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+                _write_json(handle, envelope)
             os.replace(tmp, args.out)
         except OSError as exc:
             raise _UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from None
@@ -412,7 +420,7 @@ def _emit(envelope, args) -> None:
     if args.format == "table":
         sys.stdout.write(_render_table(envelope))
     else:
-        sys.stdout.write(text)
+        _write_json(sys.stdout, envelope)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from chaincx import optimizer, predictions
+from chaincx import ComplexShape, optimizer, predictions
 from chaincx.cli import main
 
 SAMPLER_WARNING = "sequential sampler does not realize the conditional measure"
@@ -35,6 +35,16 @@ OVER_THE_LISTING_CAP = [
     (["maximize", "--dims", twos(1023), "--limit", "200000"],
      "has 130816 maximizers of 1023 entries, 133824768 in all"),
 ]
+
+
+def traced_peak(call):
+    """The peak of tracemalloc's traced memory over call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def child_env(env_extra=None):
@@ -228,13 +238,22 @@ class TestListingCap:
 
     @pytest.mark.parametrize("argv,refusal", OVER_THE_LISTING_CAP + [
         (["check", "--dims", twos(451)], "has 25425 maximizers of 451 entries, 11466675 in all"),
-        (["sample", "--dims", twos(1023), "--limit", "200000"],
+        (["sample", "--dims", twos(1023), "--limit", "200000", "--trials", "200"],
+         "has 130816 maximizers of 1023 entries, 133824768 in all"),
+        # The listing is refused before these tolerances can break a trial.
+        (["sample", "--dims", twos(1023), "--limit", "200000", "--rank-tol", "1e20"],
          "has 130816 maximizers of 1023 entries, 133824768 in all"),
     ])
     def test_refused_before_listing(self, argv, refusal, capsys, monkeypatch):
+        from chaincx import numerics
+
         def no_listing(*args):
             raise AssertionError("vectors were listed")
 
+        def no_trial(*args):
+            raise AssertionError("a trial was sampled")
+
+        monkeypatch.setattr(numerics, "sequential_sample", no_trial)
         monkeypatch.setattr(optimizer, "_lexicographic_paths", no_listing)
         monkeypatch.setattr(predictions, "_lexicographic_paths", no_listing)
         monkeypatch.setattr(predictions, "combinations", no_listing)
@@ -531,8 +550,9 @@ class TestImportGraph:
     verify-dim without a rank tolerance, and the usage errors and size
     refusals the CLI decides itself load the package, core and the CLI
     alone; maximize adds the optimizer, and predict, check and sweep the
-    predictions, which import it.  Only sample past its checks and
-    verify-dim with a rank tolerance load numerics, numpy and scipy's
+    predictions, which import it.  sample adds the optimizer for its
+    listing.  Only sample past its listing and verify-dim with a rank
+    tolerance load numerics, numpy and scipy's
     LAPACK extension, and never the scipy or scipy.linalg package.  No
     command loads dataclasses or inspect before numpy does."""
 
@@ -580,6 +600,10 @@ class TestImportGraph:
         # verify-dim and sample end here before their float work.
         loaded = CLI if argv[0] in ("verify-dim", "sample") else LAYERS.get(argv[0], CLI)
         assert probe_imports("chaincx.cli", argv, env) == (code, loaded)
+
+    def test_sample_refuses_its_listing_without_numpy(self):
+        argv = ["sample", "--dims", twos(1023), "--limit", "200000", "--trials", "200"]
+        assert probe_imports("chaincx.cli", argv) == (3, MAXIMIZE)
 
     @pytest.mark.parametrize("argv,env", [
         (["maximize", "--dims", "3,1,3", "--limit", "0"], None),
@@ -631,6 +655,24 @@ class TestOutputModes:
             assert capsys.readouterr() == (
                 "", f"chaincx: error: cannot write {target}: {reason}\n")
         assert list(tmp_path.iterdir()) == []  # no temp residue
+
+    @pytest.mark.parametrize("sink", ["stdout", "--out"])
+    def test_envelope_written_as_encoded(self, sink, tmp_path):
+        # Rows of 1,024 entries, one line each: 617,000 chunks of the
+        # indented encoder, 6.8 MB of text.  Joined whole, they peaked at
+        # 51.7 MiB traced; written in blocks, at 10.6 MiB, against 8.5 MiB
+        # for the listing itself.
+        listing = traced_peak(lambda: optimizer.enumerate_maximizers(
+            ComplexShape((2,) * 1023 + (0,)), cap=300))
+        stdout, out = tmp_path / "stdout", tmp_path / "out.json"
+        argv = ["maximize", "--dims", twos(1023) + ",0", "--limit", "300"]
+        argv += ["--out", str(out)] if sink == "--out" else []
+        with open(stdout, "w") as handle, contextlib.redirect_stdout(handle):
+            peak = traced_peak(lambda: main(argv))
+        assert peak < 2 * listing
+        text = (out if sink == "--out" else stdout).read_text()
+        assert len(text) > 6_000_000
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     def test_table_format(self):
         proc = run_cli("sample", "--dims", "1,2,1,2", "--trials", "2", "--format", "table")

@@ -574,3 +574,115 @@ class TestListingGuard:
         monkeypatch.undo()
         report = enumerate_maximizers(s)
         assert (len(report.maximizers), report.maximizer_count) == (10_000, 130_816)
+
+
+@functools.lru_cache(maxsize=None)
+def _matrix_count(m, n, r, q):
+    """The m x n matrices of rank r over F_q: prod_{j<r} (q^m - q^j)(q^n - q^j) / (q^r - q^j)."""
+    num = den = 1
+    for j in range(r):
+        num *= (q ** m - q ** j) * (q ** n - q ** j)
+        den *= q ** r - q ** j
+    return num // den
+
+
+def _complexes_with_ranks(dims, ranks, q):
+    """N_q(a, r): the complexes over F_q with D_i: F_q^{a_{i+1}} -> F_q^{a_i}
+    of rank r_i.  Choosing D_0 first, D_i maps into the kernel of D_{i-1},
+    of dimension a_i - r_{i-1}."""
+    count, prev = 1, 0
+    for a, b, r in zip(dims, dims[1:], ranks):
+        count *= _matrix_count(a - prev, b, r, q)
+        prev = r
+    return count
+
+
+def _rank_mod(matrix, p):
+    """The rank over F_p of a matrix given as rows of residues, by elimination."""
+    rows = [list(row) for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                f = row[col] * inverse % p
+                rows[i] = [(x - f * y) % p for x, y in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def _enumerated_rank_counts(dims, p):
+    """The rank vectors of every complex over F_p on dims, counted by listing
+    every matrix of every map and keeping the chains that compose to zero."""
+    maps = []
+    for a, b in zip(dims, dims[1:]):
+        matrices = [tuple(entries[k * b:(k + 1) * b] for k in range(a))
+                    for entries in itertools.product(range(p), repeat=a * b)]
+        maps.append([(m, _rank_mod(m, p)) for m in matrices])
+    counts = {}
+
+    def extend(i, prev, ranks):
+        if i == len(maps):
+            counts[ranks] = counts.get(ranks, 0) + 1
+            return
+        for m, r in maps[i]:
+            if prev is None or all(sum(map(mul, row, col)) % p == 0
+                                   for row in prev for col in zip(*m)):
+                extend(i + 1, m, (*ranks, r))
+
+    extend(0, None, ())
+    return counts
+
+
+def _top_term(dims, q):
+    """(degree, leading coefficient) of the number of complexes over F_q on
+    dims, a polynomial in q, read at one large power of two q.  A path DP
+    over the ranks sums N_q(a, r); it shares no code with _solve."""
+    totals = {0: 1}  # the last rank -> the complexes of the maps so far
+    for a, b in zip(dims, dims[1:]):
+        following = {}
+        for prev, count in totals.items():
+            for r in range(min(a - prev, b) + 1):
+                following[r] = following.get(r, 0) + count * _matrix_count(a - prev, b, r, q)
+        totals = following
+    total = sum(totals.values())
+    degree = round(total.bit_length() / (q.bit_length() - 1))
+    top = q ** degree
+    # Rounded, not truncated: the lower-order terms may be negative.
+    coefficient = (total + top // 2) // top
+    assert abs(total - coefficient * top) <= top >> 64, dims
+    return degree, coefficient
+
+
+class TestFiniteFieldCounts:
+    """Over F_q the complexes of rank vector r number N_q(a, r), a monic
+    polynomial in q of degree d(a, r).  So the count of all complexes is
+    c q^D plus lower terms, with D the largest d and c the number of
+    maximizers: an exact oracle independent of the real DP."""
+
+    @pytest.mark.parametrize("dims,p", [
+        *(((2, 2, 2), 2), ((1, 2, 2, 1), 2), ((2, 1, 2), 2), ((1, 1, 1, 1, 1), 2),
+          ((3, 2, 2), 2), ((2, 3, 1), 2), ((3, 1, 3), 2), ((2, 2, 1, 2), 2),
+          ((0, 2, 1), 2), ((2, 2, 2, 2), 2)),
+        *(((2, 2, 2), 3), ((1, 2, 2), 3), ((2, 3), 3), ((1, 3, 2), 3)),
+    ])
+    def test_enumeration_matches_the_product(self, dims, p):
+        counts = _enumerated_rank_counts(dims, p)
+        for ranks in itertools.product(*(range(min(a, b) + 1) for a, b in zip(dims, dims[1:]))):
+            assert counts.get(ranks, 0) == _complexes_with_ranks(dims, ranks, p), ranks
+
+    def test_top_term_is_the_maximum_and_its_count(self):
+        rng = random.Random(31)
+        shapes = [(10, 10, 1), (0, 6, 1, 6), (5, 7, 1, 2, 0), (5, 1, 5, 0, 2, 8)]
+        shapes += [tuple(rng.randint(0, 12) for _ in range(rng.randint(2, 7)))
+                   for _ in range(300)]
+        for dims in shapes:
+            best, _, count = _solve(dims)
+            assert _top_term(dims, 1 << 200) == (best, count), dims
+        # The four shapes above have two maximizers each, which truncating
+        # the leading coefficient would read as one.
+        assert [_solve(dims)[2] for dims in shapes[:4]] == [2, 2, 2, 2]
