@@ -151,9 +151,9 @@ def _envelope(command: str, shape: ComplexShape | None, payload, warnings=()):
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "command": command,
-        "shape": list(shape.dims) if shape is not None else None,
+        "shape": shape.dims if shape is not None else None,
         "payload": payload,
-        "warnings": list(warnings),
+        "warnings": warnings,
     }
 
 
@@ -161,8 +161,8 @@ def _report_payload(report):
     return {
         "max_dimension": report.max_dimension,
         "maximizer_count": report.maximizer_count,
-        "maximizers": [list(r.ranks) for r in report.maximizers],
-        "betti_spectrum": [list(b.bettis) for b in report.betti_spectrum],
+        "maximizers": [r.ranks for r in report.maximizers],
+        "betti_spectrum": [b.bettis for b in report.betti_spectrum],
         "truncated": report.truncated,
         "enumeration_cap": report.enumeration_cap,
     }
@@ -172,14 +172,14 @@ def _prediction_payload(pred):
     return {
         "source_theorem": pred.source_theorem.value,
         "applicable": pred.applicable,
-        "predicted_betti_set": [list(b.bettis) for b in pred.predicted_betti_set],
+        "predicted_betti_set": [b.bettis for b in pred.predicted_betti_set],
         "predicted_sum": pred.predicted_sum,
     }
 
 
 def _comparison_payload(result):
     return {
-        "shape": list(result.shape.dims),
+        "shape": result.shape.dims,
         "verdict": result.verdict.value,
         "prediction": _prediction_payload(result.prediction),
         "observed": _report_payload(result.observed),
@@ -189,7 +189,7 @@ def _comparison_payload(result):
 def _infeasible(command: str, shape: ComplexShape, ranks: RankVector):
     payload = {
         "feasible": False,
-        "ranks": list(ranks.ranks),
+        "ranks": ranks.ranks,
         "error": f"ranks {list(ranks.ranks)} are infeasible for dims {list(shape.dims)}",
     }
     return _envelope(command, shape, payload), EXIT_INFEASIBLE
@@ -203,10 +203,10 @@ def cmd_dimension(args):
     betti = betti_from_ranks(shape, ranks)
     payload = {
         "feasible": True,
-        "ranks": list(ranks.ranks),
+        "ranks": ranks.ranks,
         "d": stratum_dimension(shape, ranks),
         "N": ambient_dimension(shape),
-        "betti": list(betti.bettis),
+        "betti": betti.bettis,
         "chi": euler_characteristic(shape),
         "sum_betti": sum(betti.bettis),
         "lower_bound": betti_lower_bound(shape),
@@ -281,7 +281,7 @@ def cmd_verify_dim(args):
     agree = formula_d == orbit_d
     payload = {
         "feasible": True,
-        "ranks": list(ranks.ranks),
+        "ranks": ranks.ranks,
         "formula_d": formula_d,
         "orbit_d": orbit_d,
         "agree": agree,
@@ -333,10 +333,10 @@ def cmd_sample(args):
         "seed": args.seed,
         "trials": args.trials,
         "trial_ranks": trial_ranks,
-        "greedy_ranks": list(greedy.ranks),
+        "greedy_ranks": greedy.ranks,
         "greedy_dimension": greedy_d,
         "max_dimension": report.max_dimension,
-        "maximizers": [list(r.ranks) for r in report.maximizers],
+        "maximizers": [r.ranks for r in report.maximizers],
         "maximizers_truncated": report.truncated,
         "biased": greedy_d != report.max_dimension,
     }
@@ -402,15 +402,34 @@ def _write_json(stream, envelope) -> None:
 
 def _emit(envelope, args) -> None:
     if args.out:
+        import errno
+        import stat
         import tempfile
 
         tmp = None
         try:
-            directory = os.path.dirname(os.path.abspath(args.out))
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".chaincx-", suffix=".tmp")
+            # The file a symlink names is replaced, not the link, and the
+            # file keeps the mode open(path, "w") would give it.
+            path = os.path.realpath(args.out)
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask
+            else:
+                # Refused before any temp file: os.replace would put a
+                # regular file in place of a FIFO, a device or a socket.
+                if not stat.S_ISREG(mode):
+                    reason = (os.strerror(errno.EISDIR) if stat.S_ISDIR(mode)
+                              else "not a regular file")
+                    raise _UsageError(f"cannot write {args.out}: {reason}")
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".chaincx-",
+                                       suffix=".tmp")
             with os.fdopen(fd, "w") as handle:
+                os.chmod(tmp, stat.S_IMODE(mode))
                 _write_json(handle, envelope)
-            os.replace(tmp, args.out)
+            os.replace(tmp, path)
         except OSError as exc:
             raise _UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from None
         finally:

@@ -40,6 +40,7 @@ from math import comb
 from operator import add, ge
 
 from .core import (
+    DEFAULT_WORK_CAP,
     MAX_ENTRY,
     MAX_LENGTH,
     BettiVector,
@@ -59,7 +60,6 @@ from .optimizer import (
     _solve,
 )
 
-DEFAULT_SCAN_CAP = 2_000_000
 # Largest number of DP states, summed over the shapes of up to two maps
 # that sweep_theorems runs through check_shape, that a sweep accepts.  Each
 # such shape runs its own DP and listing; at the cap the sweep takes about
@@ -205,7 +205,7 @@ def _spread_set(n, m):
         betti = [0] * (n + 1)
         for k in range(slots):
             betti[2 * k] = base + (1 if k in raised else 0)
-        vectors.append(BettiVector(tuple(betti)))
+        vectors.append(_unvalidated(BettiVector, "bettis", tuple(betti)))
     return tuple(sorted(vectors))
 
 
@@ -398,7 +398,7 @@ def conjecture_scan(
     max_length: int,
     max_entry: int,
     reading: HypothesisReading = HypothesisReading.SENTINEL,
-    work_cap: int = DEFAULT_SCAN_CAP,
+    work_cap: int = DEFAULT_WORK_CAP,
 ) -> ScanReport:
     """Hunt for hypothesis-satisfying shapes whose maximizers violate
     sum beta_i = |chi|.
@@ -460,7 +460,7 @@ def sweep_theorems(
     max_length: int,
     max_entry: int,
     reading: HypothesisReading = HypothesisReading.SENTINEL,
-    work_cap: int = DEFAULT_SCAN_CAP,
+    work_cap: int = DEFAULT_WORK_CAP,
 ) -> SweepSummary:
     """Tally check_shape's verdicts over every shape in the rectangle.
 

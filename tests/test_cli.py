@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from chaincx import ComplexShape, optimizer, predictions
-from chaincx.cli import main
+from chaincx.cli import build_parser, main
 
 SAMPLER_WARNING = "sequential sampler does not realize the conditional measure"
 
@@ -674,6 +675,47 @@ class TestOutputModes:
         assert len(text) > 6_000_000
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
+    @pytest.mark.parametrize("argv,library", [
+        (["maximize", "--dims", twos(1023) + ",0", "--limit", "2000"],
+         lambda shape: optimizer.enumerate_maximizers(shape, cap=2000)),
+        (["check", "--dims", twos(201)], predictions.check_shape),
+        (["predict", "--dims", twos(201)], predictions.all_predictions),
+    ], ids=["maximize", "check", "predict"])
+    def test_handlers_hold_each_listing_once(self, argv, library):
+        # The envelope takes the records' tuples as they are.  A copy of
+        # every listed vector put the handlers at 1.76, 1.88 and 1.95 times
+        # the library call's peak.
+        args = build_parser().parse_args(argv)
+        shape = ComplexShape(tuple(int(a) for a in args.dims.split(",")))
+        listing = traced_peak(lambda: library(shape))
+        assert traced_peak(lambda: args.handler(args)) < 1.1 * listing
+
+    def test_out_keeps_what_it_names(self, tmp_path, capsys):
+        argv = ["dimension", "--dims", "2,1", "--ranks", "1", "--out"]
+        target, link, fifo, new = (tmp_path / name for name in ("t.json", "l.json", "f", "n.json"))
+        target.write_text("old")
+        target.chmod(0o640)
+        link.symlink_to(target.name)
+        assert main(argv + [str(link)]) == 0
+        assert link.is_symlink() and json.loads(target.read_text())["payload"]["d"] == 2
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        target.chmod(0o644)
+        assert main(argv + [str(target)]) == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+        umask = os.umask(0o027)
+        try:
+            assert main(argv + [str(new)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o640
+        assert capsys.readouterr() == ("", "")
+        os.mkfifo(fifo)
+        assert main(argv + [str(fifo)]) == 64
+        assert capsys.readouterr() == (
+            "", f"chaincx: error: cannot write {fifo}: not a regular file\n")
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert not list(tmp_path.glob(".chaincx-*"))
+
     def test_table_format(self):
         proc = run_cli("sample", "--dims", "1,2,1,2", "--trials", "2", "--format", "table")
         assert proc.returncode == 0
@@ -749,7 +791,7 @@ _INT_FLAGS = {"--limit": (-1, 5), "--work-cap": (-1, 10_000), "--size-cap": (-1,
               "--max-entry": (-1, 4)}
 _CHOICES = {"--format": ("json", "table"), "--reading": ("sentinel", "interior"),
             "--method": ("dp", "brute"), "--mode": ("theorems", "conjecture"),
-            "--out": ("OUT", "OUT", "MISSING", "DIR"),
+            "--out": ("OUT", "OUT", "MISSING", "DIR", "LINK"),
             "--rank-tol": ("1", "10", "1000", "1e12", "inf", "-1", "nan"),
             "--composition-tol": ("1e-8", "1e-3", "0.5", "0", "nan")}
 _COMMAND_FLAGS = {
@@ -809,6 +851,7 @@ class TestContractFuzz:
               "--work-cap", "1000"], {})
     @example(["dimension", "--dims", "2,1", "--ranks", "1", "--out", "MISSING"], {})
     @example(["dimension", "--dims", "2,1", "--ranks", "1", "--out", "DIR"], {})
+    @example(["dimension", "--dims", "2,1", "--ranks", "1", "--out", "LINK"], {})
     @example(["sample", "--dims", "0,0,0,1,1,1", "--rank-tol", "inf"], {})
     @example(["verify-dim", "--dims", "1048576,1048576", "--ranks", "0"], {})
     @example(["sample", "--dims", "1048576,1048576"], {})
@@ -824,8 +867,10 @@ class TestContractFuzz:
     def test_documented_exit_codes(self, tmp_path, monkeypatch, argv, env):
         monkeypatch.chdir(tmp_path)  # a junk token taken as a file name stays here
         paths = {"OUT": tmp_path / "out.json", "MISSING": tmp_path / "missing" / "x.json",
-                 "DIR": tmp_path / "dir"}
+                 "DIR": tmp_path / "dir", "LINK": tmp_path / "link.json"}
         paths["DIR"].mkdir(exist_ok=True)
+        if not paths["LINK"].is_symlink():
+            paths["LINK"].symlink_to("out.json")
         argv = [str(paths.get(token, token)) for token in argv]
         overrides = {name: value for name, value in env.items() if value is not None}
         with mock.patch.dict(os.environ, overrides), \
@@ -839,3 +884,4 @@ class TestContractFuzz:
                 code = exc.code
         assert code in (0, 2, 3, 4, 5, 64), (argv, env, code)
         assert not list(tmp_path.glob("**/.chaincx-*"))
+        assert paths["LINK"].is_symlink()

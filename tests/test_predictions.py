@@ -34,12 +34,11 @@ from chaincx import (
     stratum_dimension,
     sweep_theorems,
 )
-from chaincx.core import MAX_ENTRY, MAX_LENGTH, _chi, _feasible
+from chaincx.core import DEFAULT_WORK_CAP, MAX_ENTRY, MAX_LENGTH, _chi, _feasible
 from chaincx import predictions
 from chaincx.optimizer import _solve, _state_caps
 from chaincx.predictions import (
     CHECK_ENUMERATION_GUARD,
-    DEFAULT_SCAN_CAP,
     MAX_SWEEP_DP_STATES,
     ComparisonResult,
     ScanReport,
@@ -636,7 +635,7 @@ def _reference_conjecture_scan(
     max_length: int,
     max_entry: int,
     reading: HypothesisReading = HypothesisReading.SENTINEL,
-    work_cap: int = DEFAULT_SCAN_CAP,
+    work_cap: int = DEFAULT_WORK_CAP,
 ) -> ScanReport:
     """Hunt for hypothesis-satisfying shapes whose maximizers violate
     sum beta_i = |chi|.
@@ -688,7 +687,7 @@ def _reference_sweep_theorems(
     max_length: int,
     max_entry: int,
     reading: HypothesisReading = HypothesisReading.SENTINEL,
-    work_cap: int = DEFAULT_SCAN_CAP,
+    work_cap: int = DEFAULT_WORK_CAP,
 ) -> SweepSummary:
     """Run the listing oracle of check_shape over every shape in the
     rectangle and tally verdicts.
