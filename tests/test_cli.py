@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from chaincx import ComplexShape, optimizer, predictions
-from chaincx.cli import build_parser, main
+from chaincx.cli import _shape_of, build_parser, main
 
 SAMPLER_WARNING = "sequential sampler does not realize the conditional measure"
 
@@ -686,7 +686,7 @@ class TestOutputModes:
         # every listed vector put the handlers at 1.76, 1.88 and 1.95 times
         # the library call's peak.
         args = build_parser().parse_args(argv)
-        shape = ComplexShape(tuple(int(a) for a in args.dims.split(",")))
+        shape = _shape_of(args)
         listing = traced_peak(lambda: library(shape))
         assert traced_peak(lambda: args.handler(args)) < 1.1 * listing
 
