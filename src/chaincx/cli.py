@@ -412,18 +412,23 @@ def _emit(envelope, args) -> None:
             # file keeps the mode open(path, "w") would give it.
             path = os.path.realpath(args.out)
             try:
-                mode = os.stat(path).st_mode
+                st = os.stat(path)
             except FileNotFoundError:
                 umask = os.umask(0)
                 os.umask(umask)
                 mode = 0o666 & ~umask
             else:
                 # Refused before any temp file: os.replace would put a
-                # regular file in place of a FIFO, a device or a socket.
+                # regular file in place of a FIFO, a device or a socket,
+                # and would part a hard-linked name from its other links.
+                mode = st.st_mode
                 if not stat.S_ISREG(mode):
                     reason = (os.strerror(errno.EISDIR) if stat.S_ISDIR(mode)
                               else "not a regular file")
                     raise _UsageError(f"cannot write {args.out}: {reason}")
+                if st.st_nlink > 1:
+                    raise _UsageError(
+                        f"cannot write {args.out}: it has {st.st_nlink} hard links")
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".chaincx-",
                                        suffix=".tmp")
             with os.fdopen(fd, "w") as handle:

@@ -60,11 +60,11 @@ from .optimizer import (
     _solve,
 )
 
-# Largest number of DP states, summed over the shapes of up to two maps
-# that sweep_theorems runs through check_shape, that a sweep accepts.  Each
-# such shape runs its own DP and listing; at the cap the sweep takes about
-# 2 s with one map (entries up to 366) and 6 s with two (up to 68).
-MAX_SWEEP_DP_STATES = 1 << 23
+# Largest number of shapes of up to two maps in a theorem sweep's rectangle,
+# which sweep_theorems runs through check_shape, each with its own DP and
+# listing.  A shape takes about 8-17 us at every length, so the largest
+# sweep served at each, (0, 333338), (1, 575) and (2, 68), takes 3-4 s.
+MAX_SWEEP_SHORT_SHAPES = 69 + 69**2 + 69**3
 
 
 class SourceTheorem(Enum):
@@ -200,13 +200,16 @@ def _spread_set(n, m):
     base, extra = divmod(m, slots)
     _listing_guard(comb(slots, extra), n + 1, f"the spread set of {n} maps of dimension {m}",
                    "Betti vectors")
+    even = [0 if i % 2 else base for i in range(n + 1)]
     vectors = []
-    for raised in combinations(range(slots), extra):
-        betti = [0] * (n + 1)
-        for k in range(slots):
-            betti[2 * k] = base + (1 if k in raised else 0)
+    for raised in combinations(range(0, n + 1, 2), extra):
+        betti = even.copy()
+        for i in raised:
+            betti[i] += 1
         vectors.append(_unvalidated(BettiVector, "bettis", tuple(betti)))
-    return tuple(sorted(vectors))
+    # Combinations come in lexicographic order, and raising an earlier slot
+    # makes a larger vector, so the reversed list ascends.
+    return tuple(reversed(vectors))
 
 
 def predict_equal_dim(shape: ComplexShape) -> Prediction:
@@ -437,25 +440,6 @@ def conjecture_scan(
     return ScanReport(tuple(counterexamples), scanned, truncated)
 
 
-def _short_sweep_states(max_length, max_entry):
-    """The DP states _solve allocates, len(dims) + sum_i min(a_{i-1}, a_i),
-    summed over the shapes of up to two maps that sweep_theorems checks:
-    those with entries up to E = max_entry no greater than their reversal,
-    that is a_0 <= a_last.  So a shape a_0 <= a_1 has 2 + a_0 states.  Over
-    the pairs a_0 <= a_2 in [0, E], each x is a_0 in E + 1 - x of them and
-    a_2 in x + 1, so their sum of min(a_0, b) + min(a_2, b) is
-    (E + 2) sum_x min(x, b)."""
-    e = max_entry
-    states = e + 1
-    if max_length >= 1:
-        states += sum((2 + x) * (e + 1 - x) for x in range(e + 1))
-    if max_length >= 2:
-        pairs = (e + 1) * (e + 2) // 2
-        states += sum(3 * pairs + (e + 2) * (b * (b + 1) // 2 + b * (e - b))
-                      for b in range(e + 1))
-    return states
-
-
 def sweep_theorems(
     max_length: int,
     max_entry: int,
@@ -500,8 +484,8 @@ def sweep_theorems(
     its details, which are then put in rectangle order.  The rest of the
     rectangle is NOT_APPLICABLE.  Bounds are refused as in conjecture_scan,
     before the work cap is read; then a rectangle of more than work_cap
-    shapes, or whose shapes of up to two maps need more than
-    MAX_SWEEP_DP_STATES DP states in all, is refused before any DP.
+    shapes, or of more than MAX_SWEEP_SHORT_SHAPES shapes of up to two
+    maps, is refused before any DP.
     """
     _check_bounds(max_length, max_entry, "sweep")
     size = sum((max_entry + 1) ** (n + 1) for n in range(max_length + 1))
@@ -510,12 +494,12 @@ def sweep_theorems(
             f"sweep up to {max_length} maps with entries up to {max_entry} "
             f"exceeds the work cap of {work_cap} shapes"
         )
-    states = _short_sweep_states(max_length, max_entry)
-    if states > MAX_SWEEP_DP_STATES:
+    checked = sum((max_entry + 1) ** (n + 1) for n in range(min(max_length, 2) + 1))
+    if checked > MAX_SWEEP_SHORT_SHAPES:
         raise WorkCapExceeded(
-            f"sweep up to {max_length} maps with entries up to {max_entry} needs "
-            f"{states} DP states on its shapes of up to two maps, exceeding the "
-            f"cap of {MAX_SWEEP_DP_STATES}"
+            f"sweep up to {max_length} maps with entries up to {max_entry} checks "
+            f"{checked} shapes of up to two maps against the DP, exceeding the cap of "
+            f"{MAX_SWEEP_SHORT_SHAPES}"
         )
     # One of each mirror pair: of up to two maps, then the canonical ones.
     short = (dims for length in range(1, min(max_length, 2) + 2)

@@ -456,7 +456,7 @@ class TestSweep:
         assert out == ""
         assert err.startswith("chaincx: error: ") and cap in err
 
-    def test_short_sweep_past_the_dp_state_cap_exits_3(self, capsys, monkeypatch):
+    def test_short_sweep_past_the_shape_cap_exits_3(self, capsys, monkeypatch):
         # The default cap of 10^8 shapes admits this rectangle, whose shapes
         # of one map would each run the DP, for hours in all.
         monkeypatch.delenv("CHAINCX_WORK_CAP", raising=False)
@@ -466,8 +466,10 @@ class TestSweep:
         assert time.perf_counter() - start < 0.5
         out, err = capsys.readouterr()
         assert out == ""
-        assert "needs 166716669999 DP states" in err
-        assert f"cap of {predictions.MAX_SWEEP_DP_STATES}" in err
+        assert err == (
+            "chaincx: sweep up to 1 maps with entries up to 9998 checks 99990000 shapes of "
+            f"up to two maps against the DP, exceeding the cap of "
+            f"{predictions.MAX_SWEEP_SHORT_SHAPES}\n")
 
     def test_wide_entries_reach_the_work_cap(self, capsys, monkeypatch):
         # Only hypothesis shapes are generated, so entries up to MAX_ENTRY
@@ -714,6 +716,15 @@ class TestOutputModes:
         assert capsys.readouterr() == (
             "", f"chaincx: error: cannot write {fifo}: not a regular file\n")
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        # os.replace would give one name new bytes and leave the other the old.
+        hard = tmp_path / "h.json"
+        hard.hardlink_to(target)
+        before = target.read_bytes()
+        assert main(argv + [str(hard)]) == 64
+        assert capsys.readouterr() == (
+            "", f"chaincx: error: cannot write {hard}: it has 2 hard links\n")
+        assert hard.read_bytes() == target.read_bytes() == before
+        assert hard.stat().st_nlink == target.stat().st_nlink == 2
         assert not list(tmp_path.glob(".chaincx-*"))
 
     def test_table_format(self):

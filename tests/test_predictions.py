@@ -3,8 +3,10 @@
 import contextlib
 import itertools
 import random
+import time
 from collections import Counter
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,10 +38,10 @@ from chaincx import (
 )
 from chaincx.core import DEFAULT_WORK_CAP, MAX_ENTRY, MAX_LENGTH, _chi, _feasible
 from chaincx import predictions
-from chaincx.optimizer import _solve, _state_caps
+from chaincx.optimizer import _solve
 from chaincx.predictions import (
     CHECK_ENUMERATION_GUARD,
-    MAX_SWEEP_DP_STATES,
+    MAX_SWEEP_SHORT_SHAPES,
     ComparisonResult,
     ScanReport,
     SweepSummary,
@@ -231,6 +233,17 @@ class TestEqualDim:
             for m in range(1, 10):
                 pred = predict_equal_dim(ComplexShape((m,) * (n + 1)))
                 assert len(pred.predicted_betti_set) == comb(slots, m % slots)
+
+    def test_spread_set_is_built_in_order(self):
+        # The sorted brute construction, for every even n <= 30 and m <= 24.
+        for n in range(0, 31, 2):
+            slots = n // 2 + 1
+            for m in range(25):
+                base, extra = divmod(m, slots)
+                brute = sorted(
+                    tuple(0 if i % 2 else base + (i // 2 in raised) for i in range(n + 1))
+                    for raised in itertools.combinations(range(slots), extra))
+                assert [b.bettis for b in predictions._spread_set(n, m)] == brute, (n, m)
 
     def test_spread_set_refused_past_the_guard(self):
         # C(31, 15) = 3.0e8 vectors are refused before any is built, and so
@@ -474,43 +487,41 @@ class TestSweeps:
                     {b.bettis for b in reversed_result.observed.betti_spectrum}, s.dims
 
 
-class TestSweepStateCap:
-    """A theorem sweep whose shapes of up to two maps need more than
-    MAX_SWEEP_DP_STATES DP states in all is refused before any DP."""
+class TestSweepShapeCap:
+    """A theorem sweep whose rectangle holds more than MAX_SWEEP_SHORT_SHAPES
+    shapes of up to two maps, each checked against the DP, is refused
+    before any DP."""
 
-    @pytest.mark.parametrize("bounds", [(0, 5), (1, 0), (1, 7), (2, 5), (3, 4)])
-    def test_count_is_the_states_the_sweep_allocates(self, monkeypatch, bounds):
-        # Under the sentinel reading no shape of up to two maps mismatches,
-        # so the DP runs once on each one the sweep checks.
-        states = []
+    @pytest.mark.parametrize("bounds,shapes", [
+        ((0, 333_339), 333_340), ((1, 576), 333_506), ((2, 69), 347_970),
+        ((5, 69), 347_970), ((1, 1200), 1_443_602),
+    ], ids=["0-333339", "1-576", "2-69", "5-69", "1-1200"])
+    def test_refused_before_any_dp(self, monkeypatch, bounds, shapes):
+        def refused(*args):
+            raise AssertionError(f"the sweep reached the DP with {args}")
 
-        def counted(dims):
-            if len(dims) <= 3:
-                states.append(sum(_state_caps(dims)) + len(dims))
-            return _solve(dims)
-
-        monkeypatch.setattr(predictions, "_solve", counted)
-        sweep_theorems(*bounds)
-        assert sum(states) == predictions._short_sweep_states(*bounds)
-
-    @pytest.mark.parametrize("bounds,states", [((1, 1200), 290_165_203), ((1, 367), 8_442_104),
-                                               ((2, 69), 8_528_590), ((5, 69), 8_528_590)])
-    def test_refused_before_any_dp(self, monkeypatch, bounds, states):
-        def refused(dims):
-            raise AssertionError(f"the DP ran on {dims}")
-
+        monkeypatch.setattr(predictions, "check_shape", refused)
         monkeypatch.setattr(predictions, "_solve", refused)
+        start = time.perf_counter()
         with pytest.raises(WorkCapExceeded,
-                           match=f"needs {states} DP states .* cap of {MAX_SWEEP_DP_STATES}$"):
+                           match=f"checks {shapes} shapes of up to two maps against the DP, "
+                                 f"exceeding the cap of {MAX_SWEEP_SHORT_SHAPES}$"):
             sweep_theorems(*bounds, work_cap=10**13)
-        assert predictions._short_sweep_states(*bounds) == states
+        assert time.perf_counter() - start < 0.5
 
-    def test_largest_admitted_bounds(self):
-        assert predictions._short_sweep_states(1, 366) <= MAX_SWEEP_DP_STATES
-        assert predictions._short_sweep_states(2, 68) <= MAX_SWEEP_DP_STATES
+    @pytest.mark.parametrize("bounds,shapes", [
+        ((0, 333_338), 333_339), ((1, 575), 332_352), ((2, 68), MAX_SWEEP_SHORT_SHAPES),
+    ], ids=["0-333338", "1-575", "2-68"])
+    def test_largest_bounds_are_admitted(self, monkeypatch, bounds, shapes):
+        # Each is the largest entry served at its length; a stub stands in
+        # for check_shape, so no DP runs.
+        monkeypatch.setattr(predictions, "check_shape",
+                            lambda shape, reading: SimpleNamespace(verdict=Verdict.MATCH))
+        summary = sweep_theorems(*bounds)
+        assert (summary.shapes_checked, summary.matches) == (shapes, shapes)
 
     def test_largest_readme_sweep_still_runs(self):
-        # Up to two maps with entries up to 40: 1,049,026 states.
+        # Up to two maps with entries up to 40, the largest sweep the README times.
         summary = sweep_theorems(2, 40)
         assert (summary.shapes_checked, summary.mismatches) == (70_643, 0)
 
