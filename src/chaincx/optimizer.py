@@ -100,8 +100,10 @@ rank vectors of small shapes, and each stage of a broad walk by brute force.
 
 The public entry points only read _solve's result:
 maximizer_rank_sum_range returns the root's best value with the greedy
-rank sum, and maximize_dp and enumerate_maximizers list the maximizers
-in ascending lexicographic order, the first one or up to a cap.  The
+rank sum, and maximize_dp, enumerate_maximizers and _observe, which
+lists a shape's maximizers for the predictions module, list them in
+ascending lexicographic order through one body, _listing: the first one,
+up to a cap, or all.  No other module reads _solve's move tables.  The
 listing is an iterative walk, so no shape within MAX_LENGTH exhausts the
 recursion limit, and it reuses within a call the least-move suffix below
 each state it has descended from, so a listed row costs a few tuple
@@ -342,11 +344,21 @@ def _listing_guard(size, length, subject, noun, most=CHECK_ENUMERATION_GUARD):
                               f"in all, more than the listing cap of {MAX_LISTED_ENTRIES}")
 
 
+def _listing(dims, cap, subject, most=None) -> MaximizerReport:
+    """The report of the maximizers of shape `dims`, listed up to cap, with
+    its DP's value and exact count.  The listing is refused before any row
+    is listed (_listing_guard, naming "{subject} {dims}"); with `most` set,
+    so is a shape with more than `most` maximizers, whatever the cap."""
+    best, moves, count = _solve(dims)
+    _listing_guard(min(count, cap) if most is None else count, len(dims), f"{subject} {dims}",
+                   "maximizers", most)
+    return _report(best, count, *_lexicographic_paths(dims, moves, cap), cap)
+
+
 def maximize_dp(shape: ComplexShape) -> tuple[int, RankVector]:
     """Maximum of d(a, r) and its lexicographically smallest maximizer."""
-    best, moves, _ = _solve(shape.dims)
-    rows, _ = _lexicographic_paths(shape.dims, moves, 1)
-    return best, _unvalidated(RankVector, "ranks", rows[0])
+    report = _listing(shape.dims, 1, "the listing of shape")
+    return report.max_dimension, report.maximizers[0]
 
 
 def enumerate_maximizers(
@@ -359,10 +371,14 @@ def enumerate_maximizers(
     """
     if cap < 1:
         raise ValueError("enumeration cap must be positive")
-    best, moves, count = _solve(shape.dims)
-    _listing_guard(min(count, cap), len(shape.dims), f"the listing of shape {shape.dims}",
-                   "maximizers", most=None)
-    return _report(best, count, *_lexicographic_paths(shape.dims, moves, cap), cap)
+    return _listing(shape.dims, cap, "the listing of shape")
+
+
+def _observe(shape: ComplexShape) -> MaximizerReport:
+    """Every maximizer of the shape, listed, for the predictions module; a
+    shape with more than CHECK_ENUMERATION_GUARD of them, or whose listing
+    would pass MAX_LISTED_ENTRIES entries, is refused before any is listed."""
+    return _listing(shape.dims, CHECK_ENUMERATION_GUARD, "shape", CHECK_ENUMERATION_GUARD)
 
 
 def maximizer_rank_sum_range(shape: ComplexShape) -> tuple[int, int, int]:

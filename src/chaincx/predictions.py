@@ -51,14 +51,7 @@ from .core import (
     _Record,
     _unvalidated,
 )
-from .optimizer import (
-    CHECK_ENUMERATION_GUARD,
-    MaximizerReport,
-    _lexicographic_paths,
-    _listing_guard,
-    _report,
-    _solve,
-)
+from .optimizer import CHECK_ENUMERATION_GUARD, MaximizerReport, _listing_guard, _observe
 
 # Largest number of shapes of up to two maps in a theorem sweep's rectangle,
 # which sweep_theorems runs through check_shape, each with its own DP and
@@ -260,16 +253,6 @@ def _fulfils(prediction, total, spectrum) -> bool:
     if prediction.predicted_betti_set:
         return set(prediction.predicted_betti_set) == set(spectrum)
     return total == prediction.predicted_sum
-
-
-def _observe(shape: ComplexShape) -> MaximizerReport:
-    """Every maximizer of the shape, listed; a shape with more than
-    CHECK_ENUMERATION_GUARD of them, or whose listing would pass
-    MAX_LISTED_ENTRIES entries, is refused before any is listed."""
-    best, moves, count = _solve(shape.dims)
-    _listing_guard(count, len(shape.dims), f"shape {shape.dims}", "maximizers")
-    return _report(best, count, *_lexicographic_paths(shape.dims, moves, count),
-                   CHECK_ENUMERATION_GUARD)
 
 
 def check_shape(

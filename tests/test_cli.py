@@ -226,7 +226,6 @@ class TestCheck:
             raise AssertionError("maximizers were listed")
 
         monkeypatch.setattr(optimizer, "_lexicographic_paths", no_listing)
-        monkeypatch.setattr(predictions, "_lexicographic_paths", no_listing)
         assert main(["check", "--dims", dims]) == 3
         out, err = capsys.readouterr()
         assert out == ""
@@ -256,7 +255,6 @@ class TestListingCap:
 
         monkeypatch.setattr(numerics, "sequential_sample", no_trial)
         monkeypatch.setattr(optimizer, "_lexicographic_paths", no_listing)
-        monkeypatch.setattr(predictions, "_lexicographic_paths", no_listing)
         monkeypatch.setattr(predictions, "combinations", no_listing)
         start = time.perf_counter()
         assert main(argv) == 3

@@ -37,7 +37,7 @@ from chaincx import (
     sweep_theorems,
 )
 from chaincx.core import DEFAULT_WORK_CAP, MAX_ENTRY, MAX_LENGTH, _chi, _feasible
-from chaincx import predictions
+from chaincx import optimizer, predictions
 from chaincx.optimizer import _solve
 from chaincx.predictions import (
     CHECK_ENUMERATION_GUARD,
@@ -258,7 +258,7 @@ class TestEqualDim:
         # Under the guard, but 99,681 and 25,425 vectors of 893 and 451
         # entries pass the listing cap; 23,871 of 437 entries do not.
         monkeypatch.setattr(predictions, "combinations", None)
-        monkeypatch.setattr(predictions, "_lexicographic_paths", None)
+        monkeypatch.setattr(optimizer, "_lexicographic_paths", None)
         for spaces, size in [(893, 99_681), (451, 25_425)]:
             with pytest.raises(WorkCapExceeded, match=f"has {size} Betti vectors of {spaces} "
                                                       f"entries, {size * spaces} in all"):
@@ -444,7 +444,7 @@ class TestSweeps:
             solved.append(dims)
             return _solve(dims)
 
-        monkeypatch.setattr(predictions, "_solve", counted)
+        monkeypatch.setattr(optimizer, "_solve", counted)
         summary = sweep_theorems(4, 6)
         assert solved == [s.dims for s in iter_shapes(3, 6) if s.dims <= s.dims[::-1]] + [
             (m,) * spaces for spaces in (4, 5) for m in range(1, 7)]
@@ -501,7 +501,7 @@ class TestSweepShapeCap:
             raise AssertionError(f"the sweep reached the DP with {args}")
 
         monkeypatch.setattr(predictions, "check_shape", refused)
-        monkeypatch.setattr(predictions, "_solve", refused)
+        monkeypatch.setattr(optimizer, "_solve", refused)
         start = time.perf_counter()
         with pytest.raises(WorkCapExceeded,
                            match=f"checks {shapes} shapes of up to two maps against the DP, "
@@ -802,7 +802,7 @@ class TestAgainstReference:
         def no_dp(*args):
             raise AssertionError("the scan ran a DP")
 
-        monkeypatch.setattr(predictions, "_solve", no_dp)
+        monkeypatch.setattr(optimizer, "_solve", no_dp)
         report = conjecture_scan(2, MAX_ENTRY, work_cap=20_000)
         assert report == ScanReport((), 20_000, True)
 
