@@ -401,11 +401,13 @@ def _write_json(stream, envelope) -> None:
 
 
 def _emit(envelope, args) -> None:
-    if args.out:
+    if args.out is not None:
         import errno
         import stat
         import tempfile
 
+        if not args.out:  # realpath would read "" as the working directory
+            raise _UsageError(f"cannot write '': {os.strerror(errno.ENOENT)}")
         tmp = None
         try:
             # The file a symlink names is replaced, not the link, and the
@@ -441,10 +443,19 @@ def _emit(envelope, args) -> None:
             if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
         return
-    if args.format == "table":
-        sys.stdout.write(_render_table(envelope))
-    else:
-        _write_json(sys.stdout, envelope)
+    try:
+        if args.format == "table":
+            sys.stdout.write(_render_table(envelope))
+        else:
+            _write_json(sys.stdout, envelope)
+        sys.stdout.flush()
+    except OSError as exc:
+        # A full device or a closed pipe.  With fd 1 on os.devnull, the
+        # interpreter's flush at exit cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _UsageError(f"cannot write stdout: {exc.strerror or exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

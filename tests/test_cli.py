@@ -469,6 +469,18 @@ class TestSweep:
             f"up to two maps against the DP, exceeding the cap of "
             f"{predictions.MAX_SWEEP_SHORT_SHAPES}\n")
 
+    @pytest.mark.parametrize("mode,count", [("theorems", 84), ("conjecture", 18)])
+    def test_work_cap_past_2_63_is_served(self, mode, count, capsys, monkeypatch):
+        # A cap no machine integer holds, such as itertools.islice's stop,
+        # bounds nothing here, and is served as such.
+        monkeypatch.delenv("CHAINCX_WORK_CAP", raising=False)
+        argv = ["sweep", "--max-length", "2", "--max-entry", "3", "--mode", mode,
+                "--work-cap", "99999999999999999999999999999"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        key = "shapes_checked" if mode == "theorems" else "shapes_scanned"
+        assert payload[key] == count
+
     def test_wide_entries_reach_the_work_cap(self, capsys, monkeypatch):
         # Only hypothesis shapes are generated, so entries up to MAX_ENTRY
         # reach the cap at once instead of walking the rectangle.
@@ -656,6 +668,38 @@ class TestOutputModes:
             assert capsys.readouterr() == (
                 "", f"chaincx: error: cannot write {target}: {reason}\n")
         assert list(tmp_path.iterdir()) == []  # no temp residue
+
+    def test_empty_out_exits_64(self, tmp_path, capsys, monkeypatch):
+        # An unset shell variable gives --out "", which names no file.
+        monkeypatch.chdir(tmp_path)
+        assert main(["dimension", "--dims", "2,1", "--ranks", "1", "--out", ""]) == 64
+        assert capsys.readouterr() == (
+            "", "chaincx: error: cannot write '': No such file or directory\n")
+        assert list(tmp_path.iterdir()) == []  # no temp residue
+
+    @pytest.mark.parametrize("sink", ["full", "pipe"])
+    def test_failed_stdout_write_exits_64(self, sink):
+        # A full device, or a pipe closed after one byte of a 160 KB
+        # envelope, more than a pipe holds: one line on stderr, no traceback.
+        argv = [sys.executable, "-m", "chaincx", "maximize", "--dims", ",".join(["4"] * 21)]
+        if sink == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
+                                      env=child_env(), timeout=60)
+            code, err = proc.returncode, proc.stderr
+        else:
+            with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True, env=child_env()) as proc:
+                assert proc.stdout.read(1) == "{"
+                proc.stdout.close()
+                err = proc.stderr.read()
+                code = proc.wait(timeout=60)
+        assert code == 64
+        assert err.startswith("chaincx: error: cannot write stdout: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     @pytest.mark.parametrize("sink", ["stdout", "--out"])
     def test_envelope_written_as_encoded(self, sink, tmp_path):
