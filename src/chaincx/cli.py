@@ -55,10 +55,13 @@ EXIT_USAGE = 64
 MAX_SIZE_CAP = 16384
 # Largest --trials: each trial samples and ranks every map of the shape.
 MAX_TRIALS = 10_000
-# Largest --trials times the work of one trial, counted in map entries with
-# SAMPLE_MAP_ENTRIES more per map.  Measured on 2 CPUs, a trial costs about
-# 60 us per map plus 0.1-0.6 us per entry, so a run at the cap takes at most
-# about 40 s (200,300,200,300: 371 trials in 38 s).
+# Largest --trials times the work of one trial: its map entries, plus
+# SAMPLE_MAP_ENTRIES per map, a_j^2 per interior space for the Q that the
+# kernel step expands there, and a_(j-1) a_(j+1) per pair of adjacent maps
+# for the product that the composition check forms.  A run at the cap takes
+# at most about 40 s: as CLI processes on 2 CPUs, 4096,4096 (3 trials) took
+# 13.9 s, 200,300,200,300 (152) 7.5 s, 1024 twos (244) 5.7 s, and 1,4096,1
+# (3) and 1,4096,1,4096,1 (1) 0.3 s each.
 MAX_SAMPLE_WORK = 1 << 26
 SAMPLE_MAP_ENTRIES = 256
 
@@ -307,11 +310,15 @@ def cmd_sample(args):
             f"sampling shape {shape.dims} needs {entries} map entries, "
             f"exceeding the cap of {DEFAULT_SIZE_CAP ** 2}"
         )
-    work = args.trials * (entries + SAMPLE_MAP_ENTRIES * shape.n_maps)
+    dims = shape.dims
+    squares = sum(a * a for a in dims[1:-1])
+    products = sum(a * c for a, c in zip(dims, dims[2:]))
+    work = args.trials * (entries + SAMPLE_MAP_ENTRIES * shape.n_maps + squares + products)
     if work > MAX_SAMPLE_WORK:
         raise WorkCapExceeded(
-            f"{args.trials} trials on shape {shape.dims} need {work} units of sampling "
-            f"work (map entries, plus {SAMPLE_MAP_ENTRIES} per map, per trial), "
+            f"{args.trials} trials on shape {dims} need {work} units of sampling work "
+            f"(map entries, plus {SAMPLE_MAP_ENTRIES} per map, a_j^2 per interior space "
+            f"and a_(j-1)*a_(j+1) per pair of adjacent maps, per trial), "
             f"exceeding the cap of {MAX_SAMPLE_WORK}"
         )
     # The listing, or its refusal, and the integer work come before any trial.

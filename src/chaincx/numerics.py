@@ -73,9 +73,10 @@ that neither scipy's __init__ nor scipy.linalg's runs; the latter pulls in
 numpy.f2py, numpy.testing and numpy.ma and more than doubles the start-up
 time of the float commands.  The routines are the same function
 objects that scipy.linalg.lapack re-exports.  Every routine with a workspace
-query, all but dtpqrt, goes through _lapack, which runs query and call.
-random_conjugation's Q factors come from dgeqrf and dorgqr, without the R
-that np.linalg.qr builds; its solves stay with numpy (see its docstring).
+query, all but dtpqrt, goes through _lapack, which queries once per routine
+and argument shapes and then calls.  random_conjugation's Q factors come
+from dgeqrf and dorgqr, without the R that np.linalg.qr builds; its solves
+call the gufunc behind np.linalg.solve (see its docstring).
 
 The sequential sampler draws D_1 with i.i.d. standard Gaussian entries
 and each later map as K @ G, with K an orthonormal kernel basis of the
@@ -95,6 +96,7 @@ import os
 import sys
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .core import (
     DEFAULT_SIZE_CAP,
@@ -158,6 +160,20 @@ _COMPRESS_MIN_ASPECT = 1.5
 # and 64, and 2-16 MB blocks took 0.20-0.14 s).
 _FOLD_BYTES = 4 << 20
 _FOLD_NB = 32
+# _lapack's workspace sizes, by routine and argument shapes.  A key and its
+# lwork take about 0.3 KB, so the 1024 entries hold at most about 0.3 MB;
+# past them, a new shape queries on every call.
+_LWORK: dict[tuple, int] = {}
+_LWORK_ENTRIES = 1024
+# The index plans of small orbit matrices, by dims (_orbit_plan).  Each plan
+# is charged its index bytes plus _PLAN_OVERHEAD for its array object and
+# dict entry, and all plans together at most _PLAN_BYTES: about 1 MiB at
+# worst, as 128 Ki nonzeros of L or 4096 plans of a few nonzeros.  A shape
+# whose plan does not fit is written by _write_rows on every call.
+_PLANS: dict[tuple[int, ...], np.ndarray] = {}
+_PLAN_BYTES = 1 << 20
+_PLAN_OVERHEAD = 256
+_plan_bytes = 0
 # Condition-number bound of the basis changes random_conjugation draws.
 _MAX_CONDITION = 1000.0
 _HALF_LOG_CONDITION = 0.5 * np.log(_MAX_CONDITION)
@@ -233,10 +249,16 @@ def _lapack(routine: str, *args) -> tuple:
     a Fortran-ordered float64 array; return its output tuple, which ends
     with work and info.  lwork comes from a workspace query, as in
     scipy.linalg.qr and np.linalg.qr, whose bits it decides past LAPACK's
-    crossover size.  Both calls pass overwrite_a=1, without which f2py
-    copies the input, even for the query."""
+    crossover size; LAPACK sizes the workspace from the dimensions alone,
+    so the answer is kept in _LWORK.  Query and call pass overwrite_a=1,
+    without which f2py copies the input, even for the query."""
     call = getattr(_flapack, routine)
-    lwork = int(call(*args, lwork=-1, overwrite_a=1)[-2][0])
+    key = (routine, *[a.shape for a in args])
+    lwork = _LWORK.get(key)
+    if lwork is None:
+        lwork = int(call(*args, lwork=-1, overwrite_a=1)[-2][0])
+        if len(_LWORK) < _LWORK_ENTRIES:
+            _LWORK[key] = lwork
     out = call(*args, lwork=lwork, overwrite_a=1)
     _check_info(routine, out[-1])
     return out
@@ -245,7 +267,7 @@ def _lapack(routine: str, *args) -> tuple:
 def _pivot_rank(qr: np.ndarray, longest_side: int, config: ToleranceConfig) -> int:
     """Pivots on the diagonal of the non-empty pivoted QR factor qr above
     the relative threshold."""
-    pivots = np.abs(np.diag(qr))
+    pivots = np.abs(qr.diagonal())
     # A zero largest pivot makes the threshold 0, or NaN under an infinite
     # factor (Python's float NaN, without numpy's warning): no pivot counts.
     threshold = config.rank_tolerance_factor * _EPS * longest_side * float(pivots[0])
@@ -379,9 +401,9 @@ def _orbit_r_factor(complex_: NumericalComplex, n: int) -> np.ndarray:
     Fortran-ordered, built from the maps without L (module docstring).
     Rows and columns are indexed as in core._map_offsets; _write_rows writes
     the middle spaces' blocks here and all of L in _orbit_matrix."""
-    maps = complex_.maps
+    maps, dims = complex_.maps, complex_.shape.dims
     r = np.zeros((n, n), order="F")
-    offsets = _map_offsets(complex_.shape.dims)
+    offsets = _map_offsets(dims)
     # X_0: I (x) D_1 rotates to I (x) R_1; [p, s, q] -> r[(p, s), (p, q)].
     if maps[0].size:
         a0, a1 = maps[0].shape
@@ -398,7 +420,7 @@ def _orbit_r_factor(complex_: NumericalComplex, n: int) -> np.ndarray:
         # One map: both triangles cover the same columns.
         _fold(r, tail, n)
     # X_i, 0 < i < n, in blocks of whole rows t.
-    for i, a in enumerate(complex_.shape.dims[1:-1], 1):
+    for i, a in enumerate(dims[1:-1], 1):
         if a == 0:
             continue
         # Whole rows t of X_i, about _FOLD_BYTES of L.T's rows at a time.
@@ -406,7 +428,7 @@ def _orbit_r_factor(complex_: NumericalComplex, n: int) -> np.ndarray:
         for t0 in range(0, a, per_block):
             t = min(a - t0, per_block)
             block = np.zeros((t * a, n), order="F")
-            _write_rows(block, t * a, 0, complex_, offsets, i, t0, t)
+            _write_rows(block, t * a, 0, maps, dims, offsets, i, t0, t)
             _fold(r, block)
     return r
 
@@ -428,15 +450,15 @@ def _triangle(d: np.ndarray) -> np.ndarray:
     return r
 
 
-def _write_rows(buf: np.ndarray, ld: int, first: int, complex_: NumericalComplex,
+def _write_rows(buf: np.ndarray, ld: int, first: int, maps: tuple, dims: tuple,
                 offsets: list[int], i: int, t0: int, t: int) -> None:
-    """Write rows X_i[t0 : t0 + t, :] of L.T, from row first on, into the
-    zeroed float64 buffer buf, whose element row + col * ld is L.T[row, col],
-    in the index convention of core._map_offsets, through strided views
-    indexed [p, t, q] and [t, q, u].  "0.0 -" and "+ 0.0" turn -0.0 into
-    +0.0, so L holds no negative zero (the QR's Householder signs read the
-    sign of zero)."""
-    maps, a = complex_.maps, complex_.shape.dims[i]
+    """Write rows X_i[t0 : t0 + t, :] of L.T for the maps on dims, from row
+    first on, into the zeroed float64 buffer buf, whose element
+    row + col * ld is L.T[row, col], in the index convention of
+    core._map_offsets, through strided views indexed [p, t, q] and
+    [t, q, u].  "0.0 -" and "+ 0.0" turn -0.0 into +0.0, so L holds no
+    negative zero (the QR's Householder signs read the sign of zero)."""
+    a = dims[i]
     if i and maps[i - 1].size:
         left = maps[i - 1]
         view = _view(buf, (len(left), t, a), first + offsets[i - 1] * ld, (a * ld, a, ld + 1))
@@ -449,15 +471,59 @@ def _write_rows(buf: np.ndarray, ld: int, first: int, complex_: NumericalComplex
 
 def _orbit_matrix(complex_: NumericalComplex, ambient: int, domain: int) -> np.ndarray:
     """L, ambient x domain, in C order so that its transpose, of leading
-    dimension domain, is factored in place; _write_rows fills it, as it
-    does _orbit_r_factor's blocks."""
+    dimension domain, is factored in place.  With a plan from _orbit_plan,
+    one gather of the maps' entries, as they are ("+ 0.0") and negated
+    ("0.0 -"), and one scatter fill it; else _write_rows does, as it
+    writes _orbit_r_factor's blocks."""
+    dims = complex_.shape.dims
+    plan = _orbit_plan(dims, ambient, domain)
+    if plan is None:
+        return _write_orbit_matrix(complex_.maps, dims, ambient, domain)
+    flat = np.concatenate(complex_.maps, axis=None)
+    lin = np.zeros(ambient * domain)
+    lin.put(plan[0], np.concatenate((flat + 0.0, 0.0 - flat)).take(plan[1]))
+    return lin.reshape(ambient, domain)
+
+
+def _write_orbit_matrix(maps: tuple, dims: tuple, ambient: int, domain: int) -> np.ndarray:
+    """L of the maps on dims, written space by space by _write_rows."""
     lin = np.zeros((ambient, domain))
-    offsets = _map_offsets(complex_.shape.dims)
+    offsets = _map_offsets(dims)
     first = 0
-    for i, a in enumerate(complex_.shape.dims):
-        _write_rows(lin, domain, first, complex_, offsets, i, 0, a)
+    for i, a in enumerate(dims):
+        _write_rows(lin, domain, first, maps, dims, offsets, i, 0, a)
         first += a * a
     return lin
+
+
+def _orbit_plan(dims: tuple, ambient: int, domain: int) -> np.ndarray | None:
+    """The int32 index plan of L on dims, or None when L has no nonzero
+    entry, L.ravel() outgrows int32, or the plan does not fit in _PLANS.
+
+    Row 0 holds the positions of L's nonzeros in L.ravel(); row 1 the
+    index of each one's entry in the maps' entries, concatenated, then
+    negated.  It is read off the L that _write_orbit_matrix writes for maps
+    whose entries are 1..N in that order: +k, or -k, where it put entry k,
+    or its negation."""
+    global _plan_bytes
+    plan = _PLANS.get(dims)
+    if plan is not None:
+        return plan
+    nnz = sum(m * k * (m + k) for m, k in zip(dims, dims[1:]))
+    charge = 8 * nnz + _PLAN_OVERHEAD
+    if not nnz or ambient * domain > np.iinfo(np.int32).max or _plan_bytes + charge > _PLAN_BYTES:
+        return None
+    offsets = _map_offsets(dims)
+    index = np.arange(1.0, offsets[-1] + 1.0)
+    maps = tuple(index[offsets[j] : offsets[j + 1]].reshape(dims[j], dims[j + 1])
+                 for j in range(len(dims) - 1))
+    lin = _write_orbit_matrix(maps, dims, ambient, domain).ravel()
+    at = np.flatnonzero(lin)
+    entry = lin[at]
+    plan = np.array((at, np.where(entry > 0, entry - 1, offsets[-1] - 1 - entry)), np.int32)
+    _PLANS[dims] = plan
+    _plan_bytes += charge
+    return plan
 
 
 def _spawned_rng(seed: int, key: int) -> np.random.Generator:
@@ -495,6 +561,10 @@ def sequential_sample(
     return NumericalComplex(shape, tuple(maps), config.composition_tolerance)
 
 
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
 def random_conjugation(complex_: NumericalComplex, seed: int) -> NumericalComplex:
     """Another point of the same stratum: D_i -> g_{i-1} D_i g_i^{-1} with
     random invertible g_i of condition number at most _MAX_CONDITION.
@@ -504,8 +574,11 @@ def random_conjugation(complex_: NumericalComplex, seed: int) -> NumericalComple
     returns them, so that the product takes the same BLAS path as with
     np.linalg.qr's factors; the maps then match that version bit for bit up
     to a_i = 200.  At a_i = 300 and 500, numpy's and scipy's bundled OpenBLAS
-    builds gave Q entries up to about 1e-14 apart.  The solves stay with
-    np.linalg.solve: scipy's dgesv differs from it in the last bits.
+    builds gave Q entries up to about 1e-14 apart.  The solves call
+    numpy's private gufunc numpy.linalg._umath_linalg.solve, the one
+    np.linalg.solve runs, under its floating-point error settings, without
+    its per-call checks: the same bits, where scipy's dgesv differs in the
+    last ones.
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
@@ -520,10 +593,12 @@ def random_conjugation(complex_: NumericalComplex, seed: int) -> NumericalComple
         singular = np.exp(rng.uniform(-_HALF_LOG_CONDITION, _HALF_LOG_CONDITION, size=a))
         basis_changes.append((q1 * singular) @ q2.T)
     maps = []
-    for i, d in enumerate(complex_.maps):
-        g_left, g_right = basis_changes[i], basis_changes[i + 1]
-        if d.size == 0:
-            maps.append(np.zeros_like(d))
-            continue
-        maps.append(np.linalg.solve(g_right.T, (g_left @ d).T).T)
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        for i, d in enumerate(complex_.maps):
+            g_left, g_right = basis_changes[i], basis_changes[i + 1]
+            if d.size == 0:
+                maps.append(np.zeros_like(d))
+                continue
+            maps.append(_umath_linalg.solve(g_right.T, (g_left @ d).T, signature="dd->d").T)
     return NumericalComplex(complex_.shape, tuple(maps), complex_.composition_tolerance)

@@ -407,6 +407,25 @@ class TestSample:
         assert main(["sample", "--dims", "1024,1024", "--trials", "63"]) == 64
         assert "sampling failed" in capsys.readouterr().err
 
+    def test_trial_work_counts_kernel_q_and_products(self, capsys, monkeypatch):
+        # Each trial also counts a_j^2 for the Q of each interior space and
+        # a_(j-1) a_(j+1) for each composition product: 1,4096,1 serves 3
+        # trials and refuses 4, and 1024 twos refuse 245, no longer 253.
+        from chaincx import numerics
+
+        def failing(*args):
+            raise ValueError("no trial is sampled here")
+
+        monkeypatch.setattr(numerics, "sequential_sample", failing)
+        twos = ",".join(["2"] * 1024)
+        for dims, served in [("1,4096,1", 3), (twos, 244)]:
+            assert main(["sample", "--dims", dims, "--trials", str(served + 1)]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.endswith("exceeding the cap of 67108864\n"), err
+            assert main(["sample", "--dims", dims, "--trials", str(served)]) == 64
+            assert "sampling failed" in capsys.readouterr().err
+
     def test_tolerances_that_break_the_sampler_exit_64(self, capsys):
         # A pivot threshold this large reads every map as rank 0, so the
         # next map is drawn on the whole space and does not compose to zero.

@@ -315,16 +315,33 @@ def orbit_instances(max_spaces, max_entry):
             yield canonical_complex(s, rv)
 
 
+def orbit_route(monkeypatch, route):
+    """Build every small L through an index plan, or every one through
+    _write_rows, from an empty plan cache."""
+    monkeypatch.setattr(numerics, "_PLANS", {})
+    monkeypatch.setattr(numerics, "_plan_bytes", 0)
+    monkeypatch.setattr(numerics, "_PLAN_BYTES", 1 << 40 if route == "plan" else 0)
+
+
+def check_route(route, dims):
+    """The route orbit_route chose was taken on dims."""
+    has_entries = any(m * k for m, k in zip(dims, dims[1:]))
+    assert (dims in numerics._PLANS) == (route == "plan" and has_entries), (route, dims)
+
+
 class TestOrbitOracles:
     # The strided-view L, the eye-built canonical maps and the direct-QR
     # conjugation against the Kronecker, scatter, loop and two-QR
     # references, bit for bit.
 
-    def test_orbit_matrix_matches_kron(self):
-        for cx in orbit_instances(3, 4):
-            for moved in (cx, random_conjugation(cx, sum(cx.shape.dims))):
-                ref = kron_orbit_matrix(moved)
-                assert bit_equal(_orbit_matrix(moved, *ref.shape), ref), moved.shape
+    def test_orbit_matrix_matches_kron(self, monkeypatch):
+        for route in ("plan", "loop"):
+            orbit_route(monkeypatch, route)
+            for cx in orbit_instances(3, 4):
+                for moved in (cx, random_conjugation(cx, sum(cx.shape.dims))):
+                    ref = kron_orbit_matrix(moved)
+                    assert bit_equal(_orbit_matrix(moved, *ref.shape), ref), (route, moved.shape)
+                    check_route(route, moved.shape.dims)
 
     def test_orbit_matrix_negative_zeros(self):
         d = np.array([[-0.0, 2.0], [0.0, -3.0]])
@@ -333,18 +350,38 @@ class TestOrbitOracles:
         assert bit_equal(_orbit_matrix(cx, *ref.shape), ref)
         assert not np.signbit(ref[ref == 0]).any()
 
-    def test_builders_match_loop_and_scatter(self):
+    def test_builders_match_loop_and_scatter(self, monkeypatch):
         # Zero entries and blocks with m != k, both in order.
         shapes = [*iter_shapes(4, 5), shape(5, 7, 3, 6)]
-        for s in shapes:
-            sides = _orbit_matrix_sides(s, DEFAULT_SIZE_CAP)
-            for rv in iter_feasible_ranks(s):
-                cx = canonical_complex(s, rv)
-                assert all(bit_equal(a, b) for a, b in zip(cx.maps, loop_canonical_maps(s, rv)))
-                for moved in (cx, random_conjugation(cx, sum(s.dims))):
-                    lin = _orbit_matrix(moved, *sides)
-                    assert lin.flags.c_contiguous, s
-                    assert bit_equal(lin, scatter_orbit_matrix(moved, *sides)), (s, rv)
+        for route in ("plan", "loop"):
+            orbit_route(monkeypatch, route)
+            for s in shapes:
+                sides = _orbit_matrix_sides(s, DEFAULT_SIZE_CAP)
+                for rv in iter_feasible_ranks(s):
+                    cx = canonical_complex(s, rv)
+                    assert all(bit_equal(a, b)
+                               for a, b in zip(cx.maps, loop_canonical_maps(s, rv)))
+                    for moved in (cx, random_conjugation(cx, sum(s.dims))):
+                        lin = _orbit_matrix(moved, *sides)
+                        assert lin.flags.c_contiguous, s
+                        assert bit_equal(lin, scatter_orbit_matrix(moved, *sides)), (route, s, rv)
+                check_route(route, s.dims)
+
+    def test_plan_cache_stays_within_its_bound(self, monkeypatch):
+        # Plans are cached, each charged its index bytes and the fixed
+        # overhead, until the next would pass the bound; the shapes past it
+        # are written by _write_rows, with the same bits.
+        orbit_route(monkeypatch, "plan")
+        monkeypatch.setattr(numerics, "_PLAN_BYTES", 20_000)
+        for cx in orbit_instances(4, 3):
+            ref = kron_orbit_matrix(cx)
+            assert bit_equal(_orbit_matrix(cx, *ref.shape), ref), cx.shape
+            charged = sum(p.nbytes + numerics._PLAN_OVERHEAD for p in numerics._PLANS.values())
+            assert charged == numerics._plan_bytes <= 20_000
+            assert all(p.dtype == np.int32 for p in numerics._PLANS.values())
+        assert 0 < len(numerics._PLANS) < len(set(iter_shapes(4, 3)))
+        # Filled to within the largest charge, 3,3,3,3's 162 nonzeros.
+        assert numerics._plan_bytes > 20_000 - 8 * 162 - numerics._PLAN_OVERHEAD
 
     def test_conjugation_matches_two_qr(self):
         for cx in orbit_instances(3, 4):
@@ -481,9 +518,11 @@ class TestDirectLapack:
         pytest.param("dorgqr", _kernel_basis, id="dorgqr"),
     ])
     def test_workspace_query_then_call_in_place(self, monkeypatch, routine, call):
-        # A workspace query, then the call with its lwork, both on the same
-        # Fortran-ordered float64 array with overwrite_a=1, so that f2py
-        # copies it for neither and the factor is written over it.
+        # On a new shape, a workspace query, then the call with its lwork,
+        # both on the same Fortran-ordered float64 array with overwrite_a=1,
+        # so that f2py copies it for neither and the factor is written over
+        # it.  The same routine on the same shape again makes one call only,
+        # with the same lwork.
         real = getattr(numerics._flapack, routine)
         calls = []
 
@@ -492,12 +531,19 @@ class TestDirectLapack:
             calls.append((args[0], kwargs, out))
             return out
 
+        monkeypatch.setattr(numerics, "_LWORK", {})
         monkeypatch.setattr(numerics._flapack, routine, spy)
         call(low_rank(np.random.default_rng(5), 4, 4, 2))
         (a, query, answer), (again, kwargs, out) = calls
         assert again is a and a.flags.f_contiguous and a.dtype == np.float64
         assert query == {"lwork": -1, "overwrite_a": 1}
         assert kwargs == {"lwork": int(answer[-2][0]), "overwrite_a": 1}
+        assert np.shares_memory(out[0], a)
+        calls.clear()
+        call(low_rank(np.random.default_rng(6), 4, 4, 2))
+        [(a, cached, out)] = calls
+        assert a.flags.f_contiguous and a.dtype == np.float64
+        assert cached == kwargs
         assert np.shares_memory(out[0], a)
 
     def test_missing_extension_names_the_path(self, monkeypatch, tmp_path):
