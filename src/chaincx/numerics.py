@@ -400,7 +400,8 @@ def _orbit_r_factor(complex_: NumericalComplex, n: int) -> np.ndarray:
     """An n x n upper-triangular R, n = ambient, with R.T @ R = L @ L.T,
     Fortran-ordered, built from the maps without L (module docstring).
     Rows and columns are indexed as in core._map_offsets; _write_rows writes
-    the middle spaces' blocks here and all of L in _orbit_matrix."""
+    the middle spaces' blocks here and all of L, or its index plan, in
+    _orbit_matrix."""
     maps, dims = complex_.maps, complex_.shape.dims
     r = np.zeros((n, n), order="F")
     offsets = _map_offsets(dims)
