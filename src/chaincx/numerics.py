@@ -75,8 +75,9 @@ time of the float commands.  The routines are the same function
 objects that scipy.linalg.lapack re-exports.  Every routine with a workspace
 query, all but dtpqrt, goes through _lapack, which queries once per routine
 and argument shapes and then calls.  random_conjugation's Q factors come
-from dgeqrf and dorgqr, without the R that np.linalg.qr builds; its solves
-call the gufunc behind np.linalg.solve (see its docstring).
+from dgeqrf and dorgqr, without the R that np.linalg.qr builds, and it
+conjugates with the inverse that each basis change carries, not a solve
+(see its docstring).
 
 The sequential sampler draws D_1 with i.i.d. standard Gaussian entries
 and each later map as K @ G, with K an orthonormal kernel basis of the
@@ -96,7 +97,6 @@ import os
 import sys
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
 
 from .core import (
     DEFAULT_SIZE_CAP,
@@ -562,44 +562,37 @@ def sequential_sample(
     return NumericalComplex(shape, tuple(maps), config.composition_tolerance)
 
 
-def _raise_singular(err, flag):
-    raise LinAlgError("Singular matrix")
-
-
 def random_conjugation(complex_: NumericalComplex, seed: int) -> NumericalComplex:
     """Another point of the same stratum: D_i -> g_{i-1} D_i g_i^{-1} with
     random invertible g_i of condition number at most _MAX_CONDITION.
 
     g_i is q1 diag(s) q2^T, with q1, q2 the Q factors of Gaussian matrices
-    from dgeqrf and dorgqr.  They are copied to C order, as np.linalg.qr
-    returns them, so that the product takes the same BLAS path as with
-    np.linalg.qr's factors; the maps then match that version bit for bit up
-    to a_i = 200.  At a_i = 300 and 500, numpy's and scipy's bundled OpenBLAS
-    builds gave Q entries up to about 1e-14 apart.  The solves call
-    numpy's private gufunc numpy.linalg._umath_linalg.solve, the one
-    np.linalg.solve runs, under its floating-point error settings, without
-    its per-call checks: the same bits, where scipy's dgesv differs in the
-    last ones.
+    from dgeqrf and dorgqr, so g_i^{-1} is q2 diag(1/s) q1^T; g_i is formed
+    only where A_i is a codomain and g_i^{-1} only where it is a domain.  The
+    Q factors are copied to C order, as np.linalg.qr returns them, so that
+    the products take the same BLAS path as with np.linalg.qr's factors; the
+    maps then match g_{i-1} @ D_i @ g_i^{-1}, with both formed from
+    np.linalg.qr's factors and an explicit np.diag, bit for bit up to
+    a_i = 200.  At a_i = 300 and 500, numpy's and scipy's bundled OpenBLAS
+    builds gave Q entries up to about 1e-14 apart.
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
     rng = _spawned_rng(seed, 0xC0)
-    basis_changes = []
-    for a in complex_.shape.dims:
+    dims = complex_.shape.dims
+    last = len(dims) - 1
+    lefts, rights = [], []
+    for i, a in enumerate(dims):
         if a == 0:
-            basis_changes.append(np.zeros((0, 0)))
+            lefts.append(np.zeros((0, 0)))
+            rights.append(np.zeros((0, 0)))
             continue
         # q1 and q2 factor one stacked draw, in that order.
         q1, q2 = map(_q_factor, rng.standard_normal((2, a, a)))
         singular = np.exp(rng.uniform(-_HALF_LOG_CONDITION, _HALF_LOG_CONDITION, size=a))
-        basis_changes.append((q1 * singular) @ q2.T)
-    maps = []
-    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        for i, d in enumerate(complex_.maps):
-            g_left, g_right = basis_changes[i], basis_changes[i + 1]
-            if d.size == 0:
-                maps.append(np.zeros_like(d))
-                continue
-            maps.append(_umath_linalg.solve(g_right.T, (g_left @ d).T, signature="dd->d").T)
-    return NumericalComplex(complex_.shape, tuple(maps), complex_.composition_tolerance)
+        # Multiplying by 1/s rounds as q2 @ diag(1/s) does; dividing by s
+        # does not.
+        lefts.append((q1 * singular) @ q2.T if i < last else None)
+        rights.append((q2 * (1.0 / singular)) @ q1.T if i > 0 else None)
+    maps = tuple(g @ d @ h for g, d, h in zip(lefts, complex_.maps, rights[1:]))
+    return NumericalComplex(complex_.shape, maps, complex_.composition_tolerance)

@@ -279,29 +279,39 @@ def scatter_orbit_matrix(complex_: NumericalComplex, ambient: int, domain: int) 
     return lin
 
 
-def two_qr_conjugation(
-    complex_: NumericalComplex, seed: int, max_condition: float = 1000.0
-) -> NumericalComplex:
-    """Reference random_conjugation: one QR per factor and an explicit diagonal."""
+def reference_basis_changes(dims, seed, max_condition=1000.0):
+    """Reference draw of random_conjugation's (g_i, g_i^{-1}): one QR per
+    factor and explicit diagonals."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xC0,)))
     half_log = 0.5 * np.log(max_condition)
     basis_changes = []
-    for a in complex_.shape.dims:
+    for a in dims:
         if a == 0:
-            basis_changes.append(np.zeros((0, 0)))
+            basis_changes.append((np.zeros((0, 0)), np.zeros((0, 0))))
             continue
         q1 = np.linalg.qr(rng.standard_normal((a, a)))[0]
         q2 = np.linalg.qr(rng.standard_normal((a, a)))[0]
         singular = np.exp(rng.uniform(-half_log, half_log, size=a))
-        basis_changes.append(q1 @ np.diag(singular) @ q2.T)
+        basis_changes.append((q1 @ np.diag(singular) @ q2.T,
+                              q2 @ np.diag(1.0 / singular) @ q1.T))
+    return basis_changes
+
+
+def two_qr_conjugation(complex_: NumericalComplex, seed: int) -> list[np.ndarray]:
+    """Reference random_conjugation's maps: g_{i-1} @ D_i @ g_i^{-1}."""
+    changes = reference_basis_changes(complex_.shape.dims, seed)
+    return [changes[i][0] @ d @ changes[i + 1][1] for i, d in enumerate(complex_.maps)]
+
+
+def solve_conjugation(complex_: NumericalComplex, seed: int) -> list[np.ndarray]:
+    """random_conjugation's maps through a solve with g_i instead of its
+    inverse."""
+    changes = reference_basis_changes(complex_.shape.dims, seed)
     maps = []
     for i, d in enumerate(complex_.maps):
-        g_left, g_right = basis_changes[i], basis_changes[i + 1]
-        if d.size == 0:
-            maps.append(np.zeros_like(d))
-            continue
-        maps.append(np.linalg.solve(g_right.T, (g_left @ d).T).T)
-    return NumericalComplex(complex_.shape, tuple(maps), complex_.composition_tolerance)
+        g_left, g_right = changes[i][0], changes[i + 1][0]
+        maps.append(np.linalg.solve(g_right.T, (g_left @ d).T).T if d.size else d)
+    return maps
 
 
 def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -388,10 +398,21 @@ class TestOrbitOracles:
             for seed in range(10):
                 moved = random_conjugation(cx, seed)
                 ref = two_qr_conjugation(cx, seed)
-                assert all(bit_equal(a, b) for a, b in zip(moved.maps, ref.maps)), (
+                assert all(bit_equal(a, b) for a, b in zip(moved.maps, ref)), (
                     cx.shape,
                     seed,
                 )
+
+    def test_conjugation_matches_solve(self):
+        # The inverse g_i^{-1} against a solve with g_i, to 1e-12 of each
+        # map's largest entry.
+        large = canonical_complex(shape(200, 300, 200), ranks(100, 100))
+        for cx in [*orbit_instances(3, 4), large]:
+            for seed in range(3 if cx is large else 10):
+                moved = random_conjugation(cx, seed)
+                for a, b in zip(moved.maps, solve_conjugation(cx, seed)):
+                    bound = 1e-12 * np.abs(b).max(initial=0.0)
+                    assert np.abs(a - b).max(initial=0.0) <= bound, (cx.shape, seed)
 
 
 def wrapper_kernel_basis(a: np.ndarray) -> np.ndarray:
@@ -572,6 +593,21 @@ class TestDirectLapack:
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize("first,probe", [
+        # Loaded after scipy.linalg: its registered extension, not a reload.
+        ("scipy.linalg", "n._flapack is sys.modules['scipy.linalg._flapack']"),
+        # Loaded before: a module object of its own, whose routines
+        # scipy.linalg binds, and scipy.linalg still works.
+        ("chaincx.numerics", "scipy.linalg.lapack.dgeqp3 is n._flapack.dgeqp3"
+                             " and np.allclose(np.matmul(*scipy.linalg.qr(a)), a)"),
+    ], ids=["scipy_linalg_first", "numerics_first"])
+    def test_extension_is_shared_in_either_import_order(self, first, probe):
+        code = (f"import sys, importlib, numpy as np; importlib.import_module({first!r});"
+                "import scipy.linalg, chaincx.numerics as n;"
+                f"a = np.arange(12.0).reshape(4, 3); print({probe})")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
 
     def test_numerical_rank_leaves_input_intact(self):
         a = np.asfortranarray(low_rank(np.random.default_rng(4), 7, 5, 3))
