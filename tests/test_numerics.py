@@ -594,21 +594,6 @@ class TestDirectLapack:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
-    @pytest.mark.parametrize("first,probe", [
-        # Loaded after scipy.linalg: its registered extension, not a reload.
-        ("scipy.linalg", "n._flapack is sys.modules['scipy.linalg._flapack']"),
-        # Loaded before: a module object of its own, whose routines
-        # scipy.linalg binds, and scipy.linalg still works.
-        ("chaincx.numerics", "scipy.linalg.lapack.dgeqp3 is n._flapack.dgeqp3"
-                             " and np.allclose(np.matmul(*scipy.linalg.qr(a)), a)"),
-    ], ids=["scipy_linalg_first", "numerics_first"])
-    def test_extension_is_shared_in_either_import_order(self, first, probe):
-        code = (f"import sys, importlib, numpy as np; importlib.import_module({first!r});"
-                "import scipy.linalg, chaincx.numerics as n;"
-                f"a = np.arange(12.0).reshape(4, 3); print({probe})")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
-
     def test_numerical_rank_leaves_input_intact(self):
         a = np.asfortranarray(low_rank(np.random.default_rng(4), 7, 5, 3))
         before = a.copy()
