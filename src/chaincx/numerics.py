@@ -74,10 +74,11 @@ numpy.f2py, numpy.testing and numpy.ma and more than doubles the start-up
 time of the float commands.  The routines are the same function
 objects that scipy.linalg.lapack re-exports.  Every routine with a workspace
 query, all but dtpqrt, goes through _lapack, which queries once per routine
-and argument shapes and then calls.  random_conjugation's Q factors come
-from dgeqrf and dorgqr, without the R that np.linalg.qr builds, and it
-conjugates with the inverse that each basis change carries, not a solve
-(see its docstring).
+and argument shapes and then calls.  The sampler's kernel step copies its
+map once, into one buffer where dgeqp3 and then dorgqr run in place (see
+_kernel_basis).  random_conjugation's Q factors come from dgeqrf and
+dorgqr, without the R that np.linalg.qr builds, and it conjugates with the
+inverse that each basis change carries, not a solve (see its docstring).
 
 The sequential sampler draws D_1 with i.i.d. standard Gaussian entries
 and each later map as K @ G, with K an orthonormal kernel basis of the
@@ -207,6 +208,8 @@ class NumericalComplex(_Record, eq=False, hidden=("maps",)):
         frozen = []
         norms = []
         for j, raw in enumerate(self.maps):
+            if np.iscomplexobj(raw):
+                raise ValueError(f"map {j + 1} has complex entries")
             m = np.array(raw, dtype=np.float64)
             if m.shape != (dims[j], dims[j + 1]):
                 raise ValueError(
@@ -228,15 +231,6 @@ class NumericalComplex(_Record, eq=False, hidden=("maps",)):
                     f"maps {j + 1} and {j + 2} do not compose to zero: "
                     f"residual {residual:.3e} exceeds {bound:.3e}"
                 )
-
-
-def _as_matrix(matrix) -> np.ndarray:
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    return a
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -299,36 +293,43 @@ def _fold(r: np.ndarray, rows: np.ndarray, l: int = 0) -> None:
 
 def numerical_rank(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     """Pivot count of a column-pivoted QR factorization above the relative
-    threshold; 0 for empty or zero matrices.  dgeqp3 runs on a copy of the
-    whole matrix, whatever its shape: the R factor of a tall matrix is
-    orbit_dimension's route only (module docstring)."""
-    a = _as_matrix(matrix)
-    return _rank_in_place(np.array(a, order="F"), max(a.shape), config)
+    threshold; 0 for empty or zero matrices.  dgeqp3 runs on the one
+    Fortran-ordered float64 copy of the whole matrix, whatever its shape:
+    the R factor of a tall matrix is orbit_dimension's route only (module
+    docstring).  A complex matrix is refused, not cast to its real part."""
+    if np.iscomplexobj(matrix):
+        raise ValueError("matrix has complex entries")
+    a = np.array(matrix, dtype=np.float64, order="F")
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    return _rank_in_place(a, max(a.shape), config)
 
 
-def _kernel_basis(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Orthonormal columns spanning the numerical kernel.
+def _kernel_basis(matrix: np.ndarray, config: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Orthonormal columns spanning the numerical kernel of the finite
+    float64 matrix, which is left intact.
 
     Completes the pivoted QR of the transpose by direct LAPACK calls, which
     keep the sampler faster on small shapes than scipy.linalg.qr.  The trailing
     columns of Q span the kernel; the rank cut is numerical_rank's threshold.
+    Both calls run in place in one zeroed Fortran-ordered cols x
+    max(rows, cols) buffer: dgeqp3 on the transpose, copied into its first
+    rows columns, then dorgqr on its first cols columns, which expands the
+    reflectors into the cols x cols Q (a wide matrix's zero columns pad
+    them to that square).
     """
-    a = _as_matrix(matrix)
-    rows, cols = a.shape
-    if cols == 0:
-        return np.zeros((0, 0))
-    if rows == 0 or not a.any():
+    rows, cols = matrix.shape
+    # Empty or zero: LAPACK's Q would have -0.0 below the diagonal, np.eye
+    # has not.
+    if not matrix.any():
         return np.eye(cols)
-    qr, _, tau, _, _ = _lapack("dgeqp3", np.array(a.T, order="F"))
+    buf = np.zeros((cols, max(rows, cols)), order="F")
+    buf[:, :rows] = matrix.T
+    qr, _, tau, _, _ = _lapack("dgeqp3", buf[:, :rows])
     rank = _pivot_rank(qr, max(rows, cols), config)
-    # dorgqr expands the reflectors into the cols x cols Q in place, from
-    # the leading square of qr or, when qr is narrower, from a padded copy.
-    if cols <= rows:
-        q = qr[:, :cols]
-    else:
-        q = np.zeros((cols, cols), order="F")
-        q[:, :rows] = qr
-    return _lapack("dorgqr", q, tau)[0][:, rank:]
+    return _lapack("dorgqr", buf[:, :cols], tau)[0][:, rank:]
 
 
 def _q_factor(g: np.ndarray) -> np.ndarray:
@@ -443,12 +444,8 @@ def _view(buf: np.ndarray, shape: tuple, at: int, strides: tuple) -> np.ndarray:
 def _triangle(d: np.ndarray) -> np.ndarray:
     """The nonzero rows of the R factor of the QR factorization of the
     non-empty matrix d: dgeqrf's first min(d.shape) rows, zeroed below the
-    diagonal in place."""
-    k = min(d.shape)
-    r = _lapack("dgeqrf", np.array(d, order="F"))[0][:k]
-    for j in range(k - 1):
-        r[j + 1 :, j] = 0.0
-    return r
+    diagonal."""
+    return np.triu(_lapack("dgeqrf", np.array(d, order="F"))[0][: min(d.shape)])
 
 
 def _write_rows(buf: np.ndarray, ld: int, first: int, maps: tuple, dims: tuple,

@@ -89,6 +89,13 @@ class TestNumericalRank:
         # So is a vector, before its entries are read.
         with pytest.raises(ValueError, match=_exactly("expected a matrix, got ndim=1")):
             numerical_rank(np.array([np.nan, 1.0]))
+        # A complex matrix is refused before the cast would drop its
+        # imaginary part, without a ComplexWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for complex_matrix in (np.array([[1j, 0], [0, 2j]]), [[1j, 0], [0, 2j]]):
+                with pytest.raises(ValueError, match=_exactly("matrix has complex entries")):
+                    numerical_rank(complex_matrix)
 
     def test_random_low_rank(self):
         rng = np.random.default_rng(5)
@@ -157,6 +164,13 @@ class TestNumericalComplexValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             NumericalComplex(shape(1, 1), (np.array([[np.nan]]),))
+        # A complex map is refused, not stored as its real part.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=_exactly("map 1 has complex entries")):
+                NumericalComplex(shape(1, 1), (np.array([[1j]]),))
+            with pytest.raises(ValueError, match=_exactly("map 2 has complex entries")):
+                NumericalComplex(shape(1, 1, 1), (np.zeros((1, 1)), [[1j]]))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("j", [1, 2, 3])
@@ -599,6 +613,37 @@ class TestDirectLapack:
         before = a.copy()
         assert numerical_rank(a) == 3
         assert bit_equal(a, before)
+        # So are a Python list and an int array, converted by the copy.
+        listed = a.tolist()
+        assert numerical_rank(listed) == 3
+        assert listed == before.tolist()
+        ints = np.array([[1, 2, 3], [2, 4, 6], [1, 0, 1]], dtype=np.int64)
+        assert numerical_rank(ints) == 2
+        assert np.array_equal(ints, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+
+    @pytest.mark.parametrize("rows, cols", [(3, 7), (5, 5), (9, 4)],
+                             ids=["wide", "square", "tall"])
+    def test_kernel_basis_factors_in_one_buffer(self, monkeypatch, rows, cols):
+        # One dgeqp3 and one dorgqr call, the second on memory of the first:
+        # had f2py copied the column slice that dgeqp3 factors in place,
+        # dorgqr would read the unfactored transpose.
+        a = low_rank(np.random.default_rng(rows * cols), rows, cols, 2)
+        monkeypatch.setattr(numerics, "_LWORK", {})
+        _kernel_basis(a)  # Keep the workspace sizes: no queries below.
+        calls = []
+        for routine in ("dgeqp3", "dorgqr"):
+            real = getattr(numerics._flapack, routine)
+
+            def spy(*args, routine=routine, real=real, **kwargs):
+                calls.append((routine, args[0]))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(numerics._flapack, routine, spy)
+        _kernel_basis(a)
+        [(first, factored), (second, expanded)] = calls
+        assert (first, second) == ("dgeqp3", "dorgqr")
+        assert factored.shape == (cols, rows) and expanded.shape == (cols, cols)
+        assert np.shares_memory(factored, expanded)
 
     def test_sampler_maps_match_wrapper_and_stay_intact(self):
         # Each map is rebuilt from the sampled map before it: a map that the
