@@ -13,6 +13,7 @@ Exit codes: 0 success or match, 2 infeasible input, 3 resource cap,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -60,8 +61,8 @@ MAX_TRIALS = 10_000
 # kernel step expands there, and a_(j-1) a_(j+1) per pair of adjacent maps
 # for the product that the composition check forms.  A run at the cap takes
 # at most about 40 s: as CLI processes on 2 CPUs, 4096,4096 (3 trials) took
-# 13.9 s, 200,300,200,300 (152) 7.5 s, 1024 twos (244) 5.7 s, and 1,4096,1
-# (3) and 1,4096,1,4096,1 (1) 0.3 s each.
+# 12.6 s, 1024 twos (244) 4.9 s, 200,300,200,300 (152) 1.2-2.4 s, and
+# 1,4096,1 (3) and 1,4096,1,4096,1 (1) 0.1-0.2 s each.
 MAX_SAMPLE_WORK = 1 << 26
 SAMPLE_MAP_ENTRIES = 256
 
@@ -79,6 +80,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write, so --help or --version to a full
+        # device would exit 0 (unbuffered) or 120 (buffered), having written
+        # nothing; to stdout it is flushed and refused as the envelope is.
+        if message and file is not None and file is sys.stdout:
+            _write_stdout(file.write, message)
+        else:
+            super()._print_message(message, file)
 
 
 def _parse_vector(text: str, what: str) -> tuple[int, ...]:
@@ -450,15 +460,21 @@ def _emit(envelope, args) -> None:
             if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
         return
+    if args.format == "table":
+        _write_stdout(sys.stdout.write, _render_table(envelope))
+    else:
+        _write_stdout(_write_json, sys.stdout, envelope)
+
+
+def _write_stdout(write, *args) -> None:
+    """write(*args) to stdout, then flush it.  A full device or a closed pipe
+    is a usage error, raised where the write fails whether stdout is
+    buffered or not (PYTHONUNBUFFERED, -u)."""
     try:
-        if args.format == "table":
-            sys.stdout.write(_render_table(envelope))
-        else:
-            _write_json(sys.stdout, envelope)
+        write(*args)
         sys.stdout.flush()
     except OSError as exc:
-        # A full device or a closed pipe.  With fd 1 on os.devnull, the
-        # interpreter's flush at exit cannot fail a second time.
+        # With fd 1 on os.devnull, no later flush can fail a second time.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -540,9 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         envelope, code = args.handler(args)
         _emit(envelope, args)
     except _UsageError as exc:
@@ -555,4 +570,26 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    raise SystemExit(main())
+    """The one process exit of the installed script and `python -m chaincx`.
+
+    Before main, OPENBLAS_THREAD_TIMEOUT is set to 20 unless the user set it:
+    numpy's and scipy's OpenBLAS, which load later, then put an idle worker
+    to sleep after 2^20 cycles (under 1 ms) instead of busy-waiting 2^28
+    (about 0.1 s) beside the main thread.  Of the exponents measured, 2^16
+    and below slowed the largest orbit check, whose LAPACK calls then wake
+    their workers anew, and 2^22 and above the sampler at its work cap.
+    After main returns or argparse exits, stdout and stderr are flushed and
+    the process ends by os._exit, without interpreter teardown.  Every
+    write to stdout was already flushed, and refused with exit 64 if it
+    failed, where it was made.
+    """
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+    try:
+        code = main()
+    except SystemExit as exc:  # --help, --version and argparse's usage errors
+        code = exc.code or 0
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            with contextlib.suppress(OSError):
+                stream.flush()
+    os._exit(code)

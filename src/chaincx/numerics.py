@@ -208,6 +208,7 @@ class NumericalComplex(_Record, eq=False, hidden=("maps",)):
         frozen = []
         norms = []
         for j, raw in enumerate(self.maps):
+            raw = np.asarray(raw)  # a list is converted once, an array not yet copied
             if np.iscomplexobj(raw):
                 raise ValueError(f"map {j + 1} has complex entries")
             m = np.array(raw, dtype=np.float64)
@@ -297,9 +298,10 @@ def numerical_rank(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     Fortran-ordered float64 copy of the whole matrix, whatever its shape:
     the R factor of a tall matrix is orbit_dimension's route only (module
     docstring).  A complex matrix is refused, not cast to its real part."""
-    if np.iscomplexobj(matrix):
+    a = np.asarray(matrix)  # a list is converted once, an array not yet copied
+    if np.iscomplexobj(a):
         raise ValueError("matrix has complex entries")
-    a = np.array(matrix, dtype=np.float64, order="F")
+    a = np.array(a, dtype=np.float64, order="F")
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):

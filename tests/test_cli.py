@@ -57,6 +57,10 @@ def child_env(env_extra=None):
     return env
 
 
+# The installed script's body, run as `python -c ENTRY_POINT argv...`.
+ENTRY_POINT = "from chaincx.cli import entry_point; entry_point()"
+
+
 def run_cli(*args, env_extra=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "chaincx", *args],
@@ -366,6 +370,19 @@ class TestSample:
     def test_single_space(self):
         env = run_json("sample", "--dims", "2", "--seed", "0", "--trials", "1")
         assert env["payload"]["trial_ranks"] == [[]]
+
+    def test_thread_timeout_leaves_the_bytes(self):
+        # The entry point's OPENBLAS_THREAD_TIMEOUT of 20 against OpenBLAS's
+        # default of 28: when idle workers sleep changes no result.
+        argv = [sys.executable, "-m", "chaincx", "sample", "--dims", "20,30,20,30",
+                "--trials", "3"]
+        env = child_env()
+        env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+        runs = [subprocess.run(argv, capture_output=True, env=e, timeout=120)
+                for e in (env, {**env, "OPENBLAS_THREAD_TIMEOUT": "28"})]
+        assert runs[0].returncode == 0 and runs[0].stdout
+        assert [(r.returncode, r.stdout, r.stderr) for r in runs[1:]] == [
+            (runs[0].returncode, runs[0].stdout, runs[0].stderr)]
 
     def test_nonpositive_limit_exits_64(self):
         for limit in ("0", "-3"):
@@ -817,6 +834,25 @@ class TestOutputModes:
                                "CHAINCX_RANK_TOL='tiny' is not a number\n")
 
 
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_version_and_help_to_a_full_device_exit_64(self, flag, buffered):
+        # argparse drops a failed write: these exited 0 (unbuffered stdout)
+        # or 120 (buffered) having written nothing.
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "chaincx", flag], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        assert proc.returncode == 64
+        assert proc.stderr.startswith("chaincx: error: cannot write stdout: ")
+        assert proc.stderr.count("\n") == 1
+
+
 class TestUsageErrors:
     """Each usage error the library or a bounded setting raises exits 64
     with its exact message, and so does the installed entry point."""
@@ -854,16 +890,35 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv,code", [
         (["dimension", "--dims", "2,1", "--ranks", "1"], 0),
         (["dimension", "--dims", "2,2", "--ranks", "-1"], 64),
+        (["--version"], 0),
+        (["dimension", "--dims", "2,1"], 64),  # argparse's own: --ranks is required
     ])
-    def test_entry_point_exits_with_the_code(self, argv, code, capsys, monkeypatch):
-        from chaincx import cli
+    def test_entry_point_exits_with_the_code(self, argv, code):
+        # In a child process, which the entry point ends by os._exit.
+        proc = subprocess.run([sys.executable, "-c", ENTRY_POINT, *argv], capture_output=True,
+                              text=True, env=child_env(), timeout=60)
+        assert proc.returncode == code
+        assert bool(proc.stdout) == (code == 0) and bool(proc.stderr) == (code != 0)
 
-        monkeypatch.setattr(sys, "argv", ["chaincx", *argv])
-        with pytest.raises(SystemExit) as exc:
-            cli.entry_point()
-        assert exc.value.code == code
-        out, err = capsys.readouterr()
-        assert bool(out) == (code == 0) and bool(err) == (code != 0)
+    @pytest.mark.parametrize("user,seen", [(None, "20"), ("28", "28"), ("4", "4")])
+    def test_entry_point_sets_the_thread_timeout_unless_the_user_did(self, user, seen):
+        probe = ("import os; from chaincx import cli;"
+                 "cli.main = lambda: print(os.environ['OPENBLAS_THREAD_TIMEOUT']) or 0;"
+                 + ENTRY_POINT)
+        env = child_env()
+        env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+        if user is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = user
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{seen}\n", "")
+
+    def test_main_in_process_leaves_the_environment(self, monkeypatch, capsys):
+        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+        assert main(["dimension", "--dims", "2,1", "--ranks", "1"]) == 0
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert "OPENBLAS_THREAD_TIMEOUT" not in os.environ
 
 
 _INT_FLAGS = {"--limit": (-1, 5), "--work-cap": (-1, 10_000), "--size-cap": (-1, 400),
