@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -85,8 +86,10 @@ class _Parser(argparse.ArgumentParser):
         # argparse drops a failed write, so --help or --version to a full
         # device would exit 0 (unbuffered) or 120 (buffered), having written
         # nothing; to stdout it is flushed and refused as the envelope is.
-        if message and file is not None and file is sys.stdout:
-            _write_stdout(file.write, message)
+        # With fd 1 closed at start-up, sys.stdout and the file argparse
+        # passes for stdout are both None.
+        if message and file is sys.stdout:
+            _write_stdout(_write_text, message)
         else:
             super()._print_message(message, file)
 
@@ -419,7 +422,6 @@ def _write_json(stream, envelope) -> None:
 
 def _emit(envelope, args) -> None:
     if args.out is not None:
-        import errno
         import stat
         import tempfile
 
@@ -461,17 +463,24 @@ def _emit(envelope, args) -> None:
                 os.unlink(tmp)
         return
     if args.format == "table":
-        _write_stdout(sys.stdout.write, _render_table(envelope))
+        _write_stdout(_write_text, _render_table(envelope))
     else:
-        _write_stdout(_write_json, sys.stdout, envelope)
+        _write_stdout(_write_json, envelope)
+
+
+def _write_text(stream, text: str) -> None:
+    stream.write(text)
 
 
 def _write_stdout(write, *args) -> None:
-    """write(*args) to stdout, then flush it.  A full device or a closed pipe
-    is a usage error, raised where the write fails whether stdout is
-    buffered or not (PYTHONUNBUFFERED, -u)."""
+    """write(sys.stdout, *args), then flush stdout.  A full device, a closed
+    pipe or an fd 1 closed before start-up is a usage error, raised where
+    the write fails whether stdout is buffered or not (PYTHONUNBUFFERED,
+    -u)."""
+    if sys.stdout is None:  # Python sets no stdout when fd 1 is closed
+        raise _UsageError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     try:
-        write(*args)
+        write(sys.stdout, *args)
         sys.stdout.flush()
     except OSError as exc:
         # With fd 1 on os.devnull, no later flush can fail a second time.

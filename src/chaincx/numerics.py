@@ -74,7 +74,8 @@ numpy.f2py, numpy.testing and numpy.ma and more than doubles the start-up
 time of the float commands.  The routines are the same function
 objects that scipy.linalg.lapack re-exports.  Every routine with a workspace
 query, all but dtpqrt, goes through _lapack, which queries once per routine
-and argument shapes and then calls.  The sampler's kernel step copies its
+and shape of the factored matrix, from whose dimensions alone LAPACK sizes
+the workspace, and then calls.  The sampler's kernel step copies its
 map once, into one buffer where dgeqp3 and then dorgqr run in place (see
 _kernel_basis).  random_conjugation's Q factors come from dgeqrf and
 dorgqr, without the R that np.linalg.qr builds, and it conjugates with the
@@ -161,9 +162,9 @@ _COMPRESS_MIN_ASPECT = 1.5
 # and 64, and 2-16 MB blocks took 0.20-0.14 s).
 _FOLD_BYTES = 4 << 20
 _FOLD_NB = 32
-# _lapack's workspace sizes, by routine and argument shapes.  A key and its
-# lwork take about 0.3 KB, so the 1024 entries hold at most about 0.3 MB;
-# past them, a new shape queries on every call.
+# _lapack's workspace sizes, by routine and the factored matrix's shape.  A
+# key and its lwork take about 0.2 KB, so the 1024 entries hold at most about
+# 0.2 MB; past them, a new shape queries on every call.
 _LWORK: dict[tuple, int] = {}
 _LWORK_ENTRIES = 1024
 # The index plans of small orbit matrices, by dims (_orbit_plan).  Each plan
@@ -181,7 +182,14 @@ _HALF_LOG_CONDITION = 0.5 * np.log(_MAX_CONDITION)
 
 
 def _max_norm(a: np.ndarray) -> float:
-    return float(np.abs(a).max()) if a.size else 0.0
+    """The largest |entry| of a, 0.0 if a is empty: NaN if an entry is NaN,
+    which argmax takes for the largest, as max does.  argmax skips the
+    ufunc reduction machinery, which costs more than the work on a small
+    array."""
+    if not a.size:
+        return 0.0
+    a = np.abs(a)
+    return a.item(a.argmax())
 
 
 class NumericalComplex(_Record, eq=False, hidden=("maps",)):
@@ -209,7 +217,7 @@ class NumericalComplex(_Record, eq=False, hidden=("maps",)):
         norms = []
         for j, raw in enumerate(self.maps):
             raw = np.asarray(raw)  # a list is converted once, an array not yet copied
-            if np.iscomplexobj(raw):
+            if raw.dtype.kind == "c":
                 raise ValueError(f"map {j + 1} has complex entries")
             m = np.array(raw, dtype=np.float64)
             if m.shape != (dims[j], dims[j + 1]):
@@ -225,7 +233,9 @@ class NumericalComplex(_Record, eq=False, hidden=("maps",)):
             norms.append(norm)
         object.__setattr__(self, "maps", tuple(frozen))
         for j in range(len(frozen) - 1):
-            residual = _max_norm(frozen[j] @ frozen[j + 1])
+            if not (norms[j] and norms[j + 1]):
+                continue  # a zero map's products with finite maps are 0, within any bound
+            residual = _max_norm(np.dot(frozen[j], frozen[j + 1]))
             bound = tol * norms[j] * norms[j + 1] * dims[j + 1]
             if residual > bound:
                 raise ValueError(
@@ -239,34 +249,38 @@ def _check_info(routine: str, info: int) -> None:
         raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
 
 
-def _lapack(routine: str, *args) -> tuple:
-    """Run LAPACK's dgeqp3, dgeqrf or dorgqr on args, overwriting the first,
-    a Fortran-ordered float64 array; return its output tuple, which ends
-    with work and info.  lwork comes from a workspace query, as in
-    scipy.linalg.qr and np.linalg.qr, whose bits it decides past LAPACK's
-    crossover size; LAPACK sizes the workspace from the dimensions alone,
-    so the answer is kept in _LWORK.  Query and call pass overwrite_a=1,
-    without which f2py copies the input, even for the query."""
-    call = getattr(_flapack, routine)
-    key = (routine, *[a.shape for a in args])
+def _lapack(routine: str, a: np.ndarray, *args) -> tuple:
+    """Run LAPACK's dgeqp3, dgeqrf or dorgqr on a, a Fortran-ordered float64
+    array it overwrites, and args (dorgqr's tau); return its output tuple,
+    which ends with work and info.  lwork comes from a workspace query, as
+    in scipy.linalg.qr and np.linalg.qr, whose bits it decides past LAPACK's
+    crossover size.  LAPACK sizes the workspace of all three from a's
+    dimensions alone (dorgqr's from its column count, whatever tau's
+    length), so the answer is kept in _LWORK under the routine and a.shape.
+    Query and call pass overwrite_a=1, without which f2py copies the input,
+    even for the query; lwork and overwrite_a go by position, which f2py
+    parses faster than keywords."""
+    key = (routine, a.shape)
     lwork = _LWORK.get(key)
+    call = getattr(_flapack, routine)
     if lwork is None:
-        lwork = int(call(*args, lwork=-1, overwrite_a=1)[-2][0])
+        lwork = int(call(a, *args, -1, 1)[-2][0])
         if len(_LWORK) < _LWORK_ENTRIES:
             _LWORK[key] = lwork
-    out = call(*args, lwork=lwork, overwrite_a=1)
-    _check_info(routine, out[-1])
+    out = call(a, *args, lwork, 1)
+    if out[-1] < 0:
+        _check_info(routine, out[-1])
     return out
 
 
 def _pivot_rank(qr: np.ndarray, longest_side: int, config: ToleranceConfig) -> int:
     """Pivots on the diagonal of the non-empty pivoted QR factor qr above
     the relative threshold."""
-    pivots = np.abs(qr.diagonal())
+    pivots = qr.diagonal().tolist()
     # A zero largest pivot makes the threshold 0, or NaN under an infinite
     # factor (Python's float NaN, without numpy's warning): no pivot counts.
-    threshold = config.rank_tolerance_factor * _EPS * longest_side * float(pivots[0])
-    return int(np.count_nonzero(pivots > threshold))
+    threshold = config.rank_tolerance_factor * _EPS * longest_side * abs(pivots[0])
+    return sum(abs(p) > threshold for p in pivots)
 
 
 def _compresses(rows: int, cols: int) -> bool:
@@ -518,7 +532,7 @@ def _orbit_plan(dims: tuple, ambient: int, domain: int) -> np.ndarray | None:
     maps = tuple(index[offsets[j] : offsets[j + 1]].reshape(dims[j], dims[j + 1])
                  for j in range(len(dims) - 1))
     lin = _write_orbit_matrix(maps, dims, ambient, domain).ravel()
-    at = np.flatnonzero(lin)
+    at = (lin != 0).nonzero()[0]  # faster than flatnonzero on floats
     entry = lin[at]
     plan = np.array((at, np.where(entry > 0, entry - 1, offsets[-1] - 1 - entry)), np.int32)
     _PLANS[dims] = plan
@@ -569,11 +583,16 @@ def random_conjugation(complex_: NumericalComplex, seed: int) -> NumericalComple
     from dgeqrf and dorgqr, so g_i^{-1} is q2 diag(1/s) q1^T; g_i is formed
     only where A_i is a codomain and g_i^{-1} only where it is a domain.  The
     Q factors are copied to C order, as np.linalg.qr returns them, so that
-    the products take the same BLAS path as with np.linalg.qr's factors; the
-    maps then match g_{i-1} @ D_i @ g_i^{-1}, with both formed from
+    the products take the same BLAS path as with np.linalg.qr's factors.
+    The products go through np.dot, which skips matmul's gufunc dispatch
+    and, on these C- and Fortran-ordered float64 operands, gave @'s bits on
+    every shape checked: every shape of at most 4 spaces of entries at most
+    4, and 30,30,30, 40,40, 200,300,200, 3,4,4,2, 1,40,1,40,1 and 5,7,3.
+    So the maps match g_{i-1} @ D_i @ g_i^{-1}, with both formed from
     np.linalg.qr's factors and an explicit np.diag, bit for bit up to
-    a_i = 200.  At a_i = 300 and 500, numpy's and scipy's bundled OpenBLAS
-    builds gave Q entries up to about 1e-14 apart.
+    a_i = 200 (test_conjugation_matches_two_qr pins it up to 40).  At
+    a_i = 300 and 500, numpy's and scipy's bundled OpenBLAS builds gave Q
+    entries up to about 1e-14 apart.
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
@@ -591,7 +610,7 @@ def random_conjugation(complex_: NumericalComplex, seed: int) -> NumericalComple
         singular = np.exp(rng.uniform(-_HALF_LOG_CONDITION, _HALF_LOG_CONDITION, size=a))
         # Multiplying by 1/s rounds as q2 @ diag(1/s) does; dividing by s
         # does not.
-        lefts.append((q1 * singular) @ q2.T if i < last else None)
-        rights.append((q2 * (1.0 / singular)) @ q1.T if i > 0 else None)
-    maps = tuple(g @ d @ h for g, d, h in zip(lefts, complex_.maps, rights[1:]))
+        lefts.append(np.dot(q1 * singular, q2.T) if i < last else None)
+        rights.append(np.dot(q2 * (1.0 / singular), q1.T) if i > 0 else None)
+    maps = tuple(np.dot(np.dot(g, d), h) for g, d, h in zip(lefts, complex_.maps, rights[1:]))
     return NumericalComplex(complex_.shape, maps, complex_.composition_tolerance)

@@ -187,7 +187,17 @@ def _stage(base, count, c0, a, rows, qmax):
     with the best value less p^2 and the count summed over the ties; moves
     is the pair (array of each row's least optimal move, {row: ascending
     tie tuple} for the rows with more than one).
+
+    A one-row stage, the closing one, bisects the slopes through a key that
+    computes each one it reads, instead of listing all qmax of them.
     """
+    if rows == 1:
+        last = min(a, qmax)
+        slope = lambda q: base[q] - base[q + 1]
+        q = bisect_left(range(last), c0, key=slope)
+        end = bisect_right(range(last), c0, q, key=slope) + 1
+        ties_of = {0: tuple(range(q, end))} if end > q + 1 else {}
+        return [c0 * q + base[q]], (array("q", [q]), ties_of), [sum(count[q:end])]
     neg = list(map(sub, base, islice(base, 1, qmax + 1)))
     least = array("q", bytes(8 * rows))
     ties_of = {}

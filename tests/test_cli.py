@@ -852,6 +852,20 @@ class TestOutputModes:
         assert proc.stderr.startswith("chaincx: error: cannot write stdout: ")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["dimension", "--dims", "2,1", "--ranks", "1"],
+                                      ["dimension", "--dims", "2,1", "--ranks", "1",
+                                       "--format", "table"],
+                                      ["--version"], ["--help"]])
+    def test_closed_stdout_exits_64(self, argv):
+        # fd 1 closed before exec: Python sets sys.stdout to None.  The
+        # envelope ended in an AttributeError traceback (exit 1), --version
+        # and --help went to stderr (exit 0).
+        proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m",
+                               "chaincx", *argv], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, env=child_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            64, "chaincx: error: cannot write stdout: Bad file descriptor\n")
+
 
 class TestUsageErrors:
     """Each usage error the library or a bounded setting raises exits 64

@@ -184,6 +184,35 @@ class TestNumericalComplexValidation:
             with pytest.raises(ValueError, match=_exactly(f"map {j} has non-finite entries")):
                 NumericalComplex(shape(2, 2, 2, 2), tuple(maps))
 
+    @pytest.mark.parametrize("maps, tol, message", [
+        # The tolerance, then the map count, then map by map: complex
+        # entries, shape, non-finite entries; then each pair's composition.
+        ((np.eye(2),), 0.0, "composition tolerance must be positive"),
+        ((np.array([[1j]]),), 1e-9, "expected 2 maps for shape (2, 2, 2), got 1"),
+        ((np.array([[1j, 0], [0, 1]]), np.zeros((3, 2))), 1e-9, "map 1 has complex entries"),
+        ((np.array([[np.nan, 0], [0, 1]]), np.zeros((3, 2))), 1e-9,
+         "map 1 has non-finite entries"),
+        ((np.zeros((3, 2)), np.array([[1j, 0], [0, 1]])), 1e-9,
+         "map 1 has shape (3, 2), expected (2, 2)"),
+        ((np.full((2, 3), np.inf), np.eye(2)), 1e-9, "map 1 has shape (2, 3), expected (2, 2)"),
+        ((np.array([[1j, np.nan], [0, 1]]), np.eye(2)), 1e-9, "map 1 has complex entries"),
+        ((np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]), 1e-9, "map 2 has non-finite entries"),
+        ((np.eye(2), np.eye(2)), 0.25,
+         "maps 1 and 2 do not compose to zero: residual 1.000e+00 exceeds 5.000e-01"),
+    ])
+    def test_first_fault_named(self, maps, tol, message):
+        # On inputs with several faults, the first in the order above.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=_exactly(message)):
+                NumericalComplex(shape(2, 2, 2), maps, tol)
+
+    def test_complex_object_array_not_taken_for_complex(self):
+        # An object array of complex numbers is not a complex array: the
+        # float64 copy refuses it.
+        with pytest.raises(TypeError):
+            NumericalComplex(shape(1, 1), (np.array([[1j]], dtype=object),))
+
     def test_nan_tolerance_rejected(self):
         # A NaN bound would make every composition check pass.
         with pytest.raises(ValueError, match="composition tolerance must be positive"):
@@ -408,8 +437,11 @@ class TestOrbitOracles:
         assert numerics._plan_bytes > 20_000 - 8 * 162 - numerics._PLAN_OVERHEAD
 
     def test_conjugation_matches_two_qr(self):
-        for cx in orbit_instances(3, 4):
-            for seed in range(10):
+        # Also at the sizes the big_instances benchmark conjugates.
+        large = [canonical_complex(shape(30, 30, 30), ranks(15, 15)),
+                 canonical_complex(shape(40, 40), ranks(40))]
+        for cx in [*orbit_instances(3, 4), *large]:
+            for seed in range(3 if cx.shape.dims[0] >= 30 else 10):
                 moved = random_conjugation(cx, seed)
                 ref = two_qr_conjugation(cx, seed)
                 assert all(bit_equal(a, b) for a, b in zip(moved.maps, ref)), (
@@ -561,24 +593,25 @@ class TestDirectLapack:
         real = getattr(numerics._flapack, routine)
         calls = []
 
-        def spy(*args, **kwargs):
-            out = real(*args, **kwargs)
-            calls.append((args[0], kwargs, out))
+        def spy(*args):
+            # lwork and overwrite_a go by position, after the arrays.
+            out = real(*args)
+            calls.append((args[0], args[-2:], out))
             return out
 
         monkeypatch.setattr(numerics, "_LWORK", {})
         monkeypatch.setattr(numerics._flapack, routine, spy)
         call(low_rank(np.random.default_rng(5), 4, 4, 2))
-        (a, query, answer), (again, kwargs, out) = calls
+        (a, query, answer), (again, passed, out) = calls
         assert again is a and a.flags.f_contiguous and a.dtype == np.float64
-        assert query == {"lwork": -1, "overwrite_a": 1}
-        assert kwargs == {"lwork": int(answer[-2][0]), "overwrite_a": 1}
+        assert query == (-1, 1)
+        assert passed == (int(answer[-2][0]), 1)
         assert np.shares_memory(out[0], a)
         calls.clear()
         call(low_rank(np.random.default_rng(6), 4, 4, 2))
         [(a, cached, out)] = calls
         assert a.flags.f_contiguous and a.dtype == np.float64
-        assert cached == kwargs
+        assert cached == passed
         assert np.shares_memory(out[0], a)
 
     def test_missing_extension_names_the_path(self, monkeypatch, tmp_path):

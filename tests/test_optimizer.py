@@ -542,6 +542,18 @@ class TestStateCap:
             tracemalloc.stop()
         assert peak / states < 80
 
+    def test_one_row_stage_lists_no_slopes(self):
+        # The closing stage of this shape has one row and 2^20 moves.
+        # Listing all its negated slopes for one bisection took the traced
+        # peak to 84-88 MB; read through a key, it is about 50 MB.
+        tracemalloc.start()
+        try:
+            assert maximize_dp(ComplexShape((1 << 20, 0, 1 << 20, 1 << 20)))[0] == 1 << 40
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 56e6
+
 
 class TestListingGuard:
     def test_bounds(self):
