@@ -5,9 +5,10 @@ Every command prints a single envelope document
 
     {schema_version, tool_version, command, shape, payload, warnings}
 
-to stdout (or writes it atomically to --out).  Diagnostics go to stderr.
-Exit codes: 0 success or match, 2 infeasible input, 3 resource cap,
-4 scientific mismatch, 5 numerical disagreement, 64 usage error.
+to stdout (or writes it atomically to --out).  Diagnostics go to stderr,
+and are dropped where it cannot be written.  Exit codes: 0 success or
+match, 2 infeasible input, 3 resource cap, 4 scientific mismatch,
+5 numerical disagreement, 64 usage error.
 """
 
 from __future__ import annotations
@@ -79,19 +80,17 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
     def _print_message(self, message, file=None):
         # argparse drops a failed write, so --help or --version to a full
         # device would exit 0 (unbuffered) or 120 (buffered), having written
-        # nothing; to stdout it is flushed and refused as the envelope is.
-        # With fd 1 closed at start-up, sys.stdout and the file argparse
-        # passes for stdout are both None.
-        if message and file is sys.stdout:
-            _write_stdout(_write_text, message)
+        # nothing.  With fd 1 closed, file is None for stdout; with fd 2
+        # closed, argparse would put stderr's messages on stdout.
+        if file is sys.stdout:
+            _write_stdout([message])
         else:
-            super()._print_message(message, file)
+            _write_stderr(message)
 
 
 def _parse_vector(text: str, what: str) -> tuple[int, ...]:
@@ -410,14 +409,14 @@ def _render_table(envelope) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_json(stream, envelope) -> None:
-    """Write json.dumps(envelope, indent=2) and a newline as it is encoded.
+def _json_blocks(envelope):
+    """json.dumps(envelope, indent=2) and a newline, in blocks as encoded.
     Joined whole, the encoder's small chunks hold far more memory than the
     envelope; written one by one, they make a write call per token."""
     chunks = json.JSONEncoder(indent=2).iterencode(envelope)
     while block := "".join(islice(chunks, 65536)):
-        stream.write(block)
-    stream.write("\n")
+        yield block
+    yield "\n"
 
 
 def _emit(envelope, args) -> None:
@@ -454,7 +453,7 @@ def _emit(envelope, args) -> None:
                                        suffix=".tmp")
             with os.fdopen(fd, "w") as handle:
                 os.chmod(tmp, stat.S_IMODE(mode))
-                _write_json(handle, envelope)
+                handle.writelines(_json_blocks(envelope))
             os.replace(tmp, path)
         except OSError as exc:
             raise _UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from None
@@ -462,25 +461,18 @@ def _emit(envelope, args) -> None:
             if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
         return
-    if args.format == "table":
-        _write_stdout(_write_text, _render_table(envelope))
-    else:
-        _write_stdout(_write_json, envelope)
+    _write_stdout([_render_table(envelope)] if args.format == "table"
+                  else _json_blocks(envelope))
 
 
-def _write_text(stream, text: str) -> None:
-    stream.write(text)
-
-
-def _write_stdout(write, *args) -> None:
-    """write(sys.stdout, *args), then flush stdout.  A full device, a closed
-    pipe or an fd 1 closed before start-up is a usage error, raised where
-    the write fails whether stdout is buffered or not (PYTHONUNBUFFERED,
-    -u)."""
+def _write_stdout(texts) -> None:
+    """Write texts to stdout and flush it.  A full device, a closed pipe or
+    an fd 1 closed before start-up is a usage error, raised where the write
+    fails whether stdout is buffered or not (PYTHONUNBUFFERED, -u)."""
     if sys.stdout is None:  # Python sets no stdout when fd 1 is closed
         raise _UsageError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     try:
-        write(sys.stdout, *args)
+        sys.stdout.writelines(texts)
         sys.stdout.flush()
     except OSError as exc:
         # With fd 1 on os.devnull, no later flush can fail a second time.
@@ -488,6 +480,14 @@ def _write_stdout(write, *args) -> None:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         raise _UsageError(f"cannot write stdout: {exc.strerror or exc}") from None
+
+
+def _write_stderr(text: str) -> None:
+    """Write and flush text to stderr, or drop it where that fails."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.write(text)
+            sys.stderr.flush()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -570,10 +570,10 @@ def main(argv=None) -> int:
         envelope, code = args.handler(args)
         _emit(envelope, args)
     except _UsageError as exc:
-        print(f"chaincx: error: {exc}", file=sys.stderr)
+        _write_stderr(f"chaincx: error: {exc}\n")
         return EXIT_USAGE
     except WorkCapExceeded as exc:
-        print(f"chaincx: {exc}", file=sys.stderr)
+        _write_stderr(f"chaincx: {exc}\n")
         return EXIT_RESOURCE
     return code
 
@@ -588,9 +588,9 @@ def entry_point() -> None:
     and below slowed the largest orbit check, whose LAPACK calls then wake
     their workers anew, and 2^22 and above the sampler at its work cap.
     After main returns or argparse exits, stdout and stderr are flushed and
-    the process ends by os._exit, without interpreter teardown.  Every
-    write to stdout was already flushed, and refused with exit 64 if it
-    failed, where it was made.
+    the process ends by os._exit, without interpreter teardown.  Each
+    write was already flushed where it was made: one to stdout was refused
+    with exit 64 if it failed, a diagnostic to stderr dropped.
     """
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
     try:

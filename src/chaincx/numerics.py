@@ -176,6 +176,8 @@ _PLANS: dict[tuple[int, ...], np.ndarray] = {}
 _PLAN_BYTES = 1 << 20
 _PLAN_OVERHEAD = 256
 _plan_bytes = 0
+# The normal float range, outside which the composition check scales.
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 # Condition-number bound of the basis changes random_conjugation draws.
 _MAX_CONDITION = 1000.0
 _HALF_LOG_CONDITION = 0.5 * np.log(_MAX_CONDITION)
@@ -197,6 +199,10 @@ class NumericalComplex(_Record, eq=False, hidden=("maps",)):
     composition-zero condition enforced up to a scale-invariant tolerance:
 
         max|D_i D_{i+1}|  <=  tol * max|D_i| * max|D_{i+1}| * a_i.
+
+    Where max|D_i| * max|D_{i+1}| * a_i or that bound leaves the normal
+    float range, the product would overflow or underflow; the test is then
+    made on the two maps divided by their largest |entry|, against tol * a_i.
     """
 
     shape: ComplexShape
@@ -235,12 +241,18 @@ class NumericalComplex(_Record, eq=False, hidden=("maps",)):
         for j in range(len(frozen) - 1):
             if not (norms[j] and norms[j + 1]):
                 continue  # a zero map's products with finite maps are 0, within any bound
-            residual = _max_norm(np.dot(frozen[j], frozen[j + 1]))
+            left, right, scaled = frozen[j], frozen[j + 1], ""
+            scale = norms[j] * norms[j + 1] * dims[j + 1]
             bound = tol * norms[j] * norms[j + 1] * dims[j + 1]
+            if not (_TINY <= scale <= _HUGE and _TINY <= bound <= _HUGE):
+                left, right = left / norms[j], right / norms[j + 1]
+                bound = tol * dims[j + 1]
+                scaled = " with both maps scaled to largest entry 1"
+            residual = _max_norm(np.dot(left, right))
             if residual > bound:
                 raise ValueError(
                     f"maps {j + 1} and {j + 2} do not compose to zero: "
-                    f"residual {residual:.3e} exceeds {bound:.3e}"
+                    f"residual {residual:.3e} exceeds {bound:.3e}{scaled}"
                 )
 
 
@@ -598,19 +610,17 @@ def random_conjugation(complex_: NumericalComplex, seed: int) -> NumericalComple
         raise ValueError("seed must be non-negative")
     rng = _spawned_rng(seed, 0xC0)
     dims = complex_.shape.dims
-    last = len(dims) - 1
-    lefts, rights = [], []
+    maps = list(complex_.maps)
     for i, a in enumerate(dims):
-        if a == 0:
-            lefts.append(np.zeros((0, 0)))
-            rights.append(np.zeros((0, 0)))
+        if a == 0:  # LAPACK refuses a 0 x 0 matrix; the maps at A_i are empty
             continue
         # q1 and q2 factor one stacked draw, in that order.
         q1, q2 = map(_q_factor, rng.standard_normal((2, a, a)))
         singular = np.exp(rng.uniform(-_HALF_LOG_CONDITION, _HALF_LOG_CONDITION, size=a))
-        # Multiplying by 1/s rounds as q2 @ diag(1/s) does; dividing by s
-        # does not.
-        lefts.append(np.dot(q1 * singular, q2.T) if i < last else None)
-        rights.append(np.dot(q2 * (1.0 / singular), q1.T) if i > 0 else None)
-    maps = tuple(np.dot(np.dot(g, d), h) for g, d, h in zip(lefts, complex_.maps, rights[1:]))
-    return NumericalComplex(complex_.shape, maps, complex_.composition_tolerance)
+        # Map i-1 already has its left factor.  Multiplying by 1/s rounds as
+        # q2 @ diag(1/s) does; dividing by s does not.
+        if i > 0:
+            maps[i - 1] = np.dot(maps[i - 1], np.dot(q2 * (1.0 / singular), q1.T))
+        if i < len(maps):
+            maps[i] = np.dot(np.dot(q1 * singular, q2.T), maps[i])
+    return NumericalComplex(complex_.shape, tuple(maps), complex_.composition_tolerance)

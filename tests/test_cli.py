@@ -57,6 +57,15 @@ def child_env(env_extra=None):
     return env
 
 
+def buffering_env(buffered):
+    """child_env() with PYTHONUNBUFFERED unset (buffered) or set to 1."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 # The installed script's body, run as `python -c ENTRY_POINT argv...`.
 ENTRY_POINT = "from chaincx.cli import entry_point; entry_point()"
 
@@ -841,13 +850,10 @@ class TestOutputModes:
         # or 120 (buffered) having written nothing.
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
-        env = child_env()
-        env.pop("PYTHONUNBUFFERED", None)
-        if not buffered:
-            env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:
             proc = subprocess.run([sys.executable, "-m", "chaincx", flag], stdout=full,
-                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+                                  stderr=subprocess.PIPE, text=True,
+                                  env=buffering_env(buffered), timeout=60)
         assert proc.returncode == 64
         assert proc.stderr.startswith("chaincx: error: cannot write stdout: ")
         assert proc.stderr.count("\n") == 1
@@ -865,6 +871,35 @@ class TestOutputModes:
                               stderr=subprocess.PIPE, text=True, env=child_env(), timeout=60)
         assert (proc.returncode, proc.stderr) == (
             64, "chaincx: error: cannot write stdout: Bad file descriptor\n")
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["closed", "full"])
+    @pytest.mark.parametrize("argv,code", [
+        (["dimension", "--dims", "x", "--ranks", "1"], 64),
+        (["dimension", "--bogus"], 64),
+        (["maximize", "--dims", "2,2", "--method", "brute", "--work-cap", "1"], 3),
+        (["check", "--dims", "2,1,1,2", "--reading", "interior"], 4),
+        (["dimension", "--dims", "2,1", "--ranks", "1"], 0),
+    ])
+    def test_unwritable_stderr_keeps_the_exit_code(self, argv, code, sink, buffered):
+        # With stderr on a full device, print raised OSError out of main
+        # (exit 1).  With fd 2 closed, the diagnostic and argparse's usage
+        # went to stdout.  The interpreter runs directly: a wrapper script
+        # on PATH, such as a pyenv shim, would hold fd 2 itself.
+        env = buffering_env(buffered)
+        run = [sys.executable, "-m", "chaincx", *argv]
+        writable = subprocess.run(run, capture_output=True, env=env, timeout=60)
+        assert writable.returncode == code
+        if sink == "closed":
+            proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" 2>&-', *run],
+                                  stdout=subprocess.PIPE, env=env, timeout=60)
+        else:
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(run, stdout=subprocess.PIPE, stderr=full, env=env,
+                                      timeout=60)
+        assert (proc.returncode, proc.stdout) == (code, writable.stdout)
 
 
 class TestUsageErrors:

@@ -161,6 +161,19 @@ class TestNumericalComplexValidation:
         with pytest.raises(ValueError, match="compose"):
             NumericalComplex(shape(2, 2, 2), bad)
 
+    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-170, 1e160, 1e200, 1e300])
+    def test_composition_checked_past_the_float_range(self, s):
+        # D_1 D_2 = s^2, or its bound, overflows or underflows: 1e-200,
+        # 1e-170, 1e160 and 1e200 were accepted, 1e200 with a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=_exactly(
+                    "maps 1 and 2 do not compose to zero: residual 1.000e+00 exceeds "
+                    f"{DEFAULT_TOLERANCES.composition_tolerance:.3e} "
+                    "with both maps scaled to largest entry 1")):
+                NumericalComplex(shape(1, 1, 1), ([[s]], [[s]]))
+            NumericalComplex(shape(1, 2, 1), ([[s, s]], [[s], [-s]]))
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             NumericalComplex(shape(1, 1), (np.array([[np.nan]]),))
