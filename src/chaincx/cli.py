@@ -97,12 +97,13 @@ def _parse_vector(text: str, what: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
+    # int() also reads digit separators ("1_0") and non-ASCII digits.
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        if text.isascii() and "_" not in text:
+            return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise _UsageError(
-            f"could not parse {what} {text!r}: expected comma-separated integers"
-        ) from None
+        pass
+    raise _UsageError(f"could not parse {what} {text!r}: expected comma-separated integers")
 
 
 def _usage(build, *args):

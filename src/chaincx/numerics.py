@@ -167,15 +167,10 @@ _FOLD_NB = 32
 # 0.2 MB; past them, a new shape queries on every call.
 _LWORK: dict[tuple, int] = {}
 _LWORK_ENTRIES = 1024
-# The index plans of small orbit matrices, by dims (_orbit_plan).  Each plan
-# is charged its index bytes plus _PLAN_OVERHEAD for its array object and
-# dict entry, and all plans together at most _PLAN_BYTES: about 1 MiB at
-# worst, as 128 Ki nonzeros of L or 4096 plans of a few nonzeros.  A shape
-# whose plan does not fit is written by _write_rows on every call.
-_PLANS: dict[tuple[int, ...], np.ndarray] = {}
-_PLAN_BYTES = 1 << 20
-_PLAN_OVERHEAD = 256
-_plan_bytes = 0
+# The index plan of the last small orbit matrix built (_orbit_plan), as one
+# (dims, plan) pair that a new dims replaces whole, so a thread reads a
+# matched pair.
+_LAST_PLAN: list[tuple] = [(None, None)]
 # The normal float range, outside which the composition check scales.
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
 # Condition-number bound of the basis changes random_conjugation draws.
@@ -194,6 +189,22 @@ def _max_norm(a: np.ndarray) -> float:
     return a.item(a.argmax())
 
 
+def _real_copy(raw, name: str, order: str) -> np.ndarray:
+    """A float64 copy of raw in the given memory order.  Complex entries,
+    which the cast would take as their real part, strings, which it would
+    parse, and entries it cannot take as reals are refused with a ValueError
+    that names raw as `name`."""
+    raw = np.asarray(raw)  # a list is converted once, an array not yet copied
+    if raw.dtype.kind == "c":
+        raise ValueError(f"{name} has complex entries")
+    try:
+        if raw.dtype.kind not in "SU":
+            return np.array(raw, dtype=np.float64, order=order)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} has entries that are not real numbers")
+
+
 class NumericalComplex(_Record, eq=False, hidden=("maps",)):
     """Explicit real matrices (D_1, ..., D_n) on a shape, with the
     composition-zero condition enforced up to a scale-invariant tolerance:
@@ -203,6 +214,8 @@ class NumericalComplex(_Record, eq=False, hidden=("maps",)):
     Where max|D_i| * max|D_{i+1}| * a_i or that bound leaves the normal
     float range, the product would overflow or underflow; the test is then
     made on the two maps divided by their largest |entry|, against tol * a_i.
+    A map with complex, string or other non-real entries (_real_copy), or
+    with non-finite ones, is refused with a ValueError.
     """
 
     shape: ComplexShape
@@ -222,10 +235,7 @@ class NumericalComplex(_Record, eq=False, hidden=("maps",)):
         frozen = []
         norms = []
         for j, raw in enumerate(self.maps):
-            raw = np.asarray(raw)  # a list is converted once, an array not yet copied
-            if raw.dtype.kind == "c":
-                raise ValueError(f"map {j + 1} has complex entries")
-            m = np.array(raw, dtype=np.float64)
+            m = _real_copy(raw, f"map {j + 1}", "C")
             if m.shape != (dims[j], dims[j + 1]):
                 raise ValueError(
                     f"map {j + 1} has shape {m.shape}, expected {(dims[j], dims[j + 1])}"
@@ -323,11 +333,9 @@ def numerical_rank(matrix, config: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     threshold; 0 for empty or zero matrices.  dgeqp3 runs on the one
     Fortran-ordered float64 copy of the whole matrix, whatever its shape:
     the R factor of a tall matrix is orbit_dimension's route only (module
-    docstring).  A complex matrix is refused, not cast to its real part."""
-    a = np.asarray(matrix)  # a list is converted once, an array not yet copied
-    if np.iscomplexobj(a):
-        raise ValueError("matrix has complex entries")
-    a = np.array(a, dtype=np.float64, order="F")
+    docstring).  A matrix with complex, string or other non-real entries
+    is refused with a ValueError, not cast (_real_copy)."""
+    a = _real_copy(matrix, "matrix", "F")
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
@@ -429,8 +437,8 @@ def _orbit_r_factor(complex_: NumericalComplex, n: int) -> np.ndarray:
     """An n x n upper-triangular R, n = ambient, with R.T @ R = L @ L.T,
     Fortran-ordered, built from the maps without L (module docstring).
     Rows and columns are indexed as in core._map_offsets; _write_rows writes
-    the middle spaces' blocks here and all of L, or its index plan, in
-    _orbit_matrix."""
+    the middle spaces' blocks here and, through _write_orbit_matrix, the L
+    that _orbit_plan reads its index plan off."""
     maps, dims = complex_.maps, complex_.shape.dims
     r = np.zeros((n, n), order="F")
     offsets = _map_offsets(dims)
@@ -497,15 +505,11 @@ def _write_rows(buf: np.ndarray, ld: int, first: int, maps: tuple, dims: tuple,
 
 def _orbit_matrix(complex_: NumericalComplex, ambient: int, domain: int) -> np.ndarray:
     """L, ambient x domain, in C order so that its transpose, of leading
-    dimension domain, is factored in place.  With a plan from _orbit_plan,
-    one gather of the maps' entries, as they are ("+ 0.0") and negated
-    ("0.0 -"), and one scatter fill it; else _write_rows does, as it
-    writes _orbit_r_factor's blocks."""
-    dims = complex_.shape.dims
-    plan = _orbit_plan(dims, ambient, domain)
-    if plan is None:
-        return _write_orbit_matrix(complex_.maps, dims, ambient, domain)
-    flat = np.concatenate(complex_.maps, axis=None)
+    dimension domain, is factored in place: one gather of the maps'
+    entries, as they are ("+ 0.0") and negated ("0.0 -"), and one scatter,
+    by the plan of _orbit_plan."""
+    plan = _orbit_plan(complex_.shape.dims, ambient, domain)
+    flat = np.concatenate(complex_.maps or [()], axis=None)
     lin = np.zeros(ambient * domain)
     lin.put(plan[0], np.concatenate((flat + 0.0, 0.0 - flat)).take(plan[1]))
     return lin.reshape(ambient, domain)
@@ -522,23 +526,18 @@ def _write_orbit_matrix(maps: tuple, dims: tuple, ambient: int, domain: int) -> 
     return lin
 
 
-def _orbit_plan(dims: tuple, ambient: int, domain: int) -> np.ndarray | None:
-    """The int32 index plan of L on dims, or None when L has no nonzero
-    entry, L.ravel() outgrows int32, or the plan does not fit in _PLANS.
+def _orbit_plan(dims: tuple, ambient: int, domain: int) -> np.ndarray:
+    """The index plan of L on dims, built unless dims were the last asked.
 
-    Row 0 holds the positions of L's nonzeros in L.ravel(); row 1 the
+    Row 0 holds the positions of L's nonzeros in L.ravel(), row 1 the
     index of each one's entry in the maps' entries, concatenated, then
-    negated.  It is read off the L that _write_orbit_matrix writes for maps
-    whose entries are 1..N in that order: +k, or -k, where it put entry k,
-    or its negation."""
-    global _plan_bytes
-    plan = _PLANS.get(dims)
-    if plan is not None:
+    negated: int32 while L.ravel() fits in int32, np.intp past it, and
+    empty when L has no nonzero entry.  It is read off the L that
+    _write_orbit_matrix writes for maps whose entries are 1..N in that
+    order: +k, or -k, where it put entry k, or its negation."""
+    held, plan = _LAST_PLAN[0]
+    if held == dims:
         return plan
-    nnz = sum(m * k * (m + k) for m, k in zip(dims, dims[1:]))
-    charge = 8 * nnz + _PLAN_OVERHEAD
-    if not nnz or ambient * domain > np.iinfo(np.int32).max or _plan_bytes + charge > _PLAN_BYTES:
-        return None
     offsets = _map_offsets(dims)
     index = np.arange(1.0, offsets[-1] + 1.0)
     maps = tuple(index[offsets[j] : offsets[j + 1]].reshape(dims[j], dims[j + 1])
@@ -546,9 +545,9 @@ def _orbit_plan(dims: tuple, ambient: int, domain: int) -> np.ndarray | None:
     lin = _write_orbit_matrix(maps, dims, ambient, domain).ravel()
     at = (lin != 0).nonzero()[0]  # faster than flatnonzero on floats
     entry = lin[at]
-    plan = np.array((at, np.where(entry > 0, entry - 1, offsets[-1] - 1 - entry)), np.int32)
-    _PLANS[dims] = plan
-    _plan_bytes += charge
+    kind = np.int32 if lin.size <= np.iinfo(np.int32).max else np.intp
+    plan = np.array((at, np.where(entry > 0, entry - 1, offsets[-1] - 1 - entry)), kind)
+    _LAST_PLAN[0] = dims, plan
     return plan
 
 

@@ -936,6 +936,22 @@ class TestUsageErrors:
         assert main(argv) == 64
         assert capsys.readouterr() == ("", f"chaincx: error: {message}\n")
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11"])
+    @pytest.mark.parametrize("flag", ["--dims", "--ranks"])
+    def test_vectors_take_ascii_digits_only(self, flag, token, capsys, monkeypatch):
+        # int() alone reads the digit separator of "1_0" as 10, and the
+        # Arabic-Indic and full-width digits as 1.
+        monkeypatch.delenv("CHAINCX_WORK_CAP", raising=False)
+        given = {"--dims": f"{token},1", "--ranks": token}[flag]
+        argv = {"--dims": "2,1", "--ranks": "1", flag: given}
+        assert main(["dimension", *(x for item in argv.items() for x in item)]) == 64
+        message = f"could not parse {flag} {given!r}: expected comma-separated integers"
+        assert capsys.readouterr() == ("", f"chaincx: error: {message}\n")
+
+    def test_vectors_keep_spaces_and_signs(self, capsys):
+        assert main(["dimension", "--dims", " 2, 1", "--ranks", "+1"]) == 0
+        assert json.loads(capsys.readouterr().out)["shape"] == [2, 1]
+
     @pytest.mark.parametrize("argv,code", [
         (["dimension", "--dims", "2,1", "--ranks", "1"], 0),
         (["dimension", "--dims", "2,2", "--ranks", "-1"], 64),
@@ -1042,6 +1058,7 @@ class TestContractFuzz:
     @example(["verify-dim", "--dims", "1048576,1048576", "--ranks", "0",
               "--size-cap", "100000000000000"], {})
     @example(["sample", "--dims", "4096,4096,4096"], {})
+    @example(["dimension", "--dims", "1_0,1", "--ranks", "\uff11"], {})
     @example(OVER_THE_LISTING_CAP[0][0], {})
     @example(OVER_THE_LISTING_CAP[1][0], {})
     @example(OVER_THE_LISTING_CAP[2][0], {})

@@ -1,11 +1,13 @@
 """Numerical ranks, model complexes, orbit dimension, sampler."""
 
+import functools
 import inspect
 import itertools
 import random
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from importlib.machinery import EXTENSION_SUFFIXES, ModuleSpec
@@ -49,6 +51,7 @@ from chaincx.numerics import (
     _orbit_r_factor,
     _pivot_rank,
     _q_factor,
+    _write_orbit_matrix,
 )
 from test_core import _exactly, iter_feasible_ranks, iter_shapes, ranks, shape
 
@@ -96,6 +99,13 @@ class TestNumericalRank:
             for complex_matrix in (np.array([[1j, 0], [0, 2j]]), [[1j, 0], [0, 2j]]):
                 with pytest.raises(ValueError, match=_exactly("matrix has complex entries")):
                     numerical_rank(complex_matrix)
+            # Entries the cast cannot take as reals, and strings, which it
+            # would parse.
+            not_real = _exactly("matrix has entries that are not real numbers")
+            for matrix in (np.array([[1j, 0]], dtype=object), np.array([["1", "2"]]),
+                           np.array([[b"1", b"2"]]), [["1", "2"]]):
+                with pytest.raises(ValueError, match=not_real):
+                    numerical_rank(matrix)
 
     def test_random_low_rank(self):
         rng = np.random.default_rng(5)
@@ -184,6 +194,11 @@ class TestNumericalComplexValidation:
                 NumericalComplex(shape(1, 1), (np.array([[1j]]),))
             with pytest.raises(ValueError, match=_exactly("map 2 has complex entries")):
                 NumericalComplex(shape(1, 1, 1), (np.zeros((1, 1)), [[1j]]))
+            for bad in (np.array([[1j, 0]], dtype=object), np.array([["1", "2"]]),
+                        np.array([[b"1", b"2"]])):
+                with pytest.raises(ValueError,
+                                   match=_exactly("map 2 has entries that are not real numbers")):
+                    NumericalComplex(shape(1, 1, 2), (np.zeros((1, 1)), bad))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("j", [1, 2, 3])
@@ -222,8 +237,8 @@ class TestNumericalComplexValidation:
 
     def test_complex_object_array_not_taken_for_complex(self):
         # An object array of complex numbers is not a complex array: the
-        # float64 copy refuses it.
-        with pytest.raises(TypeError):
+        # float64 copy refuses it, as entries that are not real numbers.
+        with pytest.raises(ValueError, match=_exactly("map 1 has entries that are not real numbers")):
             NumericalComplex(shape(1, 1), (np.array([[1j]], dtype=object),))
 
     def test_nan_tolerance_rejected(self):
@@ -381,18 +396,23 @@ def orbit_instances(max_spaces, max_entry):
             yield canonical_complex(s, rv)
 
 
-def orbit_route(monkeypatch, route):
-    """Build every small L through an index plan, or every one through
-    _write_rows, from an empty plan cache."""
-    monkeypatch.setattr(numerics, "_PLANS", {})
-    monkeypatch.setattr(numerics, "_plan_bytes", 0)
-    monkeypatch.setattr(numerics, "_PLAN_BYTES", 1 << 40 if route == "plan" else 0)
+def orbit_pairs(complexes):
+    """Each complex and a conjugate of it, in turn."""
+    for cx in complexes:
+        yield cx
+        yield random_conjugation(cx, sum(cx.shape.dims))
 
 
-def check_route(route, dims):
-    """The route orbit_route chose was taken on dims."""
-    has_entries = any(m * k for m, k in zip(dims, dims[1:]))
-    assert (dims in numerics._PLANS) == (route == "plan" and has_entries), (route, dims)
+@functools.cache
+def plan_instances():
+    """(complex, ranks) for every feasible rank vector of every shape of
+    iter_shapes(4, 5) and of 5,7,3,6, canonical and then conjugated, in
+    shape order."""
+    out = []
+    for s in [*iter_shapes(4, 5), shape(5, 7, 3, 6)]:
+        for rv in iter_feasible_ranks(s):
+            out += [(cx, rv) for cx in orbit_pairs([canonical_complex(s, rv)])]
+    return tuple(out)
 
 
 class TestOrbitOracles:
@@ -400,14 +420,11 @@ class TestOrbitOracles:
     # conjugation against the Kronecker, scatter, loop and two-QR
     # references, bit for bit.
 
-    def test_orbit_matrix_matches_kron(self, monkeypatch):
-        for route in ("plan", "loop"):
-            orbit_route(monkeypatch, route)
-            for cx in orbit_instances(3, 4):
-                for moved in (cx, random_conjugation(cx, sum(cx.shape.dims))):
-                    ref = kron_orbit_matrix(moved)
-                    assert bit_equal(_orbit_matrix(moved, *ref.shape), ref), (route, moved.shape)
-                    check_route(route, moved.shape.dims)
+    def test_orbit_matrix_matches_kron(self):
+        for moved in orbit_pairs(orbit_instances(3, 4)):
+            ref = kron_orbit_matrix(moved)
+            written = _write_orbit_matrix(moved.maps, moved.shape.dims, *ref.shape)
+            assert bit_equal(written, ref), moved.shape
 
     def test_orbit_matrix_negative_zeros(self):
         d = np.array([[-0.0, 2.0], [0.0, -3.0]])
@@ -416,38 +433,77 @@ class TestOrbitOracles:
         assert bit_equal(_orbit_matrix(cx, *ref.shape), ref)
         assert not np.signbit(ref[ref == 0]).any()
 
-    def test_builders_match_loop_and_scatter(self, monkeypatch):
-        # Zero entries and blocks with m != k, both in order.
-        shapes = [*iter_shapes(4, 5), shape(5, 7, 3, 6)]
-        for route in ("plan", "loop"):
-            orbit_route(monkeypatch, route)
-            for s in shapes:
-                sides = _orbit_matrix_sides(s, DEFAULT_SIZE_CAP)
-                for rv in iter_feasible_ranks(s):
-                    cx = canonical_complex(s, rv)
-                    assert all(bit_equal(a, b)
-                               for a, b in zip(cx.maps, loop_canonical_maps(s, rv)))
-                    for moved in (cx, random_conjugation(cx, sum(s.dims))):
-                        lin = _orbit_matrix(moved, *sides)
-                        assert lin.flags.c_contiguous, s
-                        assert bit_equal(lin, scatter_orbit_matrix(moved, *sides)), (route, s, rv)
-                check_route(route, s.dims)
+    def test_builders_match_loop_and_scatter(self):
+        # Zero entries and blocks with m != k, both in order.  Each
+        # canonical complex is followed by its conjugate.
+        for k, (cx, rv) in enumerate(plan_instances()):
+            s = cx.shape
+            if k % 2 == 0:
+                assert all(bit_equal(a, b) for a, b in zip(cx.maps, loop_canonical_maps(s, rv)))
+            sides = _orbit_matrix_sides(s, DEFAULT_SIZE_CAP)
+            written = _write_orbit_matrix(cx.maps, s.dims, *sides)
+            assert written.flags.c_contiguous, s
+            assert bit_equal(written, scatter_orbit_matrix(cx, *sides)), (s, rv)
 
-    def test_plan_cache_stays_within_its_bound(self, monkeypatch):
-        # Plans are cached, each charged its index bytes and the fixed
-        # overhead, until the next would pass the bound; the shapes past it
-        # are written by _write_rows, with the same bits.
-        orbit_route(monkeypatch, "plan")
-        monkeypatch.setattr(numerics, "_PLAN_BYTES", 20_000)
-        for cx in orbit_instances(4, 3):
-            ref = kron_orbit_matrix(cx)
-            assert bit_equal(_orbit_matrix(cx, *ref.shape), ref), cx.shape
-            charged = sum(p.nbytes + numerics._PLAN_OVERHEAD for p in numerics._PLANS.values())
-            assert charged == numerics._plan_bytes <= 20_000
-            assert all(p.dtype == np.int32 for p in numerics._PLANS.values())
-        assert 0 < len(numerics._PLANS) < len(set(iter_shapes(4, 3)))
-        # Filled to within the largest charge, 3,3,3,3's 162 nonzeros.
-        assert numerics._plan_bytes > 20_000 - 8 * 162 - numerics._PLAN_OVERHEAD
+    def test_one_plan_is_held(self):
+        # L is filled from the plan of the last shape asked, built again when
+        # the shape changes.  Each complex is visited in shape order, then
+        # again after a complex of another shape: the plan is kept along a
+        # shape and rebuilt on every call when two shapes alternate.
+        def held(dims):
+            [(shape_held, plan)] = numerics._LAST_PLAN
+            return shape_held == dims and plan.dtype == np.int32 and plan.shape[0] == 2
+
+        other = canonical_complex(shape(2, 3), ranks(2))
+        other_sides = _orbit_matrix_sides(other.shape, DEFAULT_SIZE_CAP)
+        other_lin = kron_orbit_matrix(other)
+        for cx, rv in plan_instances():
+            dims = cx.shape.dims
+            sides = _orbit_matrix_sides(cx.shape, DEFAULT_SIZE_CAP)
+            lin = _orbit_matrix(cx, *sides)
+            assert lin.flags.c_contiguous and held(dims), dims
+            assert bit_equal(lin, _write_orbit_matrix(cx.maps, dims, *sides)), dims
+            assert bit_equal(lin, kron_orbit_matrix(cx)), dims
+            assert bit_equal(lin, scatter_orbit_matrix(cx, *sides)), dims
+            assert orbit_dimension(cx) == stratum_dimension(cx.shape, rv), dims
+            assert bit_equal(_orbit_matrix(other, *other_sides), other_lin)
+            assert held(other.shape.dims)
+            assert bit_equal(_orbit_matrix(cx, *sides), lin) and held(dims), dims
+        # Empty maps, one space and no entry at all: an empty plan, a zero L.
+        for dims in [(2, 0, 2), (3,), (0,)]:
+            cx = canonical_complex(shape(*dims), ranks(*[0] * (len(dims) - 1)))
+            sides = _orbit_matrix_sides(cx.shape, DEFAULT_SIZE_CAP)
+            assert bit_equal(_orbit_matrix(cx, *sides), np.zeros(sides)) and held(dims), dims
+            assert numerics._LAST_PLAN[0][1].size == 0, dims
+
+    def test_threads_fill_from_a_matched_plan(self):
+        # Threads alternating between shapes each fill L from the plan of its
+        # own shape: the (dims, plan) pair is read and replaced whole.
+        shapes = (shape(3, 4, 4, 2), shape(2, 3, 3), shape(4, 4), shape(1, 2, 1, 2, 1))
+        cases = []
+        for s in shapes:
+            cx = random_conjugation(canonical_complex(s, greedy_rank_vector(s)), 1)
+            sides = _orbit_matrix_sides(s, DEFAULT_SIZE_CAP)
+            cases.append((cx, sides, _write_orbit_matrix(cx.maps, s.dims, *sides)))
+        wrong = []
+
+        def fill(k):
+            for i in range(300):
+                cx, sides, ref = cases[(i + k) % len(cases)]
+                if not bit_equal(_orbit_matrix(cx, *sides), ref):
+                    wrong.append(cx.shape.dims)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not wrong
 
     def test_conjugation_matches_two_qr(self):
         # Also at the sizes the big_instances benchmark conjugates.
