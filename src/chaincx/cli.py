@@ -93,16 +93,29 @@ class _Parser(argparse.ArgumentParser):
             _write_stderr(message)
 
 
+def _number(kind, name: str | None = None, least: int = 1, most: int | None = None):
+    """A reader of one number of `kind` (int or float), for a flag's type=, a
+    vector's tokens and the environment.  Text that is not ASCII or holds a
+    `_` raises ValueError: int() also reads digit separators ("1_0") and
+    non-ASCII digits.  Given a name, a value below `least` (1 or 0) or above
+    `most` is a usage error, raised as it is read: argparse does not catch it."""
+    def read(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        value = kind(text)
+        if name and value < least:
+            raise _UsageError(f"{name} must be {'positive' if least else 'non-negative'}")
+        if name and most is not None and value > most:
+            raise _UsageError(f"{name} must be at most {most}")
+        return value
+    read.__name__ = kind.__name__  # for argparse's "invalid int value" line
+    return read
+
+
 def _parse_vector(text: str, what: str) -> tuple[int, ...]:
     text = text.strip()
-    if not text:
-        return ()
-    # int() also reads digit separators ("1_0") and non-ASCII digits.
-    try:
-        if text.isascii() and "_" not in text:
-            return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        pass
+    with contextlib.suppress(ValueError):
+        return tuple(map(_number(int), text.split(","))) if text else ()
     raise _UsageError(f"could not parse {what} {text!r}: expected comma-separated integers")
 
 
@@ -112,15 +125,6 @@ def _usage(build, *args):
         return build(*args)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-
-
-def _bounded(value: int, name: str, least: int = 1, most: int | None = None) -> int:
-    """An integer setting, refused below `least` (1 or 0) or above `most`."""
-    if value < least:
-        raise _UsageError(f"{name} must be {'positive' if least else 'non-negative'}")
-    if most is not None and value > most:
-        raise _UsageError(f"{name} must be at most {most}")
-    return value
 
 
 def _shape_of(args) -> ComplexShape:
@@ -145,7 +149,7 @@ def _setting(flag, name: str, kind, noun: str, default):
     if raw is None:
         return default
     try:
-        return kind(raw)
+        return _number(kind)(raw)
     except ValueError:
         raise _UsageError(f"environment variable {name}={raw!r} is not {noun}") from None
 
@@ -158,8 +162,8 @@ def _tolerances(args) -> tuple[ToleranceConfig, bool]:
 
 
 def _work_cap(args) -> int:
-    return _bounded(_setting(args.work_cap, ENV_WORK_CAP, int, "an integer", DEFAULT_WORK_CAP),
-                    "work cap")
+    cap = _setting(args.work_cap, ENV_WORK_CAP, int, "an integer", DEFAULT_WORK_CAP)
+    return _number(int, "work cap")(str(cap))  # bounded here: --method dp takes none
 
 
 def _envelope(command: str, shape: ComplexShape | None, payload, warnings=()):
@@ -232,7 +236,6 @@ def cmd_dimension(args):
 
 def cmd_maximize(args):
     shape = _shape_of(args)
-    _bounded(args.limit, "--limit")
     from .optimizer import brute_force_maximize, enumerate_maximizers
 
     if args.method == "brute":
@@ -276,7 +279,6 @@ def cmd_check(args):
 def cmd_verify_dim(args):
     shape = _shape_of(args)
     ranks = _ranks_of(args, shape)
-    _bounded(args.size_cap, "--size-cap", most=MAX_SIZE_CAP)
     if not is_feasible(shape, ranks):
         return _infeasible("verify-dim", shape, ranks)
     config, rank_tol_set = _tolerances(args)
@@ -307,9 +309,6 @@ def cmd_verify_dim(args):
 
 def cmd_sample(args):
     shape = _shape_of(args)
-    _bounded(args.trials, "--trials", most=MAX_TRIALS)
-    _bounded(args.seed, "--seed", least=0)
-    _bounded(args.limit, "--limit")
     config, _ = _tolerances(args)
     if max(shape.dims) > DEFAULT_SIZE_CAP:
         raise WorkCapExceeded(
@@ -510,13 +509,13 @@ def build_parser() -> argparse.ArgumentParser:
     reading.add_argument("--reading", choices=("sentinel", "interior"), default="sentinel",
                          help="index window of the no-forced-homology hypothesis "
                               "(default sentinel: end conditions included)")
-    limit.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_CAP,
+    limit.add_argument("--limit", type=_number(int, "--limit"), default=DEFAULT_ENUMERATION_CAP,
                        help="maximizer listing cap (count stays exact)")
-    tolerances.add_argument("--rank-tol", type=float, default=None, metavar="FACTOR",
+    tolerances.add_argument("--rank-tol", type=_number(float), default=None, metavar="FACTOR",
                             help=f"numerical-rank pivot threshold factor "
                                  f"(default {DEFAULT_TOLERANCES.rank_tolerance_factor:g}; "
                                  f"env {ENV_RANK_TOL})")
-    tolerances.add_argument("--composition-tol", type=float, metavar="TOL",
+    tolerances.add_argument("--composition-tol", type=_number(float), metavar="TOL",
                             default=DEFAULT_TOLERANCES.composition_tolerance,
                             help="relative composition-zero tolerance "
                                  f"(default {DEFAULT_TOLERANCES.composition_tolerance:g})")
@@ -528,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("maximize", parents=[dims, limit, output],
                             help="rank vectors maximizing the stratum dimension")
     p.add_argument("--method", choices=("dp", "brute"), default="dp")
-    p.add_argument("--work-cap", type=int, default=None,
+    p.add_argument("--work-cap", type=_number(int), default=None,
                    help=f"candidate cap for --method brute (env {ENV_WORK_CAP})")
     p.set_defaults(handler=cmd_maximize)
 
@@ -542,23 +541,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("verify-dim", parents=[dims, ranks, tolerances, output],
                             help="check the dimension formula against the orbit rank")
-    p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
+    p.add_argument("--size-cap", type=_number(int, "--size-cap", most=MAX_SIZE_CAP),
+                   default=DEFAULT_SIZE_CAP,
                    help="refusal cap on the linearized-action matrix sides")
     p.set_defaults(handler=cmd_verify_dim)
 
     p = commands.add_parser("sample", parents=[dims, limit, tolerances, output],
                             help="sequential Gaussian sampler (greedy, biased)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--seed", type=_number(int, "--seed", least=0), default=0)
+    p.add_argument("--trials", type=_number(int, "--trials", most=MAX_TRIALS), default=1)
     p.set_defaults(handler=cmd_sample)
 
     p = commands.add_parser("sweep", parents=[reading, output],
                             help="exhaustive theorem checks or conjecture scan")
-    p.add_argument("--max-length", type=int, required=True,
+    p.add_argument("--max-length", type=_number(int), required=True,
                    help="largest number of boundary maps")
-    p.add_argument("--max-entry", type=int, required=True)
+    p.add_argument("--max-entry", type=_number(int), required=True)
     p.add_argument("--mode", choices=("theorems", "conjecture"), default="theorems")
-    p.add_argument("--work-cap", type=int, default=None,
+    p.add_argument("--work-cap", type=_number(int), default=None,
                    help=f"cap on shapes examined (env {ENV_WORK_CAP})")
     p.set_defaults(handler=cmd_sweep)
 

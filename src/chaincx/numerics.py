@@ -192,13 +192,16 @@ def _max_norm(a: np.ndarray) -> float:
 def _real_copy(raw, name: str, order: str) -> np.ndarray:
     """A float64 copy of raw in the given memory order.  Complex entries,
     which the cast would take as their real part, strings, which it would
-    parse, and entries it cannot take as reals are refused with a ValueError
+    parse, whether the array's own or the str or bytes an object array
+    holds, and entries it cannot take as reals are refused with a ValueError
     that names raw as `name`."""
     raw = np.asarray(raw)  # a list is converted once, an array not yet copied
     if raw.dtype.kind == "c":
         raise ValueError(f"{name} has complex entries")
+    strings = raw.dtype.kind in "SU" or raw.dtype.kind == "O" and any(
+        isinstance(x, (str, bytes)) for x in raw.flat)
     try:
-        if raw.dtype.kind not in "SU":
+        if not strings:
             return np.array(raw, dtype=np.float64, order=order)
     except TypeError:
         pass

@@ -902,6 +902,29 @@ class TestOutputModes:
         assert (proc.returncode, proc.stdout) == (code, writable.stdout)
 
 
+# A well-formed argv of each command, which a test extends by one flag, and
+# the commands that read each environment variable, with the noun of its
+# refusal.
+_WELL_FORMED = {"dimension": ["--dims", "2,1", "--ranks", "1"],
+                "maximize": ["--dims", "2,2", "--method", "brute"],
+                "predict": ["--dims", "2,2"], "check": ["--dims", "2,2"],
+                "verify-dim": ["--dims", "2,1", "--ranks", "1"], "sample": ["--dims", "1,2,1"],
+                "sweep": ["--max-length", "1", "--max-entry", "1"]}
+_ENV_READERS = {"CHAINCX_RANK_TOL": ("a number", ("verify-dim", "sample")),
+                "CHAINCX_WORK_CAP": ("an integer", ("maximize", "sweep"))}
+_NUMBER_FLAGS = ("--limit", "--work-cap", "--rank-tol", "--composition-tol", "--size-cap",
+                 "--seed", "--trials", "--max-length", "--max-entry")
+
+
+def _outcome(argv, capsys):
+    """main(argv)'s exit code, argparse's own included, and its output."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
 class TestUsageErrors:
     """Each usage error the library or a bounded setting raises exits 64
     with its exact message, and so does the installed entry point."""
@@ -937,20 +960,66 @@ class TestUsageErrors:
         assert capsys.readouterr() == ("", f"chaincx: error: {message}\n")
 
     @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11"])
-    @pytest.mark.parametrize("flag", ["--dims", "--ranks"])
+    @pytest.mark.parametrize("flag", ["--dims", "--ranks", *_NUMBER_FLAGS, *_ENV_READERS])
     def test_vectors_take_ascii_digits_only(self, flag, token, capsys, monkeypatch):
-        # int() alone reads the digit separator of "1_0" as 10, and the
-        # Arabic-Indic and full-width digits as 1.
-        monkeypatch.delenv("CHAINCX_WORK_CAP", raising=False)
-        given = {"--dims": f"{token},1", "--ranks": token}[flag]
-        argv = {"--dims": "2,1", "--ranks": "1", flag: given}
-        assert main(["dimension", *(x for item in argv.items() for x in item)]) == 64
-        message = f"could not parse {flag} {given!r}: expected comma-separated integers"
-        assert capsys.readouterr() == ("", f"chaincx: error: {message}\n")
+        # int() and float() alone read the digit separator of "1_0" as 10,
+        # and the Arabic-Indic and full-width digits as 1.  Each is refused
+        # in a vector, in every numeric flag of every command and in both
+        # environment variables.
+        for name in _ENV_READERS:
+            monkeypatch.delenv(name, raising=False)
+        if flag in _ENV_READERS:
+            monkeypatch.setenv(flag, token)
+            noun, commands = _ENV_READERS[flag]
+            message = f"environment variable {flag}={token!r} is not {noun}"
+            for command in commands:
+                assert _outcome([command, *_WELL_FORMED[command]], capsys) == (
+                    64, "", f"chaincx: error: {message}\n")
+            return
+        given = f"{token},1" if flag == "--dims" else token
+        kind = "float" if flag.endswith("-tol") else "int"
+        commands = [command for command, flags in _COMMAND_FLAGS.items() if flag in flags]
+        assert commands
+        for command in commands:
+            code, out, err = _outcome([command, *_WELL_FORMED[command], flag, given], capsys)
+            assert (code, out) == (64, "")
+            if flag in ("--dims", "--ranks"):
+                message = f"could not parse {flag} {given!r}: expected comma-separated integers"
+                assert err == f"chaincx: error: {message}\n"
+            else:
+                assert err.endswith(f": error: argument {flag}: invalid {kind} value: {given!r}\n")
 
     def test_vectors_keep_spaces_and_signs(self, capsys):
         assert main(["dimension", "--dims", " 2, 1", "--ranks", "+1"]) == 0
         assert json.loads(capsys.readouterr().out)["shape"] == [2, 1]
+
+    def test_numbers_keep_spaces_signs_and_inf(self, capsys, monkeypatch):
+        for name in _ENV_READERS:
+            monkeypatch.delenv(name, raising=False)
+        verify = ["verify-dim", "--dims", "2,2", "--ranks", "1"]
+        for tol, code in ((" 5", 0), ("+5", 0), ("inf", 5)):
+            assert main([*verify, "--rank-tol", tol]) == code
+            assert json.loads(capsys.readouterr().out)["payload"]["agree"] is (code == 0)
+        assert main(["maximize", "--dims", "3,3", "--limit", " +2"]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["enumeration_cap"] == 2
+        monkeypatch.setenv("CHAINCX_WORK_CAP", " +1")
+        assert main(["maximize", "--dims", "2,2", "--method", "brute"]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_a_bound_is_checked_where_its_flag_is_read(self, capsys, monkeypatch):
+        # As argparse reads a flag's syntax: a refused bound ends the parse
+        # before a later --help, and before any check the command makes.
+        monkeypatch.delenv("CHAINCX_WORK_CAP", raising=False)
+        code, out, err = _outcome(["sample", "--dims", "2,2", "--trials", "x", "--help"], capsys)
+        assert (code, out) == (64, "")
+        assert err.endswith(": error: argument --trials: invalid int value: 'x'\n")
+        for argv, message in [
+            (["sample", "--dims", "2,2", "--trials", "0", "--help"], "--trials must be positive"),
+            (["maximize", "--dims", "x", "--limit", "0"], "--limit must be positive"),
+        ]:
+            assert _outcome(argv, capsys) == (64, "", f"chaincx: error: {message}\n")
+        # The work cap is bounded where a command reads it: dp takes none.
+        assert main(["maximize", "--dims", "2,2", "--method", "dp", "--work-cap", "0"]) == 0
 
     @pytest.mark.parametrize("argv,code", [
         (["dimension", "--dims", "2,1", "--ranks", "1"], 0),
@@ -1059,6 +1128,7 @@ class TestContractFuzz:
               "--size-cap", "100000000000000"], {})
     @example(["sample", "--dims", "4096,4096,4096"], {})
     @example(["dimension", "--dims", "1_0,1", "--ranks", "\uff11"], {})
+    @example(["maximize", "--dims", "3,3", "--limit", "\u0661"], {})
     @example(OVER_THE_LISTING_CAP[0][0], {})
     @example(OVER_THE_LISTING_CAP[1][0], {})
     @example(OVER_THE_LISTING_CAP[2][0], {})

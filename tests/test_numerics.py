@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ModuleSpec
 
 import numpy as np
@@ -100,12 +101,18 @@ class TestNumericalRank:
                 with pytest.raises(ValueError, match=_exactly("matrix has complex entries")):
                     numerical_rank(complex_matrix)
             # Entries the cast cannot take as reals, and strings, which it
-            # would parse.
+            # would parse, also those an object array holds.
             not_real = _exactly("matrix has entries that are not real numbers")
             for matrix in (np.array([[1j, 0]], dtype=object), np.array([["1", "2"]]),
-                           np.array([[b"1", b"2"]]), [["1", "2"]]):
+                           np.array([[b"1", b"2"]]), [["1", "2"]],
+                           np.array([["1", "0"], ["0", "2"]], dtype=object),
+                           np.array([[b"1", 0]], dtype=object), [[1.0, "2"]]):
                 with pytest.raises(ValueError, match=not_real):
                     numerical_rank(matrix)
+            # An object array of Python, NumPy or exact reals is still read.
+            for reals in ([[1, 0], [0, 2.5]], [[np.int64(1), 0], [0, np.float32(2)]],
+                          [[Fraction(1, 3), 0], [0, Fraction(2)]]):
+                assert numerical_rank(np.array(reals, dtype=object)) == 2
 
     def test_random_low_rank(self):
         rng = np.random.default_rng(5)
@@ -195,10 +202,14 @@ class TestNumericalComplexValidation:
             with pytest.raises(ValueError, match=_exactly("map 2 has complex entries")):
                 NumericalComplex(shape(1, 1, 1), (np.zeros((1, 1)), [[1j]]))
             for bad in (np.array([[1j, 0]], dtype=object), np.array([["1", "2"]]),
-                        np.array([[b"1", b"2"]])):
+                        np.array([[b"1", b"2"]]), np.array([["1", "2"]], dtype=object),
+                        np.array([[0, b"2"]], dtype=object)):
                 with pytest.raises(ValueError,
                                    match=_exactly("map 2 has entries that are not real numbers")):
                     NumericalComplex(shape(1, 1, 2), (np.zeros((1, 1)), bad))
+            exact = NumericalComplex(shape(1, 1, 2), (np.zeros((1, 1)), np.array(
+                [[Fraction(1, 2), np.float32(3)]], dtype=object)))
+            assert exact.maps[1].tolist() == [[0.5, 3.0]]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("j", [1, 2, 3])
