@@ -127,10 +127,6 @@ def _usage(build, *args):
         raise _UsageError(str(exc)) from None
 
 
-def _shape_of(args) -> ComplexShape:
-    return _usage(ComplexShape, _parse_vector(args.dims, "--dims"))
-
-
 def _ranks_of(args, shape: ComplexShape) -> RankVector:
     values = _parse_vector(args.ranks, "--ranks")
     if len(values) != shape.n_maps:
@@ -166,17 +162,6 @@ def _work_cap(args) -> int:
     return _number(int, "work cap")(str(cap))  # bounded here: --method dp takes none
 
 
-def _envelope(command: str, shape: ComplexShape | None, payload, warnings=()):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "command": command,
-        "shape": shape.dims if shape is not None else None,
-        "payload": payload,
-        "warnings": warnings,
-    }
-
-
 def _report_payload(report):
     return {
         "max_dimension": report.max_dimension,
@@ -206,20 +191,7 @@ def _comparison_payload(result):
     }
 
 
-def _infeasible(command: str, shape: ComplexShape, ranks: RankVector):
-    payload = {
-        "feasible": False,
-        "ranks": ranks.ranks,
-        "error": f"ranks {list(ranks.ranks)} are infeasible for dims {list(shape.dims)}",
-    }
-    return _envelope(command, shape, payload), EXIT_INFEASIBLE
-
-
-def cmd_dimension(args):
-    shape = _shape_of(args)
-    ranks = _ranks_of(args, shape)
-    if not is_feasible(shape, ranks):
-        return _infeasible("dimension", shape, ranks)
+def cmd_dimension(args, shape, ranks):
     betti = betti_from_ranks(shape, ranks)
     payload = {
         "feasible": True,
@@ -231,11 +203,10 @@ def cmd_dimension(args):
         "sum_betti": sum(betti.bettis),
         "lower_bound": betti_lower_bound(shape),
     }
-    return _envelope("dimension", shape, payload), EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_maximize(args):
-    shape = _shape_of(args)
+def cmd_maximize(args, shape, ranks):
     from .optimizer import brute_force_maximize, enumerate_maximizers
 
     if args.method == "brute":
@@ -243,22 +214,20 @@ def cmd_maximize(args):
     else:
         report = enumerate_maximizers(shape, cap=args.limit)
     payload = {"method": args.method, **_report_payload(report)}
-    return _envelope("maximize", shape, payload), EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_predict(args):
-    shape = _shape_of(args)
+def cmd_predict(args, shape, ranks):
     from .predictions import all_predictions
 
     payload = {
         "reading": args.reading,
         "predictions": [_prediction_payload(p) for p in all_predictions(shape, args.reading)],
     }
-    return _envelope("predict", shape, payload), EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_check(args):
-    shape = _shape_of(args)
+def cmd_check(args, shape, ranks):
     from .predictions import Verdict, check_shape
 
     result = check_shape(shape, args.reading)
@@ -273,14 +242,10 @@ def cmd_check(args):
         "observed": _report_payload(result.observed),
     }
     code = EXIT_MISMATCH if result.verdict is Verdict.MISMATCH else EXIT_OK
-    return _envelope("check", shape, payload), code
+    return payload, code
 
 
-def cmd_verify_dim(args):
-    shape = _shape_of(args)
-    ranks = _ranks_of(args, shape)
-    if not is_feasible(shape, ranks):
-        return _infeasible("verify-dim", shape, ranks)
+def cmd_verify_dim(args, shape, ranks):
     config, rank_tol_set = _tolerances(args)
     _orbit_matrix_sides(shape, args.size_cap)
     formula_d = stratum_dimension(shape, ranks)
@@ -304,11 +269,10 @@ def cmd_verify_dim(args):
         "orbit_d": orbit_d,
         "agree": agree,
     }
-    return _envelope("verify-dim", shape, payload), EXIT_OK if agree else EXIT_NUMERIC_DISAGREEMENT
+    return payload, EXIT_OK if agree else EXIT_NUMERIC_DISAGREEMENT
 
 
-def cmd_sample(args):
-    shape = _shape_of(args)
+def cmd_sample(args, shape, ranks):
     config, _ = _tolerances(args)
     if max(shape.dims) > DEFAULT_SIZE_CAP:
         raise WorkCapExceeded(
@@ -359,10 +323,10 @@ def cmd_sample(args):
         "maximizers_truncated": report.truncated,
         "biased": greedy_d != report.max_dimension,
     }
-    return _envelope("sample", shape, payload, warnings=[SAMPLER_WARNING]), EXIT_OK
+    return payload, EXIT_OK, [SAMPLER_WARNING]
 
 
-def cmd_sweep(args):
+def cmd_sweep(args, shape, ranks):
     work_cap = _work_cap(args)
     from .predictions import conjecture_scan, sweep_theorems
 
@@ -394,7 +358,37 @@ def cmd_sweep(args):
         )
         failed = bool(result.counterexamples)
     code = EXIT_MISMATCH if failed else EXIT_OK
-    return _envelope("sweep", None, payload, warnings), code
+    return payload, code, warnings
+
+
+def _run(args):
+    """The envelope and exit code of the command that args name.  Its
+    --dims and --ranks, where it takes them, are read here, and infeasible
+    ranks answered with exit 2, before its handler runs on the shape and
+    ranks.  A handler returns its payload, exit code and any warnings."""
+    shape = ranks = None
+    if "dims" in args:
+        shape = _usage(ComplexShape, _parse_vector(args.dims, "--dims"))
+    if "ranks" in args:
+        ranks = _ranks_of(args, shape)
+    if ranks is None or is_feasible(shape, ranks):
+        result = args.handler(args, shape, ranks)
+    else:
+        result = {
+            "feasible": False,
+            "ranks": ranks.ranks,
+            "error": f"ranks {list(ranks.ranks)} are infeasible for dims {list(shape.dims)}",
+        }, EXIT_INFEASIBLE
+    payload, code, *warnings = result
+    envelope = {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "command": args.command,
+        "shape": shape.dims if shape is not None else None,
+        "payload": payload,
+        "warnings": warnings[0] if warnings else (),
+    }
+    return envelope, code
 
 
 def _render_table(envelope) -> str:
@@ -568,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        envelope, code = args.handler(args)
+        envelope, code = _run(args)
         _emit(envelope, args)
     except _UsageError as exc:
         _write_stderr(f"chaincx: error: {exc}\n")

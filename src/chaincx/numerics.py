@@ -534,10 +534,10 @@ def _orbit_plan(dims: tuple, ambient: int, domain: int) -> np.ndarray:
 
     Row 0 holds the positions of L's nonzeros in L.ravel(), row 1 the
     index of each one's entry in the maps' entries, concatenated, then
-    negated: int32 while L.ravel() fits in int32, np.intp past it, and
-    empty when L has no nonzero entry.  It is read off the L that
-    _write_orbit_matrix writes for maps whose entries are 1..N in that
-    order: +k, or -k, where it put entry k, or its negation."""
+    negated, as np.intp, and empty when L has no nonzero entry.  It is
+    read off the L that _write_orbit_matrix writes for maps whose entries
+    are 1..N in that order: +k, or -k, where it put entry k, or its
+    negation."""
     held, plan = _LAST_PLAN[0]
     if held == dims:
         return plan
@@ -548,8 +548,7 @@ def _orbit_plan(dims: tuple, ambient: int, domain: int) -> np.ndarray:
     lin = _write_orbit_matrix(maps, dims, ambient, domain).ravel()
     at = (lin != 0).nonzero()[0]  # faster than flatnonzero on floats
     entry = lin[at]
-    kind = np.int32 if lin.size <= np.iinfo(np.int32).max else np.intp
-    plan = np.array((at, np.where(entry > 0, entry - 1, offsets[-1] - 1 - entry)), kind)
+    plan = np.array((at, np.where(entry > 0, entry - 1, offsets[-1] - 1 - entry)), np.intp)
     _LAST_PLAN[0] = dims, plan
     return plan
 

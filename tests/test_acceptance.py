@@ -33,7 +33,7 @@ from chaincx import (
     sequential_sample,
     stratum_dimension,
 )
-from chaincx.cli import build_parser
+from chaincx.cli import _run, build_parser
 from test_core import iter_feasible_ranks, iter_shapes
 
 SENTINEL = HypothesisReading.SENTINEL
@@ -263,7 +263,7 @@ def test_criterion_10_sampler_bias():
     args = build_parser().parse_args(
         ["sample", "--dims", "1,2,1,2", "--seed", "0", "--trials", "100"]
     )
-    envelope, code = args.handler(args)
+    envelope, code = _run(args)
     if code != 0 or envelope["payload"]["biased"] is not True:
         failures.append(("cli", code, envelope["payload"].get("biased")))
     if envelope["payload"]["trial_ranks"] != [[1, 1, 0]] * 100:

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from chaincx import ComplexShape, optimizer, predictions
-from chaincx.cli import _shape_of, build_parser, main
+from chaincx.cli import _run, build_parser, main
 
 SAMPLER_WARNING = "sequential sampler does not realize the conditional measure"
 
@@ -661,6 +661,10 @@ class TestImportGraph:
         (["sample", "--dims", "1024,1024", "--trials", "64"], None, 3),
         (["verify-dim", "--dims", "2,2", "--ranks", "1"], None, 0),
         *((argv, None, 3) for argv, _ in OVER_THE_LISTING_CAP),
+        # Infeasible ranks are answered before any tolerance is read.
+        (["verify-dim", "--dims", "2,2,2", "--ranks", "2,1"], {"CHAINCX_RANK_TOL": "x"}, 2),
+        (["verify-dim", "--dims", "2,2,2", "--ranks", "2,1", "--composition-tol", "0"], None, 2),
+        (["verify-dim", "--dims", "2,2,2", "--ranks", "2,1", "--rank-tol", "1"], None, 2),
     ])
     def test_integer_paths_are_numpy_free(self, argv, env, code):
         # verify-dim and sample end here before their float work.
@@ -783,9 +787,9 @@ class TestOutputModes:
         # every listed vector put the handlers at 1.76, 1.88 and 1.95 times
         # the library call's peak.
         args = build_parser().parse_args(argv)
-        shape = _shape_of(args)
+        shape = ComplexShape(tuple(map(int, args.dims.split(","))))
         listing = traced_peak(lambda: library(shape))
-        assert traced_peak(lambda: args.handler(args)) < 1.1 * listing
+        assert traced_peak(lambda: _run(args)) < 1.1 * listing
 
     def test_out_keeps_what_it_names(self, tmp_path, capsys):
         argv = ["dimension", "--dims", "2,1", "--ranks", "1", "--out"]
@@ -821,6 +825,22 @@ class TestOutputModes:
         assert hard.read_bytes() == target.read_bytes() == before
         assert hard.stat().st_nlink == target.stat().st_nlink == 2
         assert not list(tmp_path.glob(".chaincx-*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["dimension", "--dims", "2,1", "--ranks", "1"],
+        ["dimension", "--dims", "1,1,1", "--ranks", "1,1"],
+        ["maximize", "--dims", "3,1,3"],
+        ["predict", "--dims", "2,2,2"],
+        ["check", "--dims", "2,1,1,2", "--reading", "interior"],
+        ["verify-dim", "--dims", "2,2", "--ranks", "1"],
+        ["sample", "--dims", "1,2,1,2"],
+        ["sweep", "--max-length", "2", "--max-entry", "2"],
+    ], ids=lambda argv: " ".join(argv[:5]))
+    def test_envelope_names_the_command(self, argv, capsys):
+        code = main(argv)
+        assert json.loads(capsys.readouterr().out)["command"] == argv[0]
+        assert main(argv + ["--format", "table"]) == code
+        assert capsys.readouterr().out.splitlines()[0] == f"command       {argv[0]}"
 
     def test_table_format(self):
         proc = run_cli("sample", "--dims", "1,2,1,2", "--trials", "2", "--format", "table")

@@ -463,7 +463,7 @@ class TestOrbitOracles:
         # shape and rebuilt on every call when two shapes alternate.
         def held(dims):
             [(shape_held, plan)] = numerics._LAST_PLAN
-            return shape_held == dims and plan.dtype == np.int32 and plan.shape[0] == 2
+            return shape_held == dims and plan.dtype == np.intp and plan.shape[0] == 2
 
         other = canonical_complex(shape(2, 3), ranks(2))
         other_sides = _orbit_matrix_sides(other.shape, DEFAULT_SIZE_CAP)
