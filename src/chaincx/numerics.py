@@ -92,6 +92,7 @@ complex attains with positive probability.
 from __future__ import annotations
 
 import ctypes
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -167,10 +168,6 @@ _FOLD_NB = 32
 # 0.2 MB; past them, a new shape queries on every call.
 _LWORK: dict[tuple, int] = {}
 _LWORK_ENTRIES = 1024
-# The index plan of the last small orbit matrix built (_orbit_plan), as one
-# (dims, plan) pair that a new dims replaces whole, so a thread reads a
-# matched pair.
-_LAST_PLAN: list[tuple] = [(None, None)]
 # The normal float range, outside which the composition check scales.
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
 # Condition-number bound of the basis changes random_conjugation draws.
@@ -529,8 +526,10 @@ def _write_orbit_matrix(maps: tuple, dims: tuple, ambient: int, domain: int) -> 
     return lin
 
 
+@functools.lru_cache(maxsize=1)
 def _orbit_plan(dims: tuple, ambient: int, domain: int) -> np.ndarray:
-    """The index plan of L on dims, built unless dims were the last asked.
+    """The index plan of L on dims, built unless dims were the last asked:
+    one plan is held, and lru_cache hands each thread the plan of its key.
 
     Row 0 holds the positions of L's nonzeros in L.ravel(), row 1 the
     index of each one's entry in the maps' entries, concatenated, then
@@ -538,9 +537,6 @@ def _orbit_plan(dims: tuple, ambient: int, domain: int) -> np.ndarray:
     read off the L that _write_orbit_matrix writes for maps whose entries
     are 1..N in that order: +k, or -k, where it put entry k, or its
     negation."""
-    held, plan = _LAST_PLAN[0]
-    if held == dims:
-        return plan
     offsets = _map_offsets(dims)
     index = np.arange(1.0, offsets[-1] + 1.0)
     maps = tuple(index[offsets[j] : offsets[j + 1]].reshape(dims[j], dims[j + 1])
@@ -548,9 +544,7 @@ def _orbit_plan(dims: tuple, ambient: int, domain: int) -> np.ndarray:
     lin = _write_orbit_matrix(maps, dims, ambient, domain).ravel()
     at = (lin != 0).nonzero()[0]  # faster than flatnonzero on floats
     entry = lin[at]
-    plan = np.array((at, np.where(entry > 0, entry - 1, offsets[-1] - 1 - entry)), np.intp)
-    _LAST_PLAN[0] = dims, plan
-    return plan
+    return np.array((at, np.where(entry > 0, entry - 1, offsets[-1] - 1 - entry)), np.intp)
 
 
 def _spawned_rng(seed: int, key: int) -> np.random.Generator:

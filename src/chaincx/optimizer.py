@@ -119,7 +119,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import islice, product
-from operator import sub
+from operator import index, sub
 
 from .core import (
     DEFAULT_ENUMERATION_CAP,
@@ -377,8 +377,10 @@ def enumerate_maximizers(
     """All maximizers of d(a, r), listed lexicographically up to cap.
 
     The count is exact regardless of truncation.  A listing of more than
-    MAX_LISTED_ENTRIES entries is refused before any row is listed.
+    MAX_LISTED_ENTRIES entries is refused before any row is listed.  cap is
+    read through operator.index, so a float raises TypeError.
     """
+    cap = index(cap)
     if cap < 1:
         raise ValueError("enumeration cap must be positive")
     return _listing(shape.dims, cap, "the listing of shape")
@@ -409,8 +411,9 @@ def brute_force_maximize(
     """Independent oracle: exhaust the feasible region, never truncate.
 
     Refuses shapes whose candidate grid prod(min(a_{i-1}, a_i) + 1)
-    exceeds work_cap.
+    exceeds work_cap, which is read through operator.index.
     """
+    work_cap = index(work_cap)
     dims = shape.dims
     caps = _state_caps(dims)[1:]
     grid = 1

@@ -37,7 +37,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import chain, combinations, product
 from math import comb
-from operator import add, ge
+from operator import add, ge, index
 
 from .core import (
     DEFAULT_WORK_CAP,
@@ -396,11 +396,13 @@ def conjecture_scan(
     are generated (_canonical_leaves), and each is decided in O(1) by its
     greedy total homology and chi, which are shared along common prefixes;
     the DP runs only to list a counterexample's maximizers (_observe).
-    Hitting work_cap stops the scan with partial results and truncated =
-    True.  Bounds that are negative or reach past MAX_LENGTH or MAX_ENTRY
-    raise ValueError before anything is scanned.
+    Hitting work_cap, read through operator.index, stops the scan with
+    partial results and truncated = True.  Bounds that are negative or
+    reach past MAX_LENGTH or MAX_ENTRY raise ValueError before anything is
+    scanned.
     """
     _check_bounds(max_length, max_entry, "scan")
+    work_cap = index(work_cap)
     counterexamples = []
     scanned = 0
     truncated = False
@@ -466,11 +468,12 @@ def sweep_theorems(
     other representative of a mismatched pair goes through check_shape for
     its details, which are then put in rectangle order.  The rest of the
     rectangle is NOT_APPLICABLE.  Bounds are refused as in conjecture_scan,
-    before the work cap is read; then a rectangle of more than work_cap
-    shapes, or of more than MAX_SWEEP_SHORT_SHAPES shapes of up to two
-    maps, is refused before any DP.
+    before the work cap is read through operator.index; then a rectangle
+    of more than work_cap shapes, or of more than MAX_SWEEP_SHORT_SHAPES
+    shapes of up to two maps, is refused before any DP.
     """
     _check_bounds(max_length, max_entry, "sweep")
+    work_cap = index(work_cap)
     size = sum((max_entry + 1) ** (n + 1) for n in range(max_length + 1))
     if size > work_cap:  # size can pass the 4300 digits str() allows, so it is not shown
         raise WorkCapExceeded(

@@ -461,9 +461,15 @@ class TestOrbitOracles:
         # the shape changes.  Each complex is visited in shape order, then
         # again after a complex of another shape: the plan is kept along a
         # shape and rebuilt on every call when two shapes alternate.
-        def held(dims):
-            [(shape_held, plan)] = numerics._LAST_PLAN
-            return shape_held == dims and plan.dtype == np.intp and plan.shape[0] == 2
+        def built(call):
+            """call()'s value and whether it built a plan (a cache miss)
+            rather than reading the one held (a hit)."""
+            before = numerics._orbit_plan.cache_info()
+            value = call()
+            after = numerics._orbit_plan.cache_info()
+            assert (after.maxsize, after.currsize) == (1, 1)
+            assert after.hits + after.misses == before.hits + before.misses + 1
+            return value, after.misses > before.misses
 
         other = canonical_complex(shape(2, 3), ranks(2))
         other_sides = _orbit_matrix_sides(other.shape, DEFAULT_SIZE_CAP)
@@ -472,24 +478,29 @@ class TestOrbitOracles:
             dims = cx.shape.dims
             sides = _orbit_matrix_sides(cx.shape, DEFAULT_SIZE_CAP)
             lin = _orbit_matrix(cx, *sides)
-            assert lin.flags.c_contiguous and held(dims), dims
+            assert lin.flags.c_contiguous, dims
             assert bit_equal(lin, _write_orbit_matrix(cx.maps, dims, *sides)), dims
             assert bit_equal(lin, kron_orbit_matrix(cx)), dims
             assert bit_equal(lin, scatter_orbit_matrix(cx, *sides)), dims
             assert orbit_dimension(cx) == stratum_dimension(cx.shape, rv), dims
-            assert bit_equal(_orbit_matrix(other, *other_sides), other_lin)
-            assert held(other.shape.dims)
-            assert bit_equal(_orbit_matrix(cx, *sides), lin) and held(dims), dims
+            plan, rebuilt = built(lambda: numerics._orbit_plan(dims, *sides))
+            assert plan.dtype == np.intp and plan.shape[0] == 2 and not rebuilt, dims
+            alternating = dims != other.shape.dims
+            again, rebuilt = built(lambda: _orbit_matrix(other, *other_sides))
+            assert bit_equal(again, other_lin) and rebuilt == alternating, dims
+            again, rebuilt = built(lambda: _orbit_matrix(cx, *sides))
+            assert bit_equal(again, lin) and rebuilt == alternating, dims
         # Empty maps, one space and no entry at all: an empty plan, a zero L.
         for dims in [(2, 0, 2), (3,), (0,)]:
             cx = canonical_complex(shape(*dims), ranks(*[0] * (len(dims) - 1)))
             sides = _orbit_matrix_sides(cx.shape, DEFAULT_SIZE_CAP)
-            assert bit_equal(_orbit_matrix(cx, *sides), np.zeros(sides)) and held(dims), dims
-            assert numerics._LAST_PLAN[0][1].size == 0, dims
+            assert bit_equal(_orbit_matrix(cx, *sides), np.zeros(sides)), dims
+            plan, rebuilt = built(lambda: numerics._orbit_plan(dims, *sides))
+            assert plan.dtype == np.intp and plan.shape == (2, 0) and not rebuilt, dims
 
     def test_threads_fill_from_a_matched_plan(self):
         # Threads alternating between shapes each fill L from the plan of its
-        # own shape: the (dims, plan) pair is read and replaced whole.
+        # own shape: lru_cache returns the plan built for the key asked.
         shapes = (shape(3, 4, 4, 2), shape(2, 3, 3), shape(4, 4), shape(1, 2, 1, 2, 1))
         cases = []
         for s in shapes:

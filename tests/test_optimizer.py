@@ -85,6 +85,11 @@ class TestBruteForce:
     def test_work_cap_refusal(self):
         with pytest.raises(WorkCapExceeded, match="17"):
             brute_force_maximize(shape(9, 9, 9, 9), work_cap=17)
+        # The cap is an integer: True is 1, and a float is refused.
+        with pytest.raises(WorkCapExceeded, match="work cap of 1$"):
+            brute_force_maximize(shape(9, 9, 9, 9), work_cap=True)
+        with pytest.raises(TypeError):
+            brute_force_maximize(shape(2, 2), work_cap=17.5)
 
 
 class TestEnumerate:
@@ -130,6 +135,13 @@ class TestEnumerate:
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError):
             enumerate_maximizers(shape(2, 2), cap=0)
+        # The cap is an integer.  Read as it came, 1.5 listed two of these
+        # three maximizers, and True was reported as the cap.
+        with pytest.raises(TypeError):
+            enumerate_maximizers(shape(2, 2, 2, 2, 2), cap=1.5)
+        report = enumerate_maximizers(shape(2, 2, 2, 2, 2), cap=True)
+        assert len(report.maximizers) == 1 and report.maximizer_count == 3
+        assert type(report.enumeration_cap) is int and report.enumeration_cap == 1
 
     def test_deterministic(self):
         a = enumerate_maximizers(shape(4, 2, 4, 2))

@@ -428,6 +428,11 @@ class TestSweeps:
         # run (a truncated scan, or a refused sweep) before any real work.
         with contextlib.suppress(WorkCapExceeded):
             run(MAX_LENGTH - 1, MAX_ENTRY, work_cap=0)
+        # The work cap is an integer, read after the bounds.
+        with pytest.raises(TypeError):
+            run(1, 1, work_cap=1.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            run(-1, 0, work_cap=1.5)
 
     def test_scan_truncation(self):
         report = conjecture_scan(3, 3, work_cap=5)
